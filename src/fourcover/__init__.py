@@ -20,13 +20,13 @@ from .normalizer import (
     parse_point,
 )
 from .torsor import (
-    TorsorOutcome, BlowupChart, taylor_shift, torsor_case,
+    TorsorOutcome, BlowupChart, torsor_case,
     maximize_h_bruteforce, lemma_hh_check, blowup_chart,
 )
 from .classifier import (
     Classification, ExtensionSpec, Component, StableModel,
     classify, required_extension, build_stable_model, verify_model,
-    check_qwerty, deuring_good_reduction, genus_generic,
+    check_qwerty, deuring_good_reduction,
     TYPE_1A, TYPE_1B, TYPE_2, TYPE_3,
 )
 

@@ -20,6 +20,7 @@ trusted.
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
 from .errors import (
     InsufficientPrecision, UnsupportedPrime, InvalidInput,
@@ -34,7 +35,7 @@ from .torsor import (
     lemma_hh_check,
 )
 from .curves import as_genus, p_rank_DS, is_pth_power
-from .ffield import proots, pnormalize, peval, pderiv
+from .ffield import FF, proots, pnormalize, peval, pderiv
 
 
 TYPE_1A = "1a"
@@ -120,12 +121,6 @@ class StableModel:
         return sum(c.genus for c in self.components) + self.betti()
 
 
-def genus_generic(p):
-    """Genus of the smooth cover: four branch points, tame-prime-to-p
-    multiplicities, Riemann-Hurwitz gives p - 1."""
-    return p - 1
-
-
 def classify(n):
     """The reduction type of a normalized cover (p > 2)."""
     p = n.p
@@ -156,13 +151,6 @@ def classify(n):
 # required extension
 # ---------------------------------------------------------------------------
 
-def _lcm(*vals):
-    out = 1
-    for v in vals:
-        out = out * v // math.gcd(out, v)
-    return out
-
-
 def _even_pi_level(v, e):
     """Least multiple of e over which v becomes an even pi-level."""
     pl = v * e
@@ -191,15 +179,15 @@ def required_extension(n, cls):
     vt = Fraction(p, p - 1)
     for label, vc in n.constant_tokens:
         tokens.append("%s, v(c) = %s" % (label, vc))
-        e_need = _lcm(e_need, (Fraction(vc) / p).denominator)
+        e_need = math.lcm(e_need, (Fraction(vc) / p).denominator)
 
     if cls.rtype == TYPE_1A:
         tokens.append("tau^(1/3)")
-        e_need = _lcm(e_need, Fraction(p, 3 * (p - 1)).denominator)
+        e_need = math.lcm(e_need, Fraction(p, 3 * (p - 1)).denominator)
 
     elif cls.rtype == TYPE_1B:
         tokens.append("tau")
-        e_need = _lcm(e_need, p - 1)
+        e_need = math.lcm(e_need, p - 1)
 
     elif cls.rtype == TYPE_2:
         tokens.append("lambda^(1/2)")
@@ -209,7 +197,7 @@ def required_extension(n, cls):
 
     elif cls.subroute == VIA_2A:
         tokens.append("tau^(1/2)")
-        e_need = _lcm(e_need, Fraction(p, 2 * (p - 1)).denominator)
+        e_need = math.lcm(e_need, Fraction(p, 2 * (p - 1)).denominator)
 
     elif cls.subroute == VIA_1B:
         num = j_numerator(n)
@@ -218,7 +206,7 @@ def required_extension(n, cls):
         tokens.append("disc^(1/2) (disc = j-numerator)")
         vb = (vt - vnum / 2) / 2
         tokens.append("b with v(b^2 g''(d)) = v(tau), v(b) = %s" % vb)
-        e_need = _lcm(e_need, vb.denominator, (vnum / 2).denominator)
+        e_need = math.lcm(e_need, vb.denominator, (vnum / 2).denominator)
         e_need = _even_pi_level(vnum, e_need)
         if not _sqrt_unit_residue_square(num, tw):
             f_need *= 2
@@ -228,13 +216,13 @@ def required_extension(n, cls):
         tokens.append("lambda^(1/2)")
         vb = (vt - vlam / 2) / 2
         tokens.append("b with v(b^2 lambda^(1/2)) = v(tau), v(b) = %s" % vb)
-        e_need = _lcm(e_need, vb.denominator, (vlam / 2).denominator)
+        e_need = math.lcm(e_need, vb.denominator, (vlam / 2).denominator)
         e_need = _even_pi_level(vlam, e_need)
         if not _sqrt_unit_residue_square(n.lam, tw):
             f_need *= 2
         # centers: roots of -(beta+1)x^2 + 2x - 1, discriminant -4*beta
         if (n.beta + 1) % p:
-            ff2 = _ff_for(p, f_need)
+            ff2 = FF(p, f_need)
             disc = ff2.smul(-4, n.beta % p)
             if not ff2.is_square(disc):
                 f_need *= 2
@@ -242,20 +230,9 @@ def required_extension(n, cls):
     return ExtensionSpec(e=e_need, f=f_need, tokens=tokens)
 
 
-def _ff_for(p, f):
-    from .ffield import FF
-    return FF(p, f)
-
-
 # ---------------------------------------------------------------------------
-# builder helpers
+# the chart certifier
 # ---------------------------------------------------------------------------
-
-def _big_tower(n, spec):
-    tw = n.tower
-    levels = max(tw.nl - 2, 12)
-    return Tower(tw.p, spec.e, spec.f, prec=levels * spec.e)
-
 
 def _cover_to_poly(cover):
     """(C, const) with rhs = const * C(x), C integral of unit content."""
@@ -272,22 +249,43 @@ def _cover_to_poly(cover):
     return C, const
 
 
-def _fold_constant(C, const, notes):
-    """Push the constant of z^p = const*C into the equation.
+def _chart_poly(cover, moebius=None):
+    """(C, notes): the equation z^p = C of ``cover``, pulled back along
+    ``moebius`` when one is given, with the chart constant folded in.
 
     The pi-power part of the constant must be a p-th power (it is, in
     every construction here); the unit part is folded into C, and its
     p-th root over the perfect residue field is left implicit.
     """
+    if moebius is not None:
+        cover, _ = cover.moebius_pullback(moebius)
+    C, const = _cover_to_poly(cover)
     tw = C.tw
+    notes = {}
     if const.same(tw.one()):
-        return C
+        return C, notes
     m = const.pival()
     if m % tw.p:
         notes["constant"] = ("pi-power %d of the chart constant is not a "
                              "p-th power; root adjoined implicitly" % m)
-    unit = const * tw.pi_power(-m)
-    return C.scale(unit)
+    return C.scale(const * tw.pi_power(-m)), notes
+
+
+def _xp_witness(C, what):
+    """h = rho x for a chart C whose residue is c x^p, with rho^p = c."""
+    tw = C.tw
+    p = tw.p
+    red = pnormalize(C.residue_poly())
+    if len(red) - 1 != p or any(red[:-1]):
+        raise ConstructionMismatch("%s does not reduce to c*x^p" % what)
+    return Poly(tw, [tw.zero(), tw.lift_ff(tw.ff.pth_root(red[p]))])
+
+
+def _radius(tw, v):
+    """The blow-up radius pi^(v e) of valuation v."""
+    if (v * tw.e).denominator != 1:
+        raise ConstructionMismatch("radius valuation %s not in the value group" % v)
+    return tw.pi_power(int(v * tw.e))
 
 
 def _integral_branch_residues(cover):
@@ -296,8 +294,6 @@ def _integral_branch_residues(cover):
         v = q.valuation()
         if v is INF or v >= 0:
             out.add(q.residue())
-    if cover.infinity_exponent():
-        pass  # infinity never collides with a finite residue root
     return out
 
 
@@ -312,8 +308,20 @@ def _residue_center_roots(S, exclude):
     return [r for r in roots if peval(ff, der, r) != 0]
 
 
-def _component_from_AS(outcome, chart, expect_genus, label):
-    curve = outcome.payload
+def _expect(out, case, label):
+    """``out`` when the trichotomy certified ``case``; else ConstructionMismatch."""
+    if out.case != case:
+        raise ConstructionMismatch("%s: expected %s fiber, got %s (w = %s)"
+                                   % (label, case, out.case, out.w))
+    return out
+
+
+def _artin_schreier(out, chart, expect_genus, label, notes=None):
+    """Package a certified Artin-Schreier outcome as a component."""
+    curve = _expect(out, TorsorOutcome.ARTIN_SCHREIER, label).payload
+    chart.h = out.h
+    chart.notes.update(w=str(out.w), label=label)
+    chart.notes.update(notes or {})
     g = as_genus(curve)
     if g != expect_genus:
         raise ConstructionMismatch(
@@ -331,52 +339,58 @@ def _component_from_AS(outcome, chart, expect_genus, label):
     )
 
 
-def _certified_AS_chart(C, d, b, h_poly, expect_genus, label, N=None):
-    """Blow up, certify through the trichotomy, and package a component."""
-    tw = C.tw
+def _blowup_component(C, d, b, expect_genus, label, h=None, N=None, notes=None):
+    """Blow up (x - d, b), certify the chart through the trichotomy with
+    h (default x^(N/p)) and package its Artin-Schreier component."""
     chart = blowup_chart(C, d, b, N=N)
-    if h_poly is None:
-        s = chart.N // tw.p
-        h_poly = Poly.x_power(tw, s)
-    chart.h = h_poly
-    out = torsor_case(chart.poly, h_poly)
-    if out.case != TorsorOutcome.ARTIN_SCHREIER:
-        raise ConstructionMismatch(
-            "%s: expected an Artin-Schreier fiber, got %s (w = %s)"
-            % (label, out.case, out.w))
-    chart.notes["w"] = str(out.w)
-    chart.notes["label"] = label
-    return _component_from_AS(out, chart, expect_genus, label)
+    if h is None:
+        h = Poly.x_power(C.tw, chart.N // C.tw.p)
+    return _artin_schreier(torsor_case(chart.poly, h), chart, expect_genus,
+                           label, notes)
+
+
+def _line_component(cover, moebius, coord, label):
+    """A rational component of the Mumford model: the chart of ``cover``
+    along ``moebius`` must be purely inseparable."""
+    C, notes = _chart_poly(cover, moebius)
+    out = _expect(_torsor_outcome(C, Poly(C.tw, [])),
+                  TorsorOutcome.INSEPARABLE, label)
+    return Component(
+        kind="inseparable",
+        equation=out.payload.render(),
+        genus=0,
+        p_rank=0,
+        branch_points=2,
+        chart=dict(notes, coord=coord, w=str(out.w), label=label),
+        payload=out.payload,
+    )
 
 
 # ---------------------------------------------------------------------------
-# the per-case builders
+# the routes: center, radius, h, expected genus and edges of each
 # ---------------------------------------------------------------------------
 
-def _build_good_1a(n, big, checks):
-    tw = big
+def _build_good_1a(n, cover, lam, checks):
+    tw = cover.tower
     p = tw.p
-    lam = n.tower.embed(n.lam, big)
     beta, gamma = n.beta, n.gamma
-    nn = beta + gamma + 1
-    cover = FactoredCover(tw, tw.one(), [
-        (tw.zero(), 1), (tw.one(), beta), (lam, gamma)])
-    C, const = _cover_to_poly(cover)
-    d = (lam * (beta + 1) + tw.from_int(gamma + 1)) / tw.from_int(2 * nn)
-    b = tw.pi_power(tw.e * p // (3 * (p - 1)))
+    C, _ = _chart_poly(cover)
+    d = (lam * (beta + 1) + tw.from_int(gamma + 1)) / tw.from_int(
+        2 * (beta + gamma + 1))
+    b = _radius(tw, Fraction(p, 3 * (p - 1)))
     # sufficiency bookkeeping: v(f'(d)) >= v(b^2), v(f''(d)) >= v(b^2)
-    vd1 = C.deriv().eval(d)
-    vd2 = C.deriv().deriv().eval(d)
+    C1 = C.deriv()
+    vd1 = C1.eval(d)
+    vd2 = C1.deriv().eval(d)
     vb2 = (b * b).valuation()
     checks.append(_check("good-1a-derivative-depths",
                          (vd1.is_zeroish() or vd1.valuation() >= vb2)
                          and (vd2.is_zeroish() or vd2.valuation() >= vb2),
                          "v(f'(d))=%s, v(f''(d))=%s, v(b^2)=%s"
                          % (_vstr(vd1), _vstr(vd2), vb2)))
-    chart0 = blowup_chart(C, d, b)
-    checks.append(_check("good-1a-lemma-hh", lemma_hh_check(chart0.poly),
+    comp = _blowup_component(C, d, b, p - 1, "good-1a chart")
+    checks.append(_check("good-1a-lemma-hh", lemma_hh_check(comp.chart.poly),
                          "v(x^N - chart) = v(tau)"))
-    comp = _certified_AS_chart(C, d, b, None, p - 1, "good-1a chart")
     if comp.p_rank != 0:
         raise ConstructionMismatch("type 1a must have p-rank 0")
     # loop closure: one wild branch point of conductor-order 3
@@ -388,15 +402,12 @@ def _build_good_1a(n, big, checks):
     return [comp], []
 
 
-def _build_via_1b(n, big, checks):
-    tw = big
+def _build_via_1b(n, cover, lam, checks):
+    tw = cover.tower
     p = tw.p
-    lam = n.tower.embed(n.lam, big)
     beta, gamma = n.beta, n.gamma
     nn = beta + gamma + 1
-    cover = FactoredCover(tw, tw.one(), [
-        (tw.zero(), 1), (tw.one(), beta), (lam, gamma)])
-    C, _ = _cover_to_poly(cover)
+    C, _ = _chart_poly(cover)
     # critical quadratic g = x^2 - x (lam(beta+1)+gamma+1)/nn + lam/nn
     Bc = -(lam * (beta + 1) + tw.from_int(gamma + 1)) / tw.from_int(nn)
     Cc = lam / tw.from_int(nn)
@@ -406,82 +417,55 @@ def _build_via_1b(n, big, checks):
     sq = tw.sqrt(disc)
     inv2 = tw.from_rational(Fraction(1, 2))
     centers = [(-Bc + sq) * inv2, (-Bc - sq) * inv2]
-    vt = tw.tau_valuation()
+    v_sep = (centers[0] - centers[1]).valuation()
+    C2 = C.deriv().deriv()
     comps = []
     for i, d in enumerate(centers):
-        c2 = C.deriv().deriv().eval(d)
+        c2 = C2.eval(d)
         if c2.is_zeroish():
             raise ConstructionMismatch("degenerate second derivative at a center")
-        vb = (vt - c2.valuation() + C.eval(d).valuation()) / 2
-        if (vb * tw.e).denominator != 1:
-            raise ConstructionMismatch("radius valuation %s not in the value group" % vb)
-        b = tw.pi_power(int(vb * tw.e))
-        sep = centers[0] - centers[1]
-        if not sep.valuation() < vb:
+        vb = (tw.tau_valuation() - c2.valuation() + C.eval(d).valuation()) / 2
+        b = _radius(tw, vb)
+        if not v_sep < vb:
             raise ConstructionMismatch("critical disks are not separated")
-        comps.append(_certified_AS_chart(
-            C, d, b, None, (p - 1) // 2, "type-3 chart %d (v(lam)=0)" % i))
+        comps.append(_blowup_component(C, d, b, (p - 1) // 2,
+                                       "type-3 chart %d (v(lam)=0)" % i))
     checks.append(_check("via-1b-distinct-disks", True,
                          "two separated critical disks"))
     return comps, [(0, 1, 1)]
 
 
-def _build_via_2a(n, big, checks):
-    tw = big
+def _build_via_2a(n, cover, lam, checks):
+    tw = cover.tower
     p = tw.p
-    lam = n.tower.embed(n.lam, big)
-    beta, gamma = n.beta, n.gamma
-    cover = FactoredCover(tw, tw.one(), [
-        (tw.zero(), 1), (tw.one(), beta), (lam, gamma)])
-    b = tw.pi_power(tw.e * p // (2 * (p - 1)))
+    b = _radius(tw, Fraction(p, 2 * (p - 1)))
+    inner, _ = cover.moebius_pullback(Moebius(lam, tw.zero(), tw.zero(), tw.one()))
     comps = []
-    for idx, (cvr, tag) in enumerate([
-            (cover, "unit disk"),
-            (cover.moebius_pullback(Moebius(lam, tw.zero(), tw.zero(), tw.one()))[0],
-             "disk of radius lam")]):
-        C, const = _cover_to_poly(cvr)
-        notes = {}
-        C = _fold_constant(C, const, notes)
-        roots = _residue_center_roots(C.deriv(), _integral_branch_residues(cvr))
+    for cvr, tag in ((cover, "unit disk"), (inner, "disk of radius lam")):
+        C, notes = _chart_poly(cvr)
+        S = C.deriv()
+        roots = _residue_center_roots(S, _integral_branch_residues(cvr))
         if len(roots) != 1:
             raise ConstructionMismatch(
                 "expected one critical residue root on the %s, found %d"
                 % (tag, len(roots)))
-        d = hensel_root(C.deriv(), roots[0])
-        comp = _certified_AS_chart(C, d, b, None, (p - 1) // 2,
-                                   "type-3 chart on the %s" % tag)
-        comp.chart.notes.update(notes)
-        comps.append(comp)
+        comps.append(_blowup_component(C, hensel_root(S, roots[0]), b,
+                                       (p - 1) // 2,
+                                       "type-3 chart on the %s" % tag,
+                                       notes=notes))
     checks.append(_check("via-2a-centers", True,
                          "one critical point per separated disk"))
     return comps, [(0, 1, 1)]
 
 
-def _build_good_1b(n, big, checks):
-    tw = big
+def _build_good_1b(n, cover, lam, checks):
+    tw = cover.tower
     p = tw.p
-    lam = n.tower.embed(n.lam, big)
-    beta, gamma = n.beta, n.gamma
-    cover = FactoredCover(tw, tw.one(), [
-        (tw.zero(), 1), (tw.one(), beta), (lam, gamma)])
-    tau = tw.tau()
-    moved, _ = cover.moebius_pullback(Moebius(tau, tw.zero(), tw.zero(), tw.one()))
-    C, const = _cover_to_poly(moved)
-    notes = {}
-    C = _fold_constant(C, const, notes)
-    # residue is (unit) x^p; h = (p-th root of the unit) * x
-    red = pnormalize(C.residue_poly())
-    if len(red) - 1 != p or any(red[:-1]):
-        raise ConstructionMismatch("smooth 1b model does not reduce to c*x^p")
-    rho = tw.lift_ff(tw.ff.pth_root(red[p]))
-    h = Poly(tw, [tw.zero(), rho])
-    out = _torsor_outcome(C, h)
-    if out.case != TorsorOutcome.ARTIN_SCHREIER:
-        raise ConstructionMismatch("1b smooth model: expected Artin-Schreier, got %s"
-                                   % out.case)
-    chart = BlowupChart(None, None, C.degree, C, coord="x0/tau", h=h,
-                        notes=dict(notes, w=str(out.w), label="smooth model at x0/tau"))
-    comp = _component_from_AS(out, chart, p - 1, "1b smooth model")
+    C, notes = _chart_poly(cover, Moebius(tw.tau(), tw.zero(), tw.zero(), tw.one()))
+    # C is not monic, so the trichotomy runs without the chart checks
+    out = _torsor_outcome(C, _xp_witness(C, "smooth 1b model"))
+    chart = BlowupChart(None, None, C.degree, C, coord="x0/tau", notes=notes)
+    comp = _artin_schreier(out, chart, p - 1, "smooth model at x0/tau")
     if comp.branch_points != 2 or comp.p_rank != p - 1:
         raise ConstructionMismatch(
             "type 1b must have 2 branch points and p-rank p-1, got %d/%d"
@@ -491,176 +475,94 @@ def _build_good_1b(n, big, checks):
     return [comp], []
 
 
-def _inseparable_line_component(C, label, branch_points, chart_notes):
-    tw = C.tw
-    out = _torsor_outcome(C, Poly(tw, []))
-    if out.case != TorsorOutcome.INSEPARABLE:
-        raise ConstructionMismatch("%s: expected an inseparable fiber, got %s"
-                                   % (label, out.case))
-    curve = out.payload
-    chart_notes = dict(chart_notes, w=str(out.w), label=label)
-    return Component(
-        kind="inseparable",
-        equation=curve.render(),
-        genus=0,
-        p_rank=0,
-        branch_points=branch_points,
-        chart=chart_notes,
-        payload=curve,
-    )
-
-
-def _build_mumford_2(n, big, checks):
-    tw = big
+def _build_mumford_2(n, cover, lam, checks):
+    tw = cover.tower
     p = tw.p
-    lam = n.tower.embed(n.lam, big)
-    beta, gamma = n.beta, n.gamma
-    cover = FactoredCover(tw, tw.one(), [
-        (tw.zero(), 1), (tw.one(), beta), (lam, gamma)])
-    # outer component: the standard model itself
-    C0, const0 = _cover_to_poly(cover)
-    notes0 = {}
-    C0 = _fold_constant(C0, const0, notes0)
-    comp0 = _inseparable_line_component(
-        C0, "outer line (unit disk)", 2, dict(notes0, coord="x0"))
-    # inner component: x0 = lam / x1
-    moved, _ = cover.moebius_pullback(Moebius(tw.zero(), lam, tw.one(), tw.zero()))
-    C1, const1 = _cover_to_poly(moved)
-    notes1 = {}
-    C1 = _fold_constant(C1, const1, notes1)
-    comp1 = _inseparable_line_component(
-        C1, "inner line (disk around the cluster {0, lam})", 2,
-        dict(notes1, coord="lam/x0"))
+    comps = [
+        _line_component(cover, None, "x0", "outer line (unit disk)"),
+        _line_component(cover, Moebius(tw.zero(), lam, tw.one(), tw.zero()),
+                        "lam/x0", "inner line (disk around the cluster {0, lam})"),
+    ]
     # the annulus between them splits into p sheets: certify w > v(tau)
-    mu = tw.sqrt(lam)
-    mid, _ = cover.moebius_pullback(Moebius(mu, tw.zero(), tw.zero(), tw.one()))
-    Cm, constm = _cover_to_poly(mid)
-    notesm = {}
-    Cm = _fold_constant(Cm, constm, notesm)
-    rbar = pnormalize(Cm.residue_poly())
-    if len(rbar) - 1 != p or any(rbar[:-1]):
-        raise ConstructionMismatch("annulus model does not reduce to c*x^p")
-    rho = tw.lift_ff(tw.ff.pth_root(rbar[p]))
-    h = Poly(tw, [tw.zero(), rho])
-    r = (h ** p) - Cm
-    w = r.gauss_valuation()
-    ok = w > tw.tau_valuation()
-    checks.append(_check("mumford-annulus-splits", ok,
+    C, _ = _chart_poly(cover, Moebius(tw.sqrt(lam), tw.zero(), tw.zero(), tw.one()))
+    out = _expect(_torsor_outcome(C, _xp_witness(C, "annulus model")),
+                  TorsorOutcome.SPLIT, "annulus model")
+    checks.append(_check("mumford-annulus-splits", True,
                          "v(h^p - annulus equation) = %s > v(tau) = %s"
-                         % (w, tw.tau_valuation())))
-    if not ok:
-        raise ConstructionMismatch("annulus torsor does not split; not Mumford")
-    return [comp0, comp1], [(0, 1, p)]
+                         % (out.w, tw.tau_valuation())))
+    return comps, [(0, 1, p)]
 
 
-def _build_via_2b3(n, big, checks, subcase):
-    tw = big
+def _build_via_2b3(n, cover, lam, checks, subcase):
+    tw = cover.tower
     p = tw.p
-    lam = n.tower.embed(n.lam, big)
-    beta, gamma = n.beta, n.gamma
     mu = tw.sqrt(lam)
-    eps = mu / (tw.one() + mu)
-    cover = FactoredCover(tw, tw.one(), [
-        (tw.zero(), 1), (tw.one(), beta), (lam, gamma)])
     # symmetrized coordinate x0 = mu x1 / (1 - x1); the constant of the
-    # pulled-back equation cancels in every chart and is only recorded
+    # pulled-back equation cancels in every chart and is dropped
     moved, _ = cover.moebius_pullback(Moebius(mu, tw.zero(), -tw.one(), tw.one()))
-    F, constF = _cover_to_poly(moved)
-    notesF = {"dropped_constant_valuation": str(constF.valuation())}
+    F, _ = _cover_to_poly(moved)
     if F.degree != 2 * p or not F.c[-1].same(tw.one()):
         raise ConstructionMismatch("symmetrized equation is not monic of degree 2p")
-    h_glob = Poly(tw, [tw.zero(), -tw.one(), tw.one()])  # x(x-1)
-    T = (h_glob ** p) - F
-    vT = T.gauss_valuation()
-    if vT != mu.valuation():
-        raise ConstructionMismatch(
-            "v(h^p - F) = %s, expected v(lambda^(1/2)) = %s" % (vT, mu.valuation()))
-    T0 = T.divexact_el(mu)
+    h = Poly(tw, [tw.zero(), -tw.one(), tw.one()])  # x(x-1)
+    branch_res = _integral_branch_residues(moved)
+    T0, centers = _centers_2b3(F, h, mu, subcase, branch_res)
     tbar = [tw.ff.neg(c) for c in T0.residue_poly()]
     checks.append(_check("2b3-inseparable-intermediate",
                          not is_pth_power(tw.ff, tbar),
                          "t(x1) = -((h^p-F)/lambda^(1/2))~ not a p-th power"))
-    vt = tw.tau_valuation()
-    vb = (vt - mu.valuation()) / 2
-    if (vb * tw.e).denominator != 1:
-        raise ConstructionMismatch("v(b) = %s not in the value group" % vb)
-    b = tw.pi_power(int(vb * tw.e))
-    branch_res = _integral_branch_residues(moved)
-
-    charts = []       # (C_used, h_used, d, coord_label)
-    if (beta + 1) % p:
-        centers = _centers_2b3(tw, F, h_glob, T0, mu, subcase, branch_res,
-                               expect=2)
-        for i, d in enumerate(centers):
-            charts.append((F, h_glob, d, "x1 chart %d" % i))
+    b = _radius(tw, (tw.tau_valuation() - mu.valuation()) / 2)
+    want = 2 if (n.beta + 1) % p else 1
+    if len(centers) != want:
+        raise ConstructionMismatch(
+            "expected %d critical residue roots, found %d" % (want, len(centers)))
+    if want == 2:
+        charts = [(F, h, d, "x1 chart %d" % i) for i, d in enumerate(centers)]
     else:
-        centers = _centers_2b3(tw, F, h_glob, T0, mu, subcase, branch_res,
-                               expect=1)
-        charts.append((F, h_glob, centers[0], "x1 finite chart"))
-        # second singular point at infinity: flip y = 1/x1
-        Fs = F.reverse(2 * p)
-        hs = h_glob.reverse(2)
-        Ts = (hs ** p) - Fs
-        if Ts.gauss_valuation() != mu.valuation():
-            raise ConstructionMismatch("flipped model loses the lambda^(1/2) level")
-        T0s = Ts.divexact_el(mu)
-        flip_branch = set()
-        for x in branch_res:
-            if x:
-                flip_branch.add(tw.ff.inv(x))
-        centers_flip = _centers_2b3(tw, Fs, hs, T0s, mu, subcase, flip_branch,
-                                    expect=None)
-        centers_flip = [d for d in centers_flip if d.residue() == 0]
-        if len(centers_flip) != 1:
+        # the second singular point is at infinity: flip y = 1/x1
+        Fs, hs = F.reverse(2 * p), h.reverse(2)
+        flip_res = {tw.ff.inv(x) for x in branch_res if x}
+        _, flipped = _centers_2b3(Fs, hs, mu, subcase, flip_res)
+        flipped = [d for d in flipped if d.residue() == 0]
+        if len(flipped) != 1:
             raise ConstructionMismatch(
                 "expected exactly one flipped center with residue 0")
-        charts.append((Fs, hs, centers_flip[0], "1/x1 chart"))
-
+        charts = [(F, h, centers[0], "x1 finite chart"),
+                  (Fs, hs, flipped[0], "1/x1 chart")]
     comps = []
-    for C_used, h_used, d, label in charts:
-        if subcase == VIA_2B3_I:
-            h2 = None  # defaults to x2^2
-        else:
-            # transport h through the blow-up: x2^2 h(d + b/x2)/h(d);
-            # for the quadratic h this is x2^2 + b h'(d)/h(d) x2 + b^2/h(d),
-            # while the flipped (degree-1) h correctly loses the constant
-            h2 = _transported_h(h_used, d, b, 2)
-        comps.append(_certified_AS_chart(
-            C_used, d, b, h2, (p - 1) // 2, "2b3 %s chart at %s" % (subcase, label),
-            N=2 * p))
-        comps[-1].chart.notes["coord"] = label
+    for C, hc, d, coord in charts:
+        # sub-case i certifies with x2^2; sub-case ii transports h through
+        # the blow-up: x2^2 h(d + b/x2)/h(d), which for the quadratic h is
+        # x2^2 + b h'(d)/h(d) x2 + b^2/h(d), while the flipped (degree-1)
+        # h correctly loses the constant
+        h2 = None if subcase == VIA_2B3_I else blowup_chart(hc, d, b, N=2).poly
+        comps.append(_blowup_component(
+            C, d, b, (p - 1) // 2, "2b3 %s chart at %s" % (subcase, coord),
+            h=h2, N=2 * p, notes={"coord": coord}))
     return comps, [(0, 1, 1)]
 
 
-def _transported_h(h_used, d, b, s):
-    tw = h_used.tw
-    A = h_used.taylor(d, b)
-    inv = A.coeff(0).inverse()
-    coeffs = [tw.zero()] * (s + 1)
-    for i in range(min(A.degree, s) + 1):
-        coeffs[s - i] = A.coeff(i) * inv
-    return Poly(tw, coeffs)
+def _level_quotient(P, mu, what):
+    """P / lambda^(1/2), once v(P) = v(lambda^(1/2)) is checked."""
+    v = P.gauss_valuation()
+    if v != mu.valuation():
+        raise ConstructionMismatch("v(%s) = %s, expected v(lambda^(1/2)) = %s"
+                                   % (what, v, mu.valuation()))
+    return P.divexact_el(mu)
 
 
-def _centers_2b3(tw, F, h, T0, mu, subcase, branch_res, expect):
-    """Centers: roots of F'/mu (sub-case i) or of T0' (sub-case ii)."""
+def _centers_2b3(F, h, mu, subcase, exclude):
+    """(T0, centers) for z^p = F with witness h: T0 = (h^p - F)/mu, and the
+    centers lift the residue roots of F'/mu (sub-case i) or of T0'
+    (sub-case ii)."""
+    T0 = _level_quotient((h ** F.tw.p) - F, mu, "h^p - F")
     if subcase == VIA_2B3_I:
-        S = F.deriv()
-        vS = S.gauss_valuation()
-        if vS != mu.valuation():
-            raise ConstructionMismatch(
-                "content of F' is %s, expected v(lambda^(1/2)) = %s"
-                % (vS, mu.valuation()))
-        S = S.divexact_el(mu)
+        S = _level_quotient(F.deriv(), mu, "F'")
     else:
         S = T0.deriv()
-    roots = _residue_center_roots(S, branch_res)
+    roots = _residue_center_roots(S, exclude)
     if not roots:
         raise ConstructionMismatch("no valid critical residue roots")
-    if expect is not None and len(roots) != expect:
-        raise ConstructionMismatch(
-            "expected %d critical residue roots, found %d" % (expect, len(roots)))
-    return [hensel_root(S, r) for r in sorted(roots)]
+    return T0, [hensel_root(S, r) for r in sorted(roots)]
 
 
 # ---------------------------------------------------------------------------
@@ -682,21 +584,25 @@ _BUILDERS = {
     (TYPE_2, None): _build_mumford_2,
     (TYPE_3, VIA_1B): _build_via_1b,
     (TYPE_3, VIA_2A): _build_via_2a,
+    (TYPE_3, VIA_2B3_I): partial(_build_via_2b3, subcase=VIA_2B3_I),
+    (TYPE_3, VIA_2B3_II): partial(_build_via_2b3, subcase=VIA_2B3_II),
 }
 
 
 def build_stable_model(n, cls=None):
-    """Construct and certify the stable model of a normalized cover."""
+    """Construct and certify the stable model of a normalized cover.
+
+    Every route works on the standard cover x(x-1)^beta(x-lam)^gamma over
+    the tower that ``required_extension`` asks for."""
     if cls is None:
         cls = classify(n)
     spec = required_extension(n, cls)
-    big = _big_tower(n, spec)
+    big = Tower(n.p, spec.e, spec.f, prec=max(n.tower.nl - 2, 12) * spec.e)
+    lam = n.tower.embed(n.lam, big)
+    cover = FactoredCover(big, big.one(), [
+        (big.zero(), 1), (big.one(), n.beta), (lam, n.gamma)])
     checks = []
-    if cls.subroute in (VIA_2B3_I, VIA_2B3_II):
-        comps, edges = _build_via_2b3(n, big, checks, cls.subroute)
-    else:
-        builder = _BUILDERS[(cls.rtype, cls.subroute)]
-        comps, edges = builder(n, big, checks)
+    comps, edges = _BUILDERS[(cls.rtype, cls.subroute)](n, cover, lam, checks)
     model = StableModel(cls, comps, edges, spec, checks, normalized=n)
     model.checks.extend(verify_model(model))
     for c in model.checks:
@@ -785,15 +691,9 @@ def deuring_good_reduction(lam):
     tw = lam.tw
     if tw.p != 2:
         raise UnsupportedPrime("the Deuring criterion lives at p = 2")
-    one = tw.one()
-    if lam.is_zeroish() or lam.same(one):
+    if lam.is_zeroish() or lam.same(tw.one()):
         raise InvalidInput("lambda must avoid {0, 1}")
-    num = (lam * lam - lam + one)
-    vnum = num.valuation() if not num.is_zeroish() else INF
-    if vnum is INF:
-        return True
-    v = 8 + 3 * vnum - 2 * lam.valuation() - 2 * (lam - one).valuation()
-    return v >= 0
+    return deuring_j_valuation(lam) >= 0
 
 
 def deuring_j_valuation(lam):

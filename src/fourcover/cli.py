@@ -39,8 +39,7 @@ _INVALID = (InvalidInput, NeedsExtension, DegenerateModel, UnsupportedPrime,
 def _base_tower(p, precision, tokens, boost=1):
     e = p - 1 if p > 2 else 1
     for tok in tokens:
-        e = e * Tower.token_e_requirement(p, tok) // math.gcd(
-            e, Tower.token_e_requirement(p, tok))
+        e = math.lcm(e, Tower.token_e_requirement(p, tok))
     prec = (precision if precision else 50 * e) * boost
     return make_tower(p, e, 1, prec)
 

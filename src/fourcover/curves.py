@@ -11,7 +11,7 @@ k(x, t^(1/p)) embeds in k(x^(1/p)) which is rational, and the degrees
 match, so their geometric genus is 0.
 """
 
-from .errors import NotReduced, InvalidInput
+from .errors import NotReduced, InvalidInput, ConstructionMismatch
 from .ffield import (
     padd, psub, pneg, pmul, pdivmod, pmod, pgcd, peval, ppow, ppow_mod,
     pfactor, pnormalize, pdeg, p_is_pth_power, prender, pscale,
@@ -43,10 +43,6 @@ class RatFunc:
         self.ff = ff
         self.num = num
         self.den = den
-
-    @classmethod
-    def from_poly(cls, ff, poly):
-        return cls(ff, poly)
 
     def is_zero(self):
         return not self.num
@@ -311,8 +307,9 @@ def as_genus(c):
     if c.u.is_poly():
         m = pdeg(c.u.num)
         if m % p:
-            shortcut = (m - 1) * (p - 1) // 2
-            assert shortcut == g, "conductor oracle disagrees with the degree formula"
+            if (m - 1) * (p - 1) // 2 != g:
+                raise ConstructionMismatch(
+                    "conductor oracle disagrees with the degree formula")
     return g
 
 

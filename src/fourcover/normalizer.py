@@ -22,7 +22,8 @@ import math
 from fractions import Fraction
 
 from .errors import (
-    CoalescingBranchPoints, NonCyclicExponent, InvalidInput,
+    CoalescingBranchPoints, NonCyclicExponent, InvalidInput, FourCoverError,
+    InsufficientPrecision,
 )
 from .tower import INF
 
@@ -78,13 +79,6 @@ class Moebius:
 
     def inverse(self):
         return Moebius(self.d, -self.b, -self.c, self.a)
-
-    def compose(self, other):
-        """self after other: x -> self(other(x))."""
-        return Moebius(self.a * other.a + self.b * other.c,
-                       self.a * other.b + self.b * other.d,
-                       self.c * other.a + self.d * other.c,
-                       self.c * other.b + self.d * other.d)
 
     def entries(self):
         return (self.a, self.b, self.c, self.d)
@@ -170,14 +164,6 @@ class FactoredCover:
 
     def infinity_exponent(self):
         return (-self.exponent_sum()) % self.p
-
-    def exponent_at(self, pt):
-        if pt is INFPT:
-            return self.infinity_exponent()
-        for q, a in self.factors:
-            if pt_same(q, pt):
-                return a
-        return 0
 
     def branch_points(self):
         pts = [q for q, _ in self.factors]
@@ -432,25 +418,30 @@ def _is_exact_pth_power(el, p):
 
 
 def _int_nth_root(n, p):
+    """The integer r with r^p = n, or None; exact for any size of n."""
     if n < 0:
         r = _int_nth_root(-n, p)
         return -r if r is not None and p % 2 else None
-    r = round(n ** (1.0 / p))
-    for cand in (r - 1, r, r + 1):
-        if cand >= 0 and cand ** p == n:
-            return cand
-    return None
+    lo, hi = 0, 1 << -(-n.bit_length() // p)    # hi^p > n
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if mid ** p <= n:
+            lo = mid
+        else:
+            hi = mid
+    return lo if lo ** p == n else None
 
 
 def _verify_witness_by_sampling(datum, n, samples=4):
-    """Numeric spot check of rhs_old(x)^u = const * wit(x)^p * rhs_new(m(x))."""
+    """Numeric spot check of rhs_old(x)^u = const * wit(x)^p * rhs_new(m(x))
+    at ``samples`` points, out of at most 8 * samples candidates."""
     tw = datum.tower
     old = FactoredCover.from_datum(datum)
     new = n.cover()
     count = 0
     x = tw.from_int(2)
     step = tw.one()
-    while count < samples:
+    for _ in range(8 * samples):
         x = x + step + tw.pi()
         try:
             lhs = old.eval_rhs(x) ** n.u
@@ -458,13 +449,17 @@ def _verify_witness_by_sampling(datum, n, samples=4):
             if mx is INFPT:
                 continue
             rhs = n.const * n.witness.eval(x) ** tw.p * new.eval_rhs(mx)
-        except Exception:
+        except FourCoverError:
             continue
         if lhs.is_zeroish() or rhs.is_zeroish():
             continue
         if not lhs.same(rhs):
             raise InvalidInput("witness identity failed at a sample point")
         count += 1
+        if count == samples:
+            return
+    raise InsufficientPrecision(
+        "witness check found %d of %d usable sample points" % (count, samples))
 
 
 def j_numerator(n):

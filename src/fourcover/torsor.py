@@ -40,15 +40,6 @@ class TorsorOutcome:
         return "TorsorOutcome(%s, w=%s)" % (self.case, self.w)
 
 
-def taylor_shift(f, d, b):
-    """Coefficient list of f(d + b t) in t.
-
-    Synthetic Horner shifts only, so the i-th coefficient is exactly
-    b^i f^(i)(d)/i! even when p | i!.
-    """
-    return f.taylor(d, b)
-
-
 def torsor_case(f, h):
     """Apply the trichotomy to the model z^p = f(x) with the witness h.
 

@@ -75,9 +75,6 @@ class Tower:
     def wzero(self):
         return 0 if self.f == 1 else (0,) * self.f
 
-    def wone(self):
-        return 1 if self.f == 1 else (1,) + (0,) * (self.f - 1)
-
     def w_is_zero(self, u):
         return u == 0 if self.f == 1 else all(c == 0 for c in u)
 
@@ -160,18 +157,6 @@ class Tower:
             return enc % self.p
         return tuple(self.ff.coords(enc))
 
-    def winv(self, u):
-        r = self.wresidue(u)
-        if r == 0:
-            raise ZeroDivisionError("inverting a non-unit of W")
-        z = self.wlift(self.ff.inv(r))
-        # Newton: z <- z(2 - uz), doubles p-adic accuracy each round
-        two = self.wadd(self.wone(), self.wone())
-        rounds = max(1, (self.nl - 1).bit_length() + 1)
-        for _ in range(rounds):
-            z = self.wmul(z, self.wadd(two, self.wneg(self.wmul(u, z))))
-        return z
-
     # ------------------------------------------------------------------
     # element constructors
     # ------------------------------------------------------------------
@@ -226,6 +211,27 @@ class Tower:
                 # pi^(j-r) = -pi^(j-r+e)/p
                 out[j - r + e] = self.wadd(out[j - r + e],
                                            self.wneg(self.wdivp(U[j], 1)))
+        return out
+
+    def _shift_up(self, U, m):
+        """Multiply sum U[j] pi^j by pi^m (m >= 0)."""
+        if m == 0:
+            return list(U)
+        e = self.e
+        q, r = divmod(m, e)
+        out = [self.wzero()] * e
+        for j in range(e):
+            if self.w_is_zero(U[j]):
+                continue
+            t = j + r
+            c = U[j]
+            qq = q
+            if t >= e:
+                t -= e
+                qq += 1
+            if qq:
+                c = self.wsmul((-self.p) ** qq, c)
+            out[t] = self.wadd(out[t], c)
         return out
 
     def zero(self):
@@ -306,20 +312,6 @@ class Tower:
         if self.ff.pow(enc, n) != 1:
             raise InvalidInput("residue is not an n-th root of unity")
         return self.teichmuller(enc)
-
-    def zeta(self):
-        """A primitive p-th root of unity (needs (p-1) | e).
-
-        Constructible but consumed by no operation; zeta = 1 + O(pi^{e/(p-1)}).
-        """
-        p = self.p
-        if (p - 1) == 1:
-            return self.from_int(-1) if p == 2 else self.one()
-        if self.e % (p - 1):
-            raise NeedsExtension("zeta_p needs (p-1) | e", e=self.e * (p - 1))
-        phi = Poly(self, [self.one()] * p)      # 1 + x + ... + x^(p-1)
-        x0 = self.one() + self.pi_power(self.e // (p - 1))
-        return refine_root(phi, x0)
 
     def sqrt(self, x):
         """Square root; NeedsExtension when the value group or residue
@@ -419,7 +411,7 @@ class Tower:
             m = Tower._FACT_RE.match(part)
             if m and m.group("name") == "tau":
                 k = int(m.group("exp")) if m.group("exp") else 1
-                need = _lcm(need, (p - 1) // math.gcd(abs(k) * p, p - 1))
+                need = math.lcm(need, (p - 1) // math.gcd(abs(k) * p, p - 1))
         return need
 
     # ------------------------------------------------------------------
@@ -471,11 +463,7 @@ class Tower:
     def extended(self, e_mult=1, f_mult=1):
         """A tower with e, f multiplied, carrying equivalent precision."""
         e2 = self.e * e_mult
-        return Tower(self.p, e2, self.f * f_mult, prec=self.nl * e2 - 2 * e2 + e2)
-
-
-def _lcm(a, b):
-    return a * b // math.gcd(a, b)
+        return Tower(self.p, e2, self.f * f_mult, prec=(self.nl - 1) * e2)
 
 
 def _isqrt_exact(n):
@@ -503,9 +491,6 @@ class El:
     def is_zeroish(self):
         """True zero, or indistinguishable from zero at current precision."""
         return self.s is None
-
-    def is_unit(self):
-        return self.s == 0
 
     # -- valuation and residue -------------------------------------------
 
@@ -749,31 +734,6 @@ class El:
         return " + ".join(parts) + " + O(pi^%d)" % self.ap
 
 
-def _tower_shift_up(tw, U, m):
-    """Multiply sum U[j] pi^j by pi^m (m >= 0)."""
-    if m == 0:
-        return list(U)
-    e = tw.e
-    q, r = divmod(m, e)
-    out = [tw.wzero()] * e
-    for j in range(e):
-        if tw.w_is_zero(U[j]):
-            continue
-        t = j + r
-        c = U[j]
-        qq = q
-        if t >= e:
-            t -= e
-            qq += 1
-        if qq:
-            c = tw.wsmul((-tw.p) ** qq, c)
-        out[t] = tw.wadd(out[t], c)
-    return out
-
-
-Tower._shift_up = _tower_shift_up
-
-
 # ---------------------------------------------------------------------------
 # polynomials over a tower
 # ---------------------------------------------------------------------------
@@ -922,12 +882,6 @@ class Poly:
         while out and out[-1] == 0:
             out.pop()
         return out
-
-    def map_to(self, big):
-        return Poly(big, [self.tw.embed(a, big) for a in self.c])
-
-    def monic_leading(self):
-        return self.c and self.c[-1].same(self.tw.one())
 
     def __repr__(self):
         terms = []

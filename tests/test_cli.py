@@ -77,6 +77,13 @@ class TestRun:
         good = [r for r in rep["rows"] if "type" in r]
         assert len(bad) == 3 and len(good) == 3
 
+    def test_qwerty_huge_exact_constant(self):
+        # the normalized constant is an exact rational far past float range
+        for c1, c2 in [("3^400", "2"), ("2^700", "3")]:
+            rep, code = invoke(["qwerty", "--p", "5", "--c1", c1, "--c2", c2])
+            assert code == 0
+            assert (rep["type"], rep["subroute"]) == ("3", "via-1b")
+
     def test_empty_grid(self):
         rep, code = invoke(["sweep", "--p", "3", "--lambdas", " "])
         assert code == 0

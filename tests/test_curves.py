@@ -2,11 +2,11 @@ import random
 
 import pytest
 
-from fourcover.errors import NotReduced, InvalidInput
+from fourcover.errors import NotReduced, InvalidInput, ConstructionMismatch
 from fourcover.ffield import FF, pmul, ppow, pnormalize
 from fourcover.curves import (
     RatFunc, as_reduce, as_irreducible, as_genus, p_rank_DS, is_pth_power,
-    ASCurve, InsepCurve, pole_profile,
+    ASCurve, InsepCurve, pole_profile, INF_PLACE,
 )
 
 
@@ -132,6 +132,14 @@ class TestGenus:
                     if red.is_poly() and pnormalize(red.num) and (len(red.num) - 1) % p:
                         mm = len(red.num) - 1
                         assert g == (mm - 1) * (p - 1) // 2
+
+    def test_oracle_disagreement_raises(self):
+        # the degree shortcut must hold without assert, which -O strips
+        ff = FF(5, 1)
+        c = ASCurve(ff, rf(ff, [0, 0, 0, 1]))
+        c.profile = [(INF_PLACE, 4, 1)]
+        with pytest.raises(ConstructionMismatch):
+            as_genus(c)
 
     def test_not_reduced_raises(self):
         ff = FF(3, 1)

@@ -5,11 +5,13 @@ import pytest
 
 from fourcover.errors import (
     CoalescingBranchPoints, NonCyclicExponent, InvalidInput,
+    InsufficientPrecision,
 )
 from fourcover.tower import make_tower, INF
 from fourcover.normalizer import (
     INFPT, CoverDatum, FactoredCover, Moebius, parse_point,
     cross_ratio, cross_ratio_orbit, normalize, j_invariant, j_numerator,
+    _verify_witness_by_sampling,
 )
 
 
@@ -125,6 +127,40 @@ class TestNormalize:
                 assert n.lam.residue() != 1
             assert 0 < n.beta < 5 and 0 < n.gamma < 5
             done += 1
+
+
+class TestWitnessSampling:
+    """Each fault below is transient, so an unbounded loop that swallows
+    it would still finish: the tests fail rather than hang."""
+
+    def setup_method(self):
+        tw = T()
+        pts = [tw.from_int(2), tw.from_int(7), INFPT, tw.from_int(-3)]
+        self.datum = datum(tw, pts, [1, 2, 1, 1])
+        self.n = normalize(self.datum)
+
+    def _patch_apply(self, monkeypatch, fault, calls):
+        real = Moebius.apply
+        seen = []
+
+        def apply(m, pt):
+            seen.append(pt)
+            if len(seen) <= calls:
+                return fault()
+            return real(m, pt)
+        monkeypatch.setattr(Moebius, "apply", apply)
+
+    def test_host_exception_propagates(self, monkeypatch):
+        def fault():
+            raise ZeroDivisionError("host fault")
+        self._patch_apply(monkeypatch, fault, 1)
+        with pytest.raises(ZeroDivisionError):
+            _verify_witness_by_sampling(self.datum, self.n)
+
+    def test_attempts_are_bounded(self, monkeypatch):
+        self._patch_apply(monkeypatch, lambda: INFPT, 100)
+        with pytest.raises(InsufficientPrecision):
+            _verify_witness_by_sampling(self.datum, self.n)
 
 
 class TestJInvariant:
