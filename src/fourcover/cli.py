@@ -36,7 +36,7 @@ _INVALID = (InvalidInput, NeedsExtension, DegenerateModel, UnsupportedPrime,
             CoalescingBranchPoints, NonCyclicExponent, NotReduced, ValueError)
 
 
-def _base_tower(p, precision, tokens, boost=1):
+def _base_tower(p, precision, tokens, boost):
     e = p - 1 if p > 2 else 1
     for tok in tokens:
         e = math.lcm(e, Tower.token_e_requirement(p, tok))
@@ -86,8 +86,8 @@ def _cover_from_args(tw, args):
                       [1, beta, (-(1 + beta + gamma)) % p, gamma])
 
 
-def _run_classify(args, precision):
-    tw = _base_tower(args.p, precision, [args.lam], _boost(args))
+def _run_classify(args, precision, boost):
+    tw = _base_tower(args.p, precision, [args.lam], boost)
     rep = _report_skeleton({"command": "classify", "p": args.p,
                             "beta": args.beta, "gamma": args.gamma,
                             "lambda": args.lam, "precision": tw.prec})
@@ -100,8 +100,8 @@ def _run_classify(args, precision):
     return rep
 
 
-def _run_model(args, precision):
-    tw = _base_tower(args.p, precision, [args.lam], _boost(args))
+def _run_model(args, precision, boost):
+    tw = _base_tower(args.p, precision, [args.lam], boost)
     rep = _report_skeleton({"command": "model", "p": args.p,
                             "beta": args.beta, "gamma": args.gamma,
                             "lambda": args.lam, "precision": tw.prec})
@@ -121,8 +121,8 @@ def _run_model(args, precision):
     return rep
 
 
-def _run_qwerty(args, precision):
-    tw = _base_tower(args.p, precision, [args.c1, args.c2], _boost(args))
+def _run_qwerty(args, precision, boost):
+    tw = _base_tower(args.p, precision, [args.c1, args.c2], boost)
     rep = _report_skeleton({"command": "qwerty", "p": args.p,
                             "c1": args.c1, "c2": args.c2,
                             "precision": tw.prec})
@@ -135,8 +135,8 @@ def _run_qwerty(args, precision):
     return rep
 
 
-def _run_deuring(args, precision):
-    tw = _base_tower(2, precision, [args.lam], _boost(args))
+def _run_deuring(args, precision, boost):
+    tw = _base_tower(2, precision, [args.lam], boost)
     rep = _report_skeleton({"command": "deuring", "p": 2,
                             "lambda": args.lam, "precision": tw.prec})
     lam = tw.parse(args.lam)
@@ -158,7 +158,7 @@ def _admissible_bg(p):
     return out
 
 
-def _run_sweep(args, precision):
+def _run_sweep(args, precision, boost):
     ps = [int(x) for x in args.p_list.split(",")] if args.p_list else [args.p]
     lam_tokens = [t.strip() for t in args.lambdas.split(",") if t.strip()]
     rows = []
@@ -172,7 +172,7 @@ def _run_sweep(args, precision):
             for tok in lam_tokens:
                 row = {"p": p, "beta": beta, "gamma": gamma, "lambda": tok}
                 try:
-                    tw = _base_tower(p, precision, [tok], _boost(args))
+                    tw = _base_tower(p, precision, [tok], boost)
                     lam = tw.parse(tok)
                     d = CoverDatum(tw, [tw.zero(), tw.one(), INFPT, lam],
                                    [1, beta, (-(1 + beta + gamma)) % p, gamma])
@@ -294,7 +294,7 @@ def _selftest_deuring(rng, checks):
                    "detail": "%d/%d orbits constant" % (stable, tried)})
 
 
-def _run_selftest(args, precision):
+def _run_selftest(args, precision, boost):
     rng = random.Random(0)
     checks = []
     _selftest_torsor(rng, checks)
@@ -307,10 +307,6 @@ def _run_selftest(args, precision):
         "passed": all(c["passed"] for c in checks),
         "ms": None,
     }
-
-
-def _boost(args):
-    return getattr(args, "_boost", 1)
 
 
 _RUNNERS = {
@@ -329,10 +325,9 @@ def run(args):
     t0 = time.monotonic()
     try:
         try:
-            rep = runner(args, args.precision)
+            rep = runner(args, args.precision, 1)
         except InsufficientPrecision:
-            args._boost = 4  # retry once at quadrupled precision
-            rep = runner(args, args.precision)
+            rep = runner(args, args.precision, 4)  # retry once at 4x precision
         if args.timing:
             rep["ms"] = int((time.monotonic() - t0) * 1000)
         return rep, 0

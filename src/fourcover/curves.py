@@ -29,7 +29,7 @@ class RatFunc:
         num = pnormalize(list(num))
         den = pnormalize(list(den))
         if not den:
-            raise ZeroDivisionError("zero denominator")
+            raise InvalidInput("rational function with a zero denominator")
         if not num:
             den = [1]
         g = pgcd(ff, num, den) if num else [1]
@@ -76,7 +76,7 @@ class RatFunc:
     def __truediv__(self, other):
         other = self._coerce(other)
         if other.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
+            raise InvalidInput("division by the zero rational function")
         return RatFunc(self.ff, pmul(self.ff, self.num, other.den),
                        pmul(self.ff, self.den, other.num))
 
@@ -102,7 +102,7 @@ class RatFunc:
     def eval(self, x):
         d = peval(self.ff, self.den, x)
         if d == 0:
-            raise ZeroDivisionError("pole")
+            raise InvalidInput("evaluation at a pole")
         return self.ff.div(peval(self.ff, self.num, x), d)
 
     def render(self):

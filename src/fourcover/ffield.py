@@ -12,6 +12,8 @@ degree, with no trailing zeros (the zero polynomial is ``[]``).
 
 from functools import lru_cache
 
+from .errors import InvalidInput
+
 
 def is_prime(n):
     if n < 2:
@@ -180,7 +182,7 @@ class FF:
 
     def inv(self, x):
         if x == 0:
-            raise ZeroDivisionError("inverse of 0 in %r" % (self,))
+            raise InvalidInput("inverse of 0 in %r" % (self,))
         if self.f == 1:
             return pow(x, -1, self.p)
         return self.pow(x, self.q - 2)

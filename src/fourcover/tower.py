@@ -17,6 +17,13 @@ Elements constructed from rational tokens additionally carry the exact
 pair (q, m) with value q * pi^m; arithmetic propagates exactness when
 the result is again of that shape, so valuations of token-built data are
 decided exactly even when they exceed the digit window.
+
+Products work on the coefficient lists directly: one integer
+convolution, one fold of pi^e by -p and, for f > 1, one reduction by the
+modulus lift per pi-slot.  The inverse is an exact solve, not a
+precision loop: multiplication by the unit part is an (e f) x (e f)
+matrix over Z/p^N that is invertible mod p, and Gaussian elimination
+with unit pivots gives every coordinate of the inverse in one pass.
 """
 
 import math
@@ -63,99 +70,133 @@ class Tower:
         self.ff = FF(p, f)
         # monic integer lift of the residue modulus, coefficients in [0, p)
         self.modulus = list(self.ff.modulus) if f > 1 else None
+        self._ppow = [p ** k for k in range(self.nl + 1)]
         self._embed_roots = {}
 
     def __repr__(self):
         return "Tower(p=%d, e=%d, f=%d, prec=%d)" % (self.p, self.e, self.f, self.prec)
 
     # ------------------------------------------------------------------
-    # W = (unramified part)/p^nl arithmetic; ints for f = 1, tuples else
+    # unit parts: e coefficients in W/p^nl, each an int (f = 1) or an
+    # f-tuple of ints; raw results may hold any integers until _canon
     # ------------------------------------------------------------------
 
-    def wzero(self):
-        return 0 if self.f == 1 else (0,) * self.f
+    def _mask(self, U, window):
+        """Reduce each U[j] to the p-digits that lie below pi^window.
 
-    def w_is_zero(self, u):
-        return u == 0 if self.f == 1 else all(c == 0 for c in u)
-
-    def wadd(self, u, v):
+        U[j] pi^j has its p-digit i at pi^(j + e i), so U[j] keeps
+        ceil((window - j)/e) digits: q + 1 for j < r and q for j >= r,
+        where window = q e + r.
+        """
+        q, r = divmod(window, self.e)
+        hi = self._ppow[min(q + 1, self.nl)]
+        lo = self._ppow[min(q, self.nl)]
         if self.f == 1:
-            return (u + v) % self.pmod
-        return tuple((a + b) % self.pmod for a, b in zip(u, v))
+            return [c % hi for c in U[:r]] + [c % lo for c in U[r:]]
+        return ([tuple([c % hi for c in w]) for w in U[:r]]
+                + [tuple([c % lo for c in w]) for w in U[r:]])
 
-    def wneg(self, u):
+    def _shift_down(self, U, m):
+        """Divide sum U[j] pi^j by pi^m (exact; requires v_pi >= m)."""
+        q, r = divmod(m, self.e)
+        # pi^(j - m) = pi^(j - r)/(-p)^q, or pi^(j - r + e)/(-p)^(q + 1) if j < r
+        d, d1 = (-self.p) ** q, (-self.p) ** (q + 1)
         if self.f == 1:
-            return (-u) % self.pmod
-        return tuple((-a) % self.pmod for a in u)
+            return [c // d for c in U[r:]] + [c // d1 for c in U[:r]]
+        return ([tuple([c // d for c in w]) for w in U[r:]]
+                + [tuple([c // d1 for c in w]) for w in U[:r]])
 
-    def wsmul(self, c, u):
+    def _shift_up(self, U, m):
+        """Multiply sum U[j] pi^j by pi^m (m >= 0)."""
+        q, r = divmod(m, self.e)
+        k = self.e - r
+        # pi^(j + m) = (-p)^q pi^(j + r), or (-p)^(q + 1) pi^(j + r - e) if j >= k
+        d, d1 = (-self.p) ** q, (-self.p) ** (q + 1)
         if self.f == 1:
-            return (c * u) % self.pmod
-        return tuple((c * a) % self.pmod for a in u)
+            return [c * d1 for c in U[k:]] + [c * d for c in U[:k]]
+        return ([tuple([c * d1 for c in w]) for w in U[k:]]
+                + [tuple([c * d for c in w]) for w in U[:k]])
 
-    def wmul(self, u, v):
-        if self.f == 1:
-            return (u * v) % self.pmod
-        f = self.f
-        conv = [0] * (2 * f - 1)
-        for i, a in enumerate(u):
-            if a:
-                for j, b in enumerate(v):
-                    if b:
-                        conv[i + j] += a * b
-        # reduce powers a^k, k >= f, by the monic modulus lift
+    def _unit_product(self, A, B):
+        """Coefficients of (sum A[j] pi^j)(sum B[k] pi^k), folded by
+        pi^e = -p.  For f > 1 the coordinates are reduced by the modulus
+        lift once per pi-slot of the product, not once per coefficient
+        product."""
+        p, e, f = self.p, self.e, self.f
+        if f == 1:
+            conv = [0] * (2 * e - 1)
+            _convolve(conv, A, B)
+            return [c - p * h for c, h in zip(conv, conv[e:])] + [conv[e - 1]]
+        # one convolution per pair of coordinate planes: a^i A_i times a^l B_l
+        planes = [[0] * (2 * e - 1) for _ in range(2 * f - 1)]
+        Bt = list(zip(*B))
+        for i, Ai in enumerate(zip(*A)):
+            for l, Bl in enumerate(Bt, i):
+                _convolve(planes[l], Ai, Bl)
+        # a^k = -sum modulus[i] a^(k - f + i) for k >= f, top plane first
+        pm = self.pmod
         for k in range(2 * f - 2, f - 1, -1):
-            c = conv[k] % self.pmod
-            if c:
-                for i in range(f):
-                    conv[k - f + i] -= c * self.modulus[i]
-            conv[k] = 0
-        return tuple(c % self.pmod for c in conv[:f])
+            top = [c % pm for c in planes[k]]
+            for i, m in enumerate(self.modulus[:f]):
+                if m:
+                    low = planes[k - f + i]
+                    planes[k - f + i] = [c - m * t for c, t in zip(low, top)]
+        planes = [[c - p * h for c, h in zip(P, P[e:])] + [P[e - 1]]
+                  for P in planes[:f]]
+        return list(zip(*planes))
 
-    def wvp(self, u):
-        """p-adic valuation of a W element (INF for 0)."""
-        if self.f == 1:
-            vals = [u]
+    def _unit_inverse(self, U):
+        """Coordinates of 1/u for the unit u = sum U[j] pi^j, exact in W/p^nl.
+
+        Multiplication by u is an (e f) x (e f) matrix over Z/p^nl in the
+        basis a^i pi^j (a the root of the modulus lift, pi^e = -p).  It is
+        invertible mod p because u is a unit, so Gaussian elimination with
+        a unit pivot in every column solves u z = 1 exactly.
+        """
+        p, e, f, pm = self.p, self.e, self.f, self.pmod
+        if f == 1:
+            # row t: the coefficient of pi^t in u pi^k for k = 0..e-1
+            rows = [list(U[t::-1]) + [-p * c for c in U[:t:-1]]
+                    for t in range(e)]
         else:
-            vals = [c for c in u]
-        best = INF
-        for c in vals:
-            if c:
-                v = 0
-                while c % self.p == 0:
-                    c //= self.p
-                    v += 1
-                best = min(best, v)
-                if best == 0:
-                    return 0
-        return best
-
-    def wdivp(self, u, k):
-        pk = self.p ** k
-        if self.f == 1:
-            return (u // pk) % self.pmod
-        return tuple((c // pk) % self.pmod for c in u)
-
-    def wmask(self, u, levels):
-        """Keep only p-digits below ``levels``."""
-        if levels <= 0:
-            return self.wzero()
-        if levels >= self.nl:
-            return u
-        m = self.p ** levels
-        if self.f == 1:
-            return u % m
-        return tuple(c % m for c in u)
-
-    def wresidue(self, u):
-        if self.f == 1:
-            return u % self.p
-        return self.ff.encode([c % self.p for c in u])
-
-    def wlift(self, enc):
-        if self.f == 1:
-            return enc % self.p
-        return tuple(self.ff.coords(enc))
+            # ua[j][l]: coordinates of U[j] a^l
+            ua = []
+            for w in U:
+                powers = [list(w)]
+                for _ in range(f - 1):
+                    prev = powers[-1]
+                    powers.append([c - prev[-1] * m for c, m in
+                                   zip([0] + prev[:-1], self.modulus)])
+                ua.append(powers)
+            rows = [[ua[t - k][l][i] if k <= t else -p * ua[t - k + e][l][i]
+                     for k in range(e) for l in range(f)]
+                    for t in range(e) for i in range(f)]
+        for row in rows:
+            row.append(0)
+        rows[0][-1] = 1  # the right-hand side: the coordinates of 1
+        # Each step takes a unit pivot for the leading column, clears that
+        # column from the other rows and drops it; pivots[c] keeps row c of
+        # the resulting unit upper triangular system, without its diagonal.
+        pivots = []
+        for _ in range(e * f):
+            r = next((r for r, row in enumerate(rows) if row[0] % p), None)
+            if r is None:
+                raise ConstructionMismatch(
+                    "no unit pivot while inverting a unit; it is not canonical")
+            row = rows.pop(r)
+            inv = pow(row[0], -1, pm)
+            pivot = [c * inv % pm for c in row[1:]]
+            rows = [[(c - other[0] * b) % pm for c, b in zip(other[1:], pivot)]
+                    if other[0] else other[1:] for other in rows]
+            pivots.append(pivot)
+        # back substitution, last coordinate first
+        z = []
+        for pivot in reversed(pivots):
+            z.append((pivot[-1] - sum(map(int.__mul__, pivot, reversed(z)))) % pm)
+        z.reverse()
+        if f == 1:
+            return z
+        return [tuple(z[j:j + f]) for j in range(0, e * f, f)]
 
     # ------------------------------------------------------------------
     # element constructors
@@ -165,17 +206,25 @@ class Tower:
         """Canonicalize a raw pi^s * sum U[j] pi^j with digit window ap."""
         ap = min(ap, s + self.prec)
         window = ap - s
-        U = list(U)
-        # mask digits at or above the precision window
-        for j in range(self.e):
-            lev = -(-(window - j) // self.e)
-            U[j] = self.wmask(U[j], lev)
-        vpi = INF
-        for j in range(self.e):
-            w = self.wvp(U[j])
-            if w is not INF and w != INF:
-                vpi = min(vpi, j + self.e * w)
-        if vpi == INF or vpi >= window:
+        p, e = self.p, self.e
+        if window > 0:
+            U = self._mask(U, window)
+            u0 = U[0]
+            if (u0 % p if self.f == 1 else any(c % p for c in u0)):
+                return El(self, s, tuple(U), ap, exact)
+            # pi-valuation: U[j] = p^v * unit sits at pi^(j + e v)
+            vpi = INF
+            for j, w in enumerate(U):
+                for c in ((w,) if self.f == 1 else w):
+                    if c:
+                        v = j
+                        while c % p == 0:
+                            c //= p
+                            v += e
+                        vpi = min(vpi, v)
+        else:
+            vpi = INF
+        if vpi >= window:
             if exact is not None:
                 if exact[0] == 0:
                     return El(self, None, None, None, (Fraction(0), 0))
@@ -184,55 +233,12 @@ class Tower:
                 # degrading to an indistinguishable zero
                 return self.from_exact_pair(*exact)
             return El(self, None, None, ap, None)
-        if vpi:
-            U = self._shift_down(U, vpi)
-            s += vpi
-            window = ap - s
-            for j in range(self.e):
-                lev = -(-(window - j) // self.e)
-                U[j] = self.wmask(U[j], lev)
-        return El(self, s, tuple(U), ap, exact)
+        U = self._mask(self._shift_down(U, vpi), window - vpi)
+        return El(self, s + vpi, tuple(U), ap, exact)
 
-    def _shift_down(self, U, m):
-        """Divide sum U[j] pi^j by pi^m (exact; requires v_pi >= m)."""
-        e = self.e
-        q, r = divmod(m, self.e)
-        if q:
-            U = [self.wdivp(self.wsmul((-1) ** q, u), q) for u in U]
-        if r == 0:
-            return U
-        out = [self.wzero()] * e
-        for j in range(e):
-            if self.w_is_zero(U[j]):
-                continue
-            if j >= r:
-                out[j - r] = self.wadd(out[j - r], U[j])
-            else:
-                # pi^(j-r) = -pi^(j-r+e)/p
-                out[j - r + e] = self.wadd(out[j - r + e],
-                                           self.wneg(self.wdivp(U[j], 1)))
-        return out
-
-    def _shift_up(self, U, m):
-        """Multiply sum U[j] pi^j by pi^m (m >= 0)."""
-        if m == 0:
-            return list(U)
-        e = self.e
-        q, r = divmod(m, e)
-        out = [self.wzero()] * e
-        for j in range(e):
-            if self.w_is_zero(U[j]):
-                continue
-            t = j + r
-            c = U[j]
-            qq = q
-            if t >= e:
-                t -= e
-                qq += 1
-            if qq:
-                c = self.wsmul((-self.p) ** qq, c)
-            out[t] = self.wadd(out[t], c)
-        return out
+    def _constant(self, w):
+        """The unit part of the W element w: [w, 0, ..., 0]."""
+        return [w] + [0 if self.f == 1 else (0,) * self.f] * (self.e - 1)
 
     def zero(self):
         return El(self, None, None, None, (Fraction(0), 0))
@@ -265,9 +271,8 @@ class Tower:
         s = m + t * self.e
         sign = -1 if t % 2 else 1
         unit = sign * num * pow(den, -1, self.pmod) % self.pmod
-        U = [self.wzero()] * self.e
-        U[0] = unit if self.f == 1 else (unit,) + (0,) * (self.f - 1)
-        return self._canon(s, U, s + self.prec, (q, m))
+        w = unit if self.f == 1 else (unit,) + (0,) * (self.f - 1)
+        return self._canon(s, self._constant(w), s + self.prec, (q, m))
 
     def pi_power(self, m):
         return self.from_exact_pair(Fraction(1), m)
@@ -292,9 +297,8 @@ class Tower:
         """Lift a residue-field element to a unit digit (level 0)."""
         if enc == 0:
             return self.zero()
-        U = [self.wzero()] * self.e
-        U[0] = self.wlift(enc)
-        return self._canon(0, U, self.prec, None)
+        w = enc % self.p if self.f == 1 else tuple(self.ff.coords(enc))
+        return self._canon(0, self._constant(w), self.prec, None)
 
     def teichmuller(self, enc):
         """The Teichmuller representative of a residue-field element."""
@@ -466,6 +470,14 @@ class Tower:
         return Tower(self.p, e2, self.f * f_mult, prec=(self.nl - 1) * e2)
 
 
+def _convolve(acc, A, B):
+    """acc[j + k] += A[j] B[k] for integer lists."""
+    n = len(B)
+    for j, a in enumerate(A):
+        if a:
+            acc[j:j + n] = [c + a * b for c, b in zip(acc[j:j + n], B)]
+
+
 def _isqrt_exact(n):
     r = math.isqrt(n)
     return r if r * r == n else None
@@ -533,7 +545,10 @@ class El:
             return 0
         if self.s < 0:
             raise NegativeValuation("residue of an element with v < 0")
-        return self.tw.wresidue(self.U[0])
+        u0 = self.U[0]
+        if self.tw.f == 1:
+            return u0 % self.tw.p
+        return self.tw.ff.encode([c % self.tw.p for c in u0])
 
     # -- ring operations ---------------------------------------------------
 
@@ -578,9 +593,12 @@ class El:
             return tw._canon(known.s, known.U, ap, exact)
         s = min(self.s, other.s)
         ap = min(self.ap, other.ap)
-        U1 = tw._shift_up(self.U, self.s - s)
-        U2 = tw._shift_up(other.U, other.s - s)
-        U = [tw.wadd(a, b) for a, b in zip(U1, U2)]
+        U1 = self.U if self.s == s else tw._shift_up(self.U, self.s - s)
+        U2 = other.U if other.s == s else tw._shift_up(other.U, other.s - s)
+        if tw.f == 1:
+            U = [a + b for a, b in zip(U1, U2)]
+        else:
+            U = [tuple([x + y for x, y in zip(a, b)]) for a, b in zip(U1, U2)]
         return tw._canon(s, U, ap, exact)
 
     __radd__ = __add__
@@ -592,7 +610,12 @@ class El:
             if self.is_true_zero():
                 return self
             return El(tw, None, None, self.ap, exact)
-        return El(tw, self.s, tuple(tw.wneg(u) for u in self.U), self.ap, exact)
+        pm = tw.pmod
+        if tw.f == 1:
+            U = tuple([-c % pm for c in self.U])
+        else:
+            U = tuple([tuple([-c % pm for c in w]) for w in self.U])
+        return El(tw, self.s, U, self.ap, exact)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -617,20 +640,9 @@ class El:
             a1 = self.ap if self.s is None else self.s
             a2 = other.ap if other.s is None else other.s
             return El(tw, None, None, a1 + a2, exact)
-        e = tw.e
-        conv = [tw.wzero()] * (2 * e - 1)
-        for j, a in enumerate(self.U):
-            if tw.w_is_zero(a):
-                continue
-            for k, b in enumerate(other.U):
-                if not tw.w_is_zero(b):
-                    conv[j + k] = tw.wadd(conv[j + k], tw.wmul(a, b))
-        for t in range(2 * e - 2, e - 1, -1):
-            c = conv[t]
-            if not tw.w_is_zero(c):
-                conv[t - e] = tw.wadd(conv[t - e], tw.wsmul(-tw.p, c))
         ap = min(self.ap + other.s, other.ap + self.s)
-        return tw._canon(self.s + other.s, conv[:e], ap, exact)
+        return tw._canon(self.s + other.s, tw._unit_product(self.U, other.U),
+                         ap, exact)
 
     __rmul__ = __mul__
 
@@ -642,15 +654,9 @@ class El:
         exact = None
         if self.exact is not None:
             exact = (1 / self.exact[0], -self.exact[1])
-        u = tw._canon(0, self.U, self.ap - self.s, None)  # the unit part
-        z = tw.lift_ff(tw.ff.inv(u.residue()))
-        two = tw.from_int(2)
-        # accuracy starts at one pi-digit and doubles per round
-        for _ in range(tw.prec.bit_length() + 2):
-            z = z * (two - u * z)
-        out = z * tw.pi_power(-self.s)
-        ap = self.ap - 2 * self.s
-        return El(tw, out.s, out.U, min(out.ap, ap), exact)
+        # u^-1 is known to the unit's window, min(ap - s, prec) pi-digits
+        return tw._canon(-self.s, tw._unit_inverse(self.U),
+                         self.ap - 2 * self.s, exact)
 
     def __truediv__(self, other):
         other = self._coerce(other)

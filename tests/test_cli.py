@@ -92,8 +92,8 @@ class TestRun:
     def test_precision_retry_then_exit_2(self, monkeypatch):
         calls = []
 
-        def flaky(args, precision):
-            calls.append(getattr(args, "_boost", 1))
+        def flaky(args, precision, boost):
+            calls.append(boost)
             if len(calls) == 1:
                 raise InsufficientPrecision("digits exhausted")
             return {"input": {"command": "classify"}, "ms": None}
@@ -104,7 +104,7 @@ class TestRun:
         assert code == 0
         assert calls == [1, 4]  # second attempt runs at 4x precision
 
-        def hopeless(args, precision):
+        def hopeless(args, precision, boost):
             raise InsufficientPrecision("never enough")
 
         monkeypatch.setitem(cli._RUNNERS, "classify", hopeless)
@@ -113,6 +113,27 @@ class TestRun:
         assert code == 2
         assert rep["error"] == "InsufficientPrecision"
 
+
+    def test_retry_does_not_stick_to_the_namespace(self, monkeypatch):
+        # the 4x retry of one run must not raise the precision of the next
+        # run of the same namespace
+        real = cli._RUNNERS["classify"]
+        boosts = []
+
+        def retry_once(args, precision, boost):
+            boosts.append(boost)
+            if len(boosts) == 1:
+                raise InsufficientPrecision("digits exhausted")
+            return real(args, precision, boost)
+
+        monkeypatch.setitem(cli._RUNNERS, "classify", retry_once)
+        args = build_parser().parse_args(["classify", "--p", "5", "--beta", "1",
+                                          "--gamma", "4", "--lambda", "3"])
+        first, code = run(args)
+        assert code == 0 and first["input"]["precision"] == 800
+        second, code = run(args)
+        assert code == 0 and second["input"]["precision"] == 200
+        assert boosts == [1, 4, 1]
 
 class TestMain:
     def test_missing_args(self, capsys):

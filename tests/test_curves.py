@@ -232,6 +232,24 @@ class TestPthPower:
                 assert not is_pth_power(ff, t)
 
 
+class TestRatFuncErrors:
+    def test_zero_denominator(self):
+        with pytest.raises(InvalidInput):
+            rf(FF(5, 1), [1], [0])
+
+    def test_division_by_zero(self):
+        ff = FF(5, 1)
+        with pytest.raises(InvalidInput):
+            rf(ff, [1, 1]) / rf(ff, [])
+
+    def test_pole_in_eval(self):
+        ff = FF(5, 1)
+        u = rf(ff, [1], [0, 1])  # 1/x
+        assert u.eval(2) == ff.inv(2)
+        with pytest.raises(InvalidInput):
+            u.eval(0)
+
+
 class TestRender:
     def test_curve_strings(self):
         ff = FF(5, 1)

@@ -1,5 +1,8 @@
 import random
 
+import pytest
+
+from fourcover.errors import InvalidInput
 from fourcover.ffield import (
     FF, padd, pmul, pdivmod, pgcd, pfactor, proots,
     p_is_pth_power, p_pth_root, ppow, prender, pnormalize,
@@ -125,3 +128,11 @@ def test_roots_and_render():
     f2 = FF(5, 2)
     g = f2.generator()
     assert f2.render(g) == "g"
+
+
+def test_inverse_of_zero_is_typed():
+    for ff in (FF(5, 1), FF(5, 2)):
+        with pytest.raises(InvalidInput):
+            ff.inv(0)
+        with pytest.raises(InvalidInput):
+            ff.div(1, 0)

@@ -6,9 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from fourcover.errors import (
     NeedsExtension, NegativeValuation,
-    DivisionByIndistinguishableZero, InvalidInput,
+    DivisionByIndistinguishableZero, InvalidInput, ConstructionMismatch,
 )
-from fourcover.tower import make_tower, Tower, Poly, refine_root, hensel_root, INF
+from fourcover.tower import (
+    make_tower, Tower, El, Poly, refine_root, hensel_root, INF,
+)
 
 
 def T(p=5, e=4, f=1, prec=50):
@@ -118,8 +120,8 @@ class TestRingOps:
             t.one() / t.zero()
 
     def test_inverse_full_width_high_ramification(self):
-        # Newton inversion starts one pi-digit deep; on a heavily
-        # ramified tower it must still converge across the whole window
+        # on a heavily ramified f = 2 tower the inverse is a 48 x 48 solve;
+        # it must still be exact across the whole window
         t = make_tower(7, 24, 2, 24 * 24)
         x = t.one() + t.pi_power(3) * t.lift_ff(5) + t.pi_power(17)
         prod = x * x.inverse()
@@ -150,6 +152,160 @@ class TestRingOps:
             y = t.lift_ff(rng.randrange(t.ff.q)) + t.pi_power(2) * rng.randrange(5)
             assert (x * y).residue() == t.ff.mul(x.residue(), y.residue())
             assert (x + y).residue() == t.ff.add(x.residue(), y.residue())
+
+
+def newton_inverse(x):
+    """The Newton iteration z <- z (2 - u z) that ``El.inverse`` replaced,
+    kept as the reference for the exact solve."""
+    tw = x.tw
+    exact = None
+    if x.exact is not None:
+        exact = (1 / x.exact[0], -x.exact[1])
+    u = tw._canon(0, x.U, x.ap - x.s, None)
+    z = tw.lift_ff(tw.ff.inv(u.residue()))
+    two = tw.from_int(2)
+    # accuracy starts at one pi-digit and doubles per round
+    for _ in range(tw.prec.bit_length() + 2):
+        z = z * (two - u * z)
+    out = z * tw.pi_power(-x.s)
+    return El(tw, out.s, out.U, min(out.ap, x.ap - 2 * x.s), exact)
+
+
+def reference_product(x, y):
+    """The per-coefficient product that ``El.__mul__`` replaced: each pair
+    of W coefficients multiplied, reduced by the modulus lift and mod p^nl
+    on its own, then pi^e folded by -p slot by slot."""
+    tw = x.tw
+    p, e, f, pm = tw.p, tw.e, tw.f, tw.pmod
+
+    def wmul(u, v):
+        if f == 1:
+            return u * v % pm
+        conv = [0] * (2 * f - 1)
+        for i, a in enumerate(u):
+            for j, b in enumerate(v):
+                conv[i + j] += a * b
+        for k in range(2 * f - 2, f - 1, -1):
+            c = conv[k] % pm
+            for i in range(f):
+                conv[k - f + i] -= c * tw.modulus[i]
+        return tuple(c % pm for c in conv[:f])
+
+    def wadd(u, v):
+        if f == 1:
+            return (u + v) % pm
+        return tuple((a + b) % pm for a, b in zip(u, v))
+
+    def wsmul(c, u):
+        return c * u % pm if f == 1 else tuple(c * a % pm for a in u)
+
+    conv = [0 if f == 1 else (0,) * f] * (2 * e - 1)
+    for j, a in enumerate(x.U):
+        for k, b in enumerate(y.U):
+            conv[j + k] = wadd(conv[j + k], wmul(a, b))
+    for t in range(2 * e - 2, e - 1, -1):
+        conv[t - e] = wadd(conv[t - e], wsmul(-p, conv[t]))
+    ap = min(x.ap + y.s, y.ap + x.s)
+    return tw._canon(x.s + y.s, conv[:e], ap, None)
+
+
+def reference_sum(x, y):
+    """The per-coefficient sum that ``El.__add__`` replaced, for elements
+    without an exact pair: each coefficient shifted to the smaller
+    pi-valuation on its own, then added mod p^nl."""
+    tw = x.tw
+    p, e, f, pm = tw.p, tw.e, tw.f, tw.pmod
+
+    def wadd(u, v):
+        if f == 1:
+            return (u + v) % pm
+        return tuple((a + b) % pm for a, b in zip(u, v))
+
+    def shifted(z, m):
+        q, r = divmod(m, e)
+        out = [0 if f == 1 else (0,) * f] * e
+        for j, c in enumerate(z.U):
+            t, qq = j + r, q
+            if t >= e:
+                t, qq = t - e, qq + 1
+            scale = (-p) ** qq
+            c = c * scale % pm if f == 1 else tuple(a * scale % pm for a in c)
+            out[t] = wadd(out[t], c)
+        return out
+
+    s = min(x.s, y.s)
+    U = [wadd(a, b) for a, b in zip(shifted(x, x.s - s), shifted(y, y.s - s))]
+    return tw._canon(s, U, min(x.ap, y.ap), None)
+
+
+def _tower_unit(draw, tw):
+    s = draw(st.integers(-3 * tw.e, 3 * tw.e))
+    p = tw.p
+    if draw(st.booleans()):
+        num = draw(st.integers(1, 10 ** 6).filter(lambda n: n % p))
+        den = draw(st.integers(1, 10 ** 6).filter(lambda n: n % p))
+        x = tw.from_exact_pair(Fraction(num, den), s)
+    else:
+        digits = st.integers(0, p ** tw.nl - 1)
+        U = []
+        for j in range(tw.e):
+            coords = [draw(digits) for _ in range(tw.f)]
+            if j == 0 and all(c % p == 0 for c in coords):
+                coords[0] += 1
+            U.append(coords[0] if tw.f == 1 else tuple(coords))
+        x = tw._canon(s, U, s + draw(st.integers(1, tw.prec)), None)
+    # negation leaves digits above the window in U; arithmetic must ignore them
+    return -x if draw(st.booleans()) else x
+
+
+@st.composite
+def tower_units(draw, count):
+    """``count`` elements pi^s u of one tower, u a unit with random digits
+    (or an exact rational), with p in {2,3,5,7}, e <= 12, f <= 2 and a
+    random pi-shift s and truncated ap."""
+    e = draw(st.integers(1, 12))
+    tw = make_tower(draw(st.sampled_from([2, 3, 5, 7])), e,
+                    draw(st.integers(1, 2)), draw(st.integers(1, 8 * e)))
+    return [_tower_unit(draw, tw) for _ in range(count)]
+
+
+class TestInverse:
+    @given(tower_units(1))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_newton(self, xs):
+        x, = xs
+        y = x.inverse()
+        ref = newton_inverse(x)
+        assert (y.s, y.U, y.ap, y.exact) == (ref.s, ref.U, ref.ap, ref.exact)
+        assert (x * y - x.tw.one()).is_zeroish()
+
+    @given(tower_units(2))
+    @settings(max_examples=100, deadline=None)
+    def test_product_matches_reference(self, xs):
+        x, y = xs
+        z, ref = x * y, reference_product(x, y)
+        assert (z.s, z.U, z.ap) == (ref.s, ref.U, ref.ap)
+
+    @given(tower_units(3), st.integers(0, 30))
+    @settings(max_examples=100, deadline=None)
+    def test_sum_matches_reference(self, xs, k):
+        x, y, w = [El(v.tw, v.s, v.U, v.ap, None) for v in xs]
+        # y + w pi^k - x cancels the leading digits of -x against x
+        for a, b in [(x, y), (x, -x + w * x.tw.pi_power(k))]:
+            if b.is_zeroish():
+                continue
+            z, ref = a + b, reference_sum(a, b)
+            assert (z.s, z.U, z.ap) == (ref.s, ref.U, ref.ap)
+
+    def test_missing_pivot_is_typed(self):
+        # a non-unit U[0] is never canonical, but the solve must still end
+        # in a typed error rather than a host exception
+        t = T(5, 3, 1, 30)
+        with pytest.raises(ConstructionMismatch):
+            t._unit_inverse([5, 1, 1])
+        t2 = T(5, 3, 2, 30)
+        with pytest.raises(ConstructionMismatch):
+            t2._unit_inverse([(0, 5), (1, 0), (0, 1)])
 
 
 class TestSqrt:
