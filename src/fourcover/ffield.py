@@ -12,7 +12,7 @@ degree, with no trailing zeros (the zero polynomial is ``[]``).
 
 from functools import lru_cache
 
-from .errors import InvalidInput
+from .errors import InvalidInput, ConstructionMismatch
 
 
 def is_prime(n):
@@ -41,9 +41,9 @@ class FF:
 
     def _init(self, p, f):
         if not is_prime(p):
-            raise ValueError("p must be prime, got %r" % (p,))
+            raise InvalidInput("p must be prime, got %r" % (p,))
         if f < 1:
-            raise ValueError("f must be >= 1")
+            raise InvalidInput("f must be >= 1")
         self.p = p
         self.f = f
         self.q = p ** f
@@ -69,7 +69,7 @@ class FF:
             poly = low + [1]
             if _is_irreducible_mod_p(poly, p):
                 return tuple(poly)
-        raise AssertionError("no irreducible polynomial found")
+        raise ConstructionMismatch("no irreducible polynomial found")
 
     def _basis_reduction_table(self):
         # a^k for k in [f, 2f-2], as coefficient tuples, from the modulus
@@ -240,19 +240,19 @@ class FF:
                 continue
             if all(self.pow(g, order // r) != 1 for r in fac):
                 return g
-        raise AssertionError("no generator found")
+        raise ConstructionMismatch("no generator found")
 
     def dlog(self, x):
         """Discrete log base generator() (fields here are tiny)."""
         if x == 0:
-            raise ZeroDivisionError("dlog of 0")
+            raise InvalidInput("dlog of 0")
         g = self.generator()
         cur = 1
         for k in range(self.q - 1):
             if cur == x:
                 return k
             cur = self.mul(cur, g)
-        raise AssertionError("dlog failed")
+        raise ConstructionMismatch("dlog failed")
 
     def render(self, x):
         """Human form: ints for f=1, generator powers g^k for f>1."""
@@ -272,7 +272,7 @@ class FF:
         Returns a function on encodings.
         """
         if other.p != self.p or other.f % self.f:
-            raise ValueError("no embedding %r -> %r" % (self, other))
+            raise InvalidInput("no embedding %r -> %r" % (self, other))
         if other is self:
             return lambda x: x
         mod = list(self.modulus)
@@ -311,22 +311,14 @@ def _prime_factors(n):
 
 
 def _is_irreducible_mod_p(poly, p):
-    """Irreducibility of a monic poly over F_p via x^{p^k} gcd tests."""
+    """Irreducibility of a monic poly over F_p: squarefree, and its
+    distinct-degree factorization is the poly itself in its own degree."""
     ff = FF(p, 1)
-    f = [c % p for c in poly]
-    while f and f[-1] == 0:
-        f.pop()
-    n = len(f) - 1
-    if n < 1:
+    f = pnormalize([c % p for c in poly])
+    d = pderiv(ff, f)
+    if pdeg(f) < 1 or not d or pdeg(pgcd(ff, f, d)) > 0:
         return False
-    x = [0, 1]
-    xp = x
-    for _ in range(n // 2):
-        xp = ppow_mod(ff, xp, p, f)
-        g = pgcd(ff, psub(ff, xp, x), f)
-        if pdeg(g) > 0:
-            return False
-    return True
+    return _ddf(ff, f) == [(f, pdeg(f))]
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +385,7 @@ def ppow(ff, a, n):
 
 def pdivmod(ff, a, b):
     if not b:
-        raise ZeroDivisionError("polynomial division by zero")
+        raise InvalidInput("polynomial division by zero")
     a = list(a)
     q = [0] * max(0, len(a) - len(b) + 1)
     inv_lead = ff.inv(b[-1])
@@ -453,7 +445,7 @@ def proots(ff, a):
     """Roots of a in F_q, sorted by encoding (brute force, fields tiny)."""
     a = pnormalize(a)
     if not a:
-        raise ValueError("zero polynomial")
+        raise InvalidInput("roots of the zero polynomial")
     return [x for x in ff.elements() if peval(ff, a, x) == 0]
 
 
@@ -503,14 +495,8 @@ def psquarefree_part_factors(ff, a):
     merged = {}
     for g, m in out:
         key = tuple(g)
-        if key in merged:
-            merged[key] += m
-        else:
-            merged[key] = m
-    result = {}
-    for key, m in merged.items():
-        result[key] = m
-    return [(list(k), m) for k, m in sorted(result.items(),
+        merged[key] = merged.get(key, 0) + m
+    return [(list(k), m) for k, m in sorted(merged.items(),
                                             key=lambda km: (len(km[0]), km[0]))]
 
 
@@ -549,7 +535,7 @@ def _edf(ff, a, d):
             if 0 < pdeg(g) < n:
                 return sorted(_edf(ff, g, d) + _edf(ff, pdivmod(ff, a, g)[0], d),
                               key=lambda f: (len(f), f))
-    raise AssertionError("EDF sweep exhausted (should not happen)")
+    raise ConstructionMismatch("EDF sweep exhausted (should not happen)")
 
 
 def pfactor(ff, a):

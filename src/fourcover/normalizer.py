@@ -159,18 +159,6 @@ class FactoredCover:
                   if q is not INFPT]
         return cls(datum.tower, datum.const, finite)
 
-    def exponent_sum(self):
-        return sum(a for _, a in self.factors)
-
-    def infinity_exponent(self):
-        return (-self.exponent_sum()) % self.p
-
-    def branch_points(self):
-        pts = [q for q, _ in self.factors]
-        if self.infinity_exponent():
-            pts.append(INFPT)
-        return pts
-
     def eval_rhs(self, x):
         out = self.const
         for q, a in self.factors:
@@ -181,42 +169,18 @@ class FactoredCover:
         """The cover in the coordinate x' with x = m(x').
 
         Returns (new_cover, witness) where witness is a FactoredRat r
-        with  rhs_old(m(x')) = rhs_new(x') * r(x')^p  exactly.
+        with  rhs_old(m(x')) = rhs_new(x') * r(x')^p  exactly: each
+        exponent k of the pulled-back function splits into k mod p, kept
+        in the cover, and k // p, moved to the witness.
         """
-        tw = self.tower
-        p = self.p
-        a, b, c, d = m.entries()
-        const = self.const
-        new_factors = []
-        wit = FactoredRat(tw)
-        if c.is_zeroish():
-            # affine: m(x') = (a x' + b)/d
-            scale = a / d
-            for q, aa in self.factors:
-                root = (q * d - b) / a
-                new_factors.append((root, aa))
-                const = const * scale ** aa
-            return FactoredCover(tw, const, new_factors), wit
-        pole = -d / c
-        D = 0
-        for q, aa in self.factors:
-            lead = a - q * c
-            if lead.is_zeroish():
-                # q' = infinity: (m - q) = (b - q d)/(c x' + d)
-                const = const * (b - q * d) ** aa
-            else:
-                root = (q * d - b) / lead
-                new_factors.append((root, aa))
-                const = const * lead ** aa
-            D += aa
-        # (c x' + d)^(-D) = c^(-D) (x' - pole)^(-D)
-        r0 = (-D) % p
-        k = (-D - r0) // p
-        if r0:
-            new_factors.append((pole, r0))
-        wit.mul_point(pole, k)
-        const = const * c ** (-D)
-        return FactoredCover(tw, const, new_factors), wit
+        rhs = FactoredRat(self.tower)
+        rhs.const = self.const
+        rhs.items = list(self.factors)
+        pulled = rhs.pullback(m)
+        wit = FactoredRat(self.tower)
+        for q, k in pulled.items:
+            wit.mul_point(q, k // self.p)
+        return FactoredCover(self.tower, pulled.const, pulled.items), wit
 
     def z_rescale(self, u):
         """Exponents times the unit u mod p: z^p = rhs ->
@@ -232,14 +196,6 @@ class FactoredCover:
             wit.mul_point(q, (u * a - ua) // p)
         const = self.const ** u
         return FactoredCover(tw, const, new_factors), wit
-
-    def render(self, var="x"):
-        bits = []
-        for q, a in self.factors:
-            base = "%s - (%s)" % (var, q.str(3))
-            bits.append("(%s)^%d" % (base, a) if a != 1 else "(%s)" % base)
-        head = "" if self.const.same(self.tower.one()) else self.const.str(3) + " * "
-        return head + "".join(bits)
 
 
 class FactoredRat:
@@ -272,25 +228,38 @@ class FactoredRat:
         return out
 
     def pullback(self, m):
-        """The composition self(m(x)) as a FactoredRat in x."""
-        tw = self.tw
+        """The composition self(m(x)) as a FactoredRat in x.
+
+        With x = m(x') = (a x' + b)/(c x' + d), each factor x - q becomes
+        (a - q c)(x' - q')/(c x' + d); the powers of c x' + d are gathered
+        into one c^(-D) and one pole factor, placed last.  The map is a
+        bijection, so the images of distinct points stay separate items.
+        """
         a, b, c, d = m.entries()
-        out = FactoredRat(tw)
-        out.const = self.const
+        out = FactoredRat(self.tw)
+        const = self.const
         if c.is_zeroish():
+            # affine: m(x') = (a x' + b)/d
+            scale = a / d
             for q, k in self.items:
-                out.mul_point((q * d - b) / a, k)
-                out.const = out.const * (a / d) ** k
+                out.items.append(((q * d - b) / a, k))
+                const = const * scale ** k
+            out.const = const
             return out
-        pole = -d / c
+        D = 0
         for q, k in self.items:
             lead = a - q * c
             if lead.is_zeroish():
-                out.const = out.const * ((b - q * d) / c) ** k
+                # q' = infinity: x - q = (b - q d)/(c x' + d)
+                const = const * (b - q * d) ** k
             else:
-                out.mul_point((q * d - b) / lead, k)
-                out.const = out.const * (lead / c) ** k
-            out.mul_point(pole, -k)
+                out.items.append(((q * d - b) / lead, k))
+                const = const * lead ** k
+            D += k
+        # (c x' + d)^(-D) = c^(-D) (x' - pole)^(-D)
+        if D:
+            out.items.append((-d / c, -D))
+        out.const = const * c ** (-D)
         return out
 
     def is_one(self):

@@ -24,6 +24,10 @@ modulus lift per pi-slot.  The inverse is an exact solve, not a
 precision loop: multiplication by the unit part is an (e f) x (e f)
 matrix over Z/p^N that is invertible mod p, and Gaussian elimination
 with unit pivots gives every coordinate of the inverse in one pass.
+
+Roots are lifted in one place, ``hensel_root``: Newton steps from a
+simple residue root until the polynomial cannot be told from zero.  Square
+roots go through it too.
 """
 
 import math
@@ -300,30 +304,14 @@ class Tower:
         w = enc % self.p if self.f == 1 else tuple(self.ff.coords(enc))
         return self._canon(0, self._constant(w), self.prec, None)
 
-    def teichmuller(self, enc):
-        """The Teichmuller representative of a residue-field element."""
-        if enc == 0:
-            return self.zero()
-        x = self.lift_ff(enc)
-        for _ in range(self.nl + 1):
-            x = x ** self.ff.q
-        return x
-
-    def unit_root_lift(self, n, enc):
-        """Lift of an n-th root of unity with residue ``enc`` (n | q-1)."""
-        if (self.ff.q - 1) % n:
-            raise NeedsExtension("no primitive %d-th roots of unity here" % n)
-        if self.ff.pow(enc, n) != 1:
-            raise InvalidInput("residue is not an n-th root of unity")
-        return self.teichmuller(enc)
-
     def sqrt(self, x):
         """Square root; NeedsExtension when the value group or residue
         field is too small.
 
-        Branch: the least-residue root, except that an exact rational
-        square keeps its positive rational root (and its exactness flag).
-        Downstream constructions are branch-independent.
+        Branch: the lift of the least square root of the residue, except
+        that an exact rational square keeps its positive rational root (and
+        its exactness flag).  Downstream constructions are
+        branch-independent.
         """
         if self.p == 2:
             raise NeedsExtension("square roots at p=2 are outside this tower's scope")
@@ -344,31 +332,15 @@ class Tower:
                 if rn is not None and rd is not None:
                     exact = (Fraction(rn, rd), m // 2)
         u = x * self.pi_power(-s)
-        r = u.residue()
-        rr = self.ff.sqrt(r)
+        rr = self.ff.sqrt(u.residue())
         if rr is None:
             raise NeedsExtension("sqrt needs a quadratic residue extension",
                                  f=2 * self.f, token="sqrt")
-        y = self.lift_ff(rr)
-        inv2 = self.from_rational(Fraction(1, 2))
-        # the residue start is correct to one pi-digit only; each round
-        # doubles that, so size the loop by the full pi-digit width
-        for _ in range(self.prec.bit_length() + 2):
-            y = (y + u / y) * inv2
-        diff = y * y - u
-        if not diff.is_zeroish():
-            raise InsufficientPrecision("sqrt iteration did not close")
-        # least-residue branch
-        if min(rr, self.ff.neg(rr)) != rr:
-            y = -y
-        y = y * self.pi_power(s // 2)
+        y = hensel_root(Poly(self, [-u, 0, 1]), rr) * self.pi_power(s // 2)
         if exact is not None:
-            chk = y - self.from_exact_pair(*exact)
-            if chk.is_zeroish():
-                y = El(self, y.s, y.U, y.ap, exact)
-            else:
+            if not (y - self.from_exact_pair(*exact)).is_zeroish():
                 y = -y
-                y = El(self, y.s, y.U, y.ap, exact)
+            y = El(self, y.s, y.U, y.ap, exact)
         return y
 
     # ------------------------------------------------------------------
@@ -460,7 +432,7 @@ class Tower:
             emb = self.ff.embedding_into(big.ff)
             root0 = emb(self.ff.encode([0, 1] + [0] * (self.f - 2)))
             mpoly = Poly(big, [big.from_int(c) for c in self.modulus])
-            gen = refine_root(mpoly, big.lift_ff(root0))
+            gen = hensel_root(mpoly, root0)
         self._embed_roots[key] = gen
         return gen
 
@@ -702,20 +674,20 @@ class El:
         """Nonzero digits as (pi-level, residue encoding), lowest first."""
         if self.s is None:
             return []
+        window = self.ap - self.s
+        return list(self._digits(window if count is None else min(count, window)))
+
+    def _digits(self, levels):
+        """Yield the nonzero digits of the lowest ``levels`` pi-levels."""
         tw = self.tw
-        count = count if count is not None else self.ap - self.s
-        out = []
-        U = list(self.U)
-        for lev in range(min(count, self.ap - self.s)):
-            j = lev % tw.e
-            i = lev // tw.e
+        for lev in range(levels):
+            j, i = lev % tw.e, lev // tw.e
             if tw.f == 1:
-                d = (U[j] // tw.p ** i) % tw.p
+                d = (self.U[j] // tw._ppow[i]) % tw.p
             else:
-                d = tw.ff.encode([(c // tw.p ** i) % tw.p for c in U[j]])
+                d = tw.ff.encode([(c // tw._ppow[i]) % tw.p for c in self.U[j]])
             if d:
-                out.append((self.s + lev, d))
-        return out
+                yield (self.s + lev, d)
 
     def __repr__(self):
         return self.str(max_terms=6)
@@ -727,7 +699,8 @@ class El:
             return "O(pi^%d)" % self.ap
         tw = self.tw
         parts = []
-        for lev, d in self.digits():
+        # the digits are extracted lazily: at most max_terms + 1 of them
+        for lev, d in self._digits(self.ap - self.s):
             if len(parts) >= max_terms:
                 parts.append("...")
                 break
@@ -898,56 +871,38 @@ class Poly:
 
 
 # ---------------------------------------------------------------------------
-# root refinement
+# root lifting
 # ---------------------------------------------------------------------------
 
-def refine_root(P, x0, max_steps=400):
-    """Refine x0 to a root of P, digit-by-digit below the Newton basin and
-    by Newton steps inside it.  Raises ConstructionMismatch if stuck."""
+def hensel_root(P, residue_enc):
+    """Lift a simple residue root (P' a unit there) to a root of P.
+
+    This is the tower's one root lifter: plain Newton steps
+    x <- x - P(x)/P'(x) from the lift of the residue root, until P(x)
+    cannot be told from zero.  Each step doubles the number of correct
+    pi-digits, so at most prec.bit_length() + 2 steps are taken.
+
+    Precision rule: since P'(x) is a unit, the root lies within |P(x)| of
+    x, so the result's ap is capped at the ap of the final P(x).  A root
+    that is itself indistinguishable from zero is returned unchanged.
+    """
     tw = P.tw
     Pd = P.deriv()
-    x = x0
-    for _ in range(max_steps):
-        fx = P.eval(x)
-        if fx.is_zeroish():
-            return x
-        fpx = Pd.eval(x)
-        if fpx.is_zeroish():
-            raise ConstructionMismatch("derivative vanishes during root refinement")
-        vf, vfp = fx.pival(), fpx.pival()
-        if vf > 2 * vfp:
-            x = x - fx / fpx
-            continue
-        k = vf - vfp
-        if k < 0:
-            raise ConstructionMismatch("no root near the given start")
-        # linear digit correction: c = -res(fx pi^-vf)/res(fpx pi^-vfp)
-        cres = tw.ff.div(
-            tw.ff.neg((fx * tw.pi_power(-vf)).residue()),
-            (fpx * tw.pi_power(-vfp)).residue())
-        cand = x + tw.lift_ff(cres) * tw.pi_power(k)
-        fc = P.eval(cand)
-        if fc.is_zeroish() or fc.pival() > vf:
-            x = cand
-            continue
-        improved = False
-        for enc in range(1, tw.ff.q):
-            cand = x + tw.lift_ff(enc) * tw.pi_power(k)
-            fc = P.eval(cand)
-            if fc.is_zeroish() or fc.pival() > vf:
-                x = cand
-                improved = True
-                break
-        if not improved:
-            raise ConstructionMismatch("root refinement stalled at level %d" % vf)
-    raise ConstructionMismatch("root refinement did not converge")
-
-
-def hensel_root(P, residue_enc):
-    """Lift a simple residue root (P' unit there) to the tower."""
-    tw = P.tw
-    x0 = tw.lift_ff(residue_enc)
-    d = Poly(tw, P.deriv().c).eval(x0)
+    x = tw.lift_ff(residue_enc)
+    d = Pd.eval(x)
     if d.is_zeroish() or d.pival() != 0:
         raise ConstructionMismatch("residue root is not simple; Hensel fails")
-    return refine_root(P, x0)
+    fx = P.eval(x)
+    if not fx.is_zeroish() and fx.pival() <= 0:
+        raise ConstructionMismatch("%r is not a root of the residue polynomial"
+                                   % (residue_enc,))
+    for _ in range(tw.prec.bit_length() + 2):
+        if fx.is_zeroish():
+            break
+        x = x - fx / Pd.eval(x)
+        fx = P.eval(x)
+    if not fx.is_zeroish():
+        raise InsufficientPrecision("Newton lifting did not converge")
+    if x.is_zeroish() or fx.is_true_zero() or fx.ap >= x.ap:
+        return x
+    return tw._canon(x.s, x.U, fx.ap, x.exact)

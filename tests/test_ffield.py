@@ -4,7 +4,7 @@ import pytest
 
 from fourcover.errors import InvalidInput
 from fourcover.ffield import (
-    FF, padd, pmul, pdivmod, pgcd, pfactor, proots,
+    FF, padd, pmul, pdivmod, pgcd, pfactor, proots, _is_irreducible_mod_p,
     p_is_pth_power, p_pth_root, ppow, prender, pnormalize,
 )
 
@@ -136,3 +136,28 @@ def test_inverse_of_zero_is_typed():
             ff.inv(0)
         with pytest.raises(InvalidInput):
             ff.div(1, 0)
+
+
+def test_irreducible_counts():
+    # monic irreducibles of degree n over F_p: (1/n) sum_{d | n} mu(d) p^(n/d)
+    counts = {2: [2, 1, 2, 3], 3: [3, 3, 8, 18], 5: [5, 10, 40, 150]}
+    for p, expected in counts.items():
+        for n, want in enumerate(expected, 1):
+            got = sum(_is_irreducible_mod_p(
+                [(code // p ** i) % p for i in range(n)] + [1], p)
+                for code in range(p ** n))
+            assert got == want, (p, n)
+
+
+def test_invalid_requests_are_typed():
+    ff = FF(5, 1)
+    with pytest.raises(InvalidInput):
+        FF(4)
+    with pytest.raises(InvalidInput):
+        ff.dlog(0)
+    with pytest.raises(InvalidInput):
+        FF(5, 2).embedding_into(FF(5, 3))
+    with pytest.raises(InvalidInput):
+        pdivmod(ff, [1, 1], [])
+    with pytest.raises(InvalidInput):
+        proots(ff, [])

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from fourcover.errors import (
     CoalescingBranchPoints, NonCyclicExponent, InvalidInput,
@@ -9,7 +10,7 @@ from fourcover.errors import (
 )
 from fourcover.tower import make_tower, INF
 from fourcover.normalizer import (
-    INFPT, CoverDatum, FactoredCover, Moebius, parse_point,
+    INFPT, CoverDatum, FactoredCover, FactoredRat, Moebius, parse_point,
     cross_ratio, cross_ratio_orbit, normalize, j_invariant, j_numerator,
     _verify_witness_by_sampling,
 )
@@ -217,3 +218,85 @@ class TestFactoredCover:
         new, wit = cover.z_rescale(3)
         x = tw.from_int(11)
         assert (cover.eval_rhs(x) ** 3).same(new.eval_rhs(x) * wit.eval(x) ** tw.p)
+
+
+def reference_pullback(cover, m):
+    """The loop ``FactoredCover.moebius_pullback`` ran before it went
+    through ``FactoredRat.pullback``, kept as the reference."""
+    tw, p = cover.tower, cover.p
+    a, b, c, d = m.entries()
+    const = cover.const
+    new_factors = []
+    wit = FactoredRat(tw)
+    if c.is_zeroish():
+        scale = a / d
+        for q, aa in cover.factors:
+            new_factors.append(((q * d - b) / a, aa))
+            const = const * scale ** aa
+        return FactoredCover(tw, const, new_factors), wit
+    pole = -d / c
+    D = 0
+    for q, aa in cover.factors:
+        lead = a - q * c
+        if lead.is_zeroish():
+            const = const * (b - q * d) ** aa
+        else:
+            new_factors.append(((q * d - b) / lead, aa))
+            const = const * lead ** aa
+        D += aa
+    r0 = (-D) % p
+    if r0:
+        new_factors.append((pole, r0))
+    wit.mul_point(pole, (-D - r0) // p)
+    const = const * c ** (-D)
+    return FactoredCover(tw, const, new_factors), wit
+
+
+def _rational(draw, tw):
+    num = draw(st.integers(-10 ** 4, 10 ** 4).filter(bool))
+    return tw.from_exact_pair(Fraction(num, draw(st.integers(1, 10 ** 4))),
+                              draw(st.integers(0, tw.e)))
+
+
+@st.composite
+def covers_and_maps(draw):
+    """A cover with three finite branch points over p in {3, 5, 7}, and an
+    affine map, a map sending one branch point to infinity, or a general
+    Moebius map."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    tw = make_tower(p, p - 1, 1, draw(st.integers(8, 48)))
+    pts = [_rational(draw, tw) for _ in range(3)]
+    assume(not any(q.same(r) for i, q in enumerate(pts) for r in pts[:i]))
+    exps = [draw(st.integers(1, p - 1)) for _ in pts]
+    cover = FactoredCover(tw, _rational(draw, tw), list(zip(pts, exps)))
+    kind = draw(st.sampled_from(["affine", "infinity", "general"]))
+    a, b, d = (_rational(draw, tw) for _ in range(3))
+    if kind == "affine":
+        c = tw.zero()
+    else:
+        c = _rational(draw, tw)
+        if kind == "infinity":
+            a = draw(st.sampled_from(pts)) * c  # a - q c = 0
+    if (a * d - b * c).is_zeroish():
+        d = d + tw.one()
+    return cover, Moebius(a, b, c, d)
+
+
+class TestPullbackReference:
+    @given(covers_and_maps())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference(self, cm):
+        cover, m = cm
+        try:
+            new, wit = cover.moebius_pullback(m)
+        except InvalidInput:  # a degenerate map, rejected by both
+            with pytest.raises(InvalidInput):
+                reference_pullback(cover, m)
+            return
+        ref, rwit = reference_pullback(cover, m)
+        for got, want in [(new.factors, ref.factors), (wit.items, rwit.items)]:
+            assert len(got) == len(want)
+            for (q, k), (r, j) in zip(got, want):
+                assert q.same(r) and k == j
+        for got, want in [(new.const, ref.const), (wit.const, rwit.const)]:
+            assert (got.s, got.U, got.ap, got.exact) == (want.s, want.U, want.ap, want.exact)

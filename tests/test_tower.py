@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -5,11 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fourcover.errors import (
-    NeedsExtension, NegativeValuation,
+    NeedsExtension, NegativeValuation, InsufficientPrecision,
     DivisionByIndistinguishableZero, InvalidInput, ConstructionMismatch,
 )
 from fourcover.tower import (
-    make_tower, Tower, El, Poly, refine_root, hensel_root, INF,
+    make_tower, Tower, El, Poly, hensel_root, INF,
 )
 
 
@@ -308,7 +309,74 @@ class TestInverse:
             t2._unit_inverse([(0, 5), (1, 0), (0, 1)])
 
 
+def newton_sqrt(tw, x):
+    """The fixed-step Newton loop y <- (y + u/y)/2 that ``Tower.sqrt``
+    replaced, kept as the reference for its lift through ``hensel_root``."""
+    if tw.p == 2:
+        raise NeedsExtension("p = 2")
+    if x.is_zeroish():
+        if x.is_true_zero():
+            return tw.zero()
+        raise InsufficientPrecision("sqrt of an indistinguishable zero")
+    s = x.pival()
+    if s % 2:
+        raise NeedsExtension("odd pi-valuation")
+    exact = None
+    if x.exact is not None:
+        q, m = x.exact
+        if m % 2 == 0 and q > 0:
+            rn, rd = math.isqrt(q.numerator), math.isqrt(q.denominator)
+            if rn * rn == q.numerator and rd * rd == q.denominator:
+                exact = (Fraction(rn, rd), m // 2)
+    u = x * tw.pi_power(-s)
+    rr = tw.ff.sqrt(u.residue())
+    if rr is None:
+        raise NeedsExtension("non-square residue")
+    y = tw.lift_ff(rr)
+    inv2 = tw.from_rational(Fraction(1, 2))
+    for _ in range(tw.prec.bit_length() + 2):
+        y = (y + u / y) * inv2
+    if not (y * y - u).is_zeroish():
+        raise InsufficientPrecision("sqrt iteration did not close")
+    if min(rr, tw.ff.neg(rr)) != rr:
+        y = -y
+    y = y * tw.pi_power(s // 2)
+    if exact is not None:
+        if not (y - tw.from_exact_pair(*exact)).is_zeroish():
+            y = -y
+        y = El(tw, y.s, y.U, y.ap, exact)
+    return y
+
+
+@st.composite
+def sqrt_arguments(draw):
+    """Squares over p in {3,5,7}, e <= 12, f <= 2: exact rational squares,
+    squares of full-width units, and squares truncated to a short ap."""
+    e = draw(st.integers(1, 12))
+    tw = make_tower(draw(st.sampled_from([3, 5, 7])), e,
+                    draw(st.integers(1, 2)), draw(st.integers(1, 8 * e)))
+    kind = draw(st.sampled_from(["exact", "unit", "short"]))
+    s = draw(st.integers(-2 * e, 2 * e))
+    if kind == "exact":
+        q = Fraction(draw(st.integers(1, 10 ** 6)), draw(st.integers(1, 10 ** 6)))
+        return tw.from_exact_pair(q * q, 2 * s)
+    y = _tower_unit(draw, tw)
+    y = El(tw, y.s, y.U, y.ap, None) if kind == "unit" else y
+    x = y * y
+    if kind == "short" and not x.is_zeroish():
+        x = tw._canon(x.s, x.U, x.s + draw(st.integers(1, 4)), x.exact)
+    return x
+
+
 class TestSqrt:
+    @given(sqrt_arguments())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_newton(self, x):
+        ref = newton_sqrt(x.tw, x)
+        y = x.tw.sqrt(x)
+        assert (y.s, y.U, y.ap, y.exact) == (ref.s, ref.U, ref.ap, ref.exact)
+        assert (y * y - x).is_zeroish()
+
     def test_sqrt9(self):
         t = T()
         r = t.sqrt(t.from_int(9))
@@ -344,36 +412,6 @@ class TestSqrt:
             x = t.from_int(n * n)
             y = t.sqrt(x)
             assert (y * y - x).is_zeroish()
-
-
-class TestTeichmullerZeta:
-    def test_teichmuller(self):
-        t = T()
-        for enc in range(1, 5):
-            w = t.teichmuller(enc)
-            assert w ** (t.ff.q - 1) == t.one()
-            assert w.residue() == enc
-
-    def test_unit_root_lift(self):
-        t = T()
-        # 2 generates F_5^*, so it is a primitive 4th root of unity
-        w = t.unit_root_lift(4, 2)
-        assert w ** 4 == t.one()
-        assert not (w ** 2).same(t.one())
-        assert w.residue() == 2
-        with pytest.raises(InvalidInput):
-            t.unit_root_lift(4, 0)
-
-    def test_zeta(self):
-        # 1 + x + ... + x^(p-1) reduces to (x-1)^(p-1), so its root is not
-        # simple; at p = 5 the start lies outside the Newton basin and
-        # refine_root first corrects digit by digit
-        for p, e, prec in [(3, 2, 24), (5, 4, 28)]:
-            t = make_tower(p, e, 1, prec)
-            phi = Poly(t, [t.one()] * p)
-            z = refine_root(phi, t.one() + t.pi_power(e // (p - 1)))
-            assert not z.same(t.one())
-            assert z ** p == t.one()
 
 
 class TestTokens:
@@ -482,10 +520,23 @@ class TestRoots:
         r = hensel_root(f, 2)
         assert r == t.from_int(2)
 
-    def test_refine_quadratic(self):
+    def test_hensel_rejects_multiple_residue_root(self):
         t = T(prec=40)
-        lam = t.from_int(6)
-        f = Poly(t, [lam, t.from_int(-7), t.one()])  # (x-1)(x-6)
-        r = refine_root(f, t.from_int(1))
-        assert f.eval(r).is_zeroish()
-        assert r == t.one()
+        f = Poly(t, [t.from_int(6), t.from_int(-7), t.one()])  # (x-1)(x-6)
+        with pytest.raises(ConstructionMismatch):
+            hensel_root(f, 1)  # 1 = 6 mod 5 is a double residue root
+
+    def test_hensel_precision_capped_by_residual(self):
+        # P(2) = 4 - (4 + O(pi^3)) is already O(pi^3), so the root is only
+        # known to pi^3, as Tower.sqrt of the same value reports
+        t = T(5, 4, 1, 40)
+        u = t.from_int(4) + El(t, None, None, 3, None)
+        r = hensel_root(Poly(t, [-u, 0, 1]), 2)
+        assert (r.s, r.ap) == (0, 3)
+        assert r.str() == t.sqrt(u).str() == "2 + O(pi^3)"
+
+    def test_hensel_zeroish_root_unchanged(self):
+        # x (x - 1) + O(pi^3): the root at residue 0 is the lift 0 itself
+        t = T(5, 4, 1, 40)
+        f = Poly(t, [El(t, None, None, 3, None), -t.one(), t.one()])
+        assert hensel_root(f, 0).is_true_zero()
