@@ -144,6 +144,14 @@ class CoverDatum:
         self.const = const if const is not None else tower.one()
 
 
+def _eval_factored(const, factors, x):
+    """const * prod (x - q)^k over the pairs (q, k) of factors."""
+    out = const
+    for q, k in factors:
+        out = out * (x - q) ** k
+    return out
+
+
 class FactoredCover:
     """z^p = const * prod (x - q)^a over finite q; infinity implicit."""
 
@@ -160,10 +168,7 @@ class FactoredCover:
         return cls(datum.tower, datum.const, finite)
 
     def eval_rhs(self, x):
-        out = self.const
-        for q, a in self.factors:
-            out = out * (x - q) ** a
-        return out
+        return _eval_factored(self.const, self.factors, x)
 
     def moebius_pullback(self, m):
         """The cover in the coordinate x' with x = m(x').
@@ -222,10 +227,7 @@ class FactoredRat:
             self.mul_point(q, k)
 
     def eval(self, x):
-        out = self.const
-        for q, k in self.items:
-            out = out * (x - q) ** k
-        return out
+        return _eval_factored(self.const, self.items, x)
 
     def pullback(self, m):
         """The composition self(m(x)) as a FactoredRat in x.

@@ -27,7 +27,14 @@ with unit pivots gives every coordinate of the inverse in one pass.
 
 Roots are lifted in one place, ``hensel_root``: Newton steps from a
 simple residue root until the polynomial cannot be told from zero.  Square
-roots go through it too.
+roots go through it too.  The lifter divides nowhere: it carries an
+approximate 1/P'(x), started from a residue-field inverse and refined by
+its own Newton step, so no step runs a tower inverse.  The root's
+precision is capped at that of the last residual P(x).
+
+Powers start from the base at the lowest set bit of the exponent and
+stop after the top bit, so they compute no product by one and no unused
+square.
 """
 
 import math
@@ -450,6 +457,22 @@ def _convolve(acc, A, B):
             acc[j:j + n] = [c + a * b for c, b in zip(acc[j:j + n], B)]
 
 
+def _binary_power(base, n):
+    """base ** n for n >= 1 by repeated squaring, lowest bit first:
+    n.bit_length() - 1 squarings and popcount(n) - 1 products."""
+    while not n & 1:
+        base = base * base
+        n >>= 1
+    out = base
+    n >>= 1
+    while n:
+        base = base * base
+        if n & 1:
+            out = out * base
+        n >>= 1
+    return out
+
+
 def _isqrt_exact(n):
     r = math.isqrt(n)
     return r if r * r == n else None
@@ -582,12 +605,11 @@ class El:
             if self.is_true_zero():
                 return self
             return El(tw, None, None, self.ap, exact)
-        pm = tw.pmod
         if tw.f == 1:
-            U = tuple([-c % pm for c in self.U])
+            U = [-c for c in self.U]
         else:
-            U = tuple([tuple([-c % pm for c in w]) for w in self.U])
-        return El(tw, self.s, U, self.ap, exact)
+            U = [tuple([-c for c in w]) for w in self.U]
+        return El(tw, self.s, tuple(tw._mask(U, self.ap - self.s)), self.ap, exact)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -644,14 +666,9 @@ class El:
             return NotImplemented
         if n < 0:
             return self.inverse() ** (-n)
-        out = self.tw.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        if n == 0:
+            return self.tw.one()
+        return _binary_power(self, n)
 
     # -- comparisons -------------------------------------------------------
 
@@ -776,14 +793,11 @@ class Poly:
         return Poly(self.tw, out)
 
     def __pow__(self, n):
-        out = Poly(self.tw, [self.tw.one()])
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        if n < 0:
+            raise InvalidInput("negative power of a polynomial")
+        if n == 0:
+            return Poly(self.tw, [self.tw.one()])
+        return _binary_power(self, n)
 
     def scale(self, el):
         return Poly(self.tw, [x * el for x in self.c])
@@ -793,8 +807,11 @@ class Poly:
         return Poly(self.tw, [x * inv for x in self.c])
 
     def eval(self, x):
-        out = self.tw.zero()
-        for a in reversed(self.c):
+        """Horner's rule from the leading coefficient: deg multiplies."""
+        if not self.c:
+            return self.tw.zero()
+        out = self.c[-1]
+        for a in reversed(self.c[:-1]):
             out = out * x + a
         return out
 
@@ -877,10 +894,13 @@ class Poly:
 def hensel_root(P, residue_enc):
     """Lift a simple residue root (P' a unit there) to a root of P.
 
-    This is the tower's one root lifter: plain Newton steps
-    x <- x - P(x)/P'(x) from the lift of the residue root, until P(x)
-    cannot be told from zero.  Each step doubles the number of correct
-    pi-digits, so at most prec.bit_length() + 2 steps are taken.
+    This is the tower's one root lifter, and it divides nowhere.  Newton
+    steps x <- x - P(x) z start from the lift of the residue root, where
+    z approximates 1/P'(x) and starts as the lift of the residue-field
+    inverse of P'(x0).  While P(x) can still be told from zero, z is
+    refined by its own Newton step z <- z (2 - P'(x) z).  The number of
+    correct pi-digits of both x and z doubles per step, so at most
+    prec.bit_length() + 2 steps are taken.
 
     Precision rule: since P'(x) is a unit, the root lies within |P(x)| of
     x, so the result's ap is capped at the ap of the final P(x).  A root
@@ -896,11 +916,15 @@ def hensel_root(P, residue_enc):
     if not fx.is_zeroish() and fx.pival() <= 0:
         raise ConstructionMismatch("%r is not a root of the residue polynomial"
                                    % (residue_enc,))
+    z = tw.lift_ff(tw.ff.inv(d.residue()))
+    two = tw.from_int(2)
     for _ in range(tw.prec.bit_length() + 2):
         if fx.is_zeroish():
             break
-        x = x - fx / Pd.eval(x)
+        x = x - fx * z
         fx = P.eval(x)
+        if not fx.is_zeroish():
+            z = z * (two - Pd.eval(x) * z)
     if not fx.is_zeroish():
         raise InsufficientPrecision("Newton lifting did not converge")
     if x.is_zeroish() or fx.is_true_zero() or fx.ap >= x.ap:

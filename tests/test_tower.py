@@ -14,6 +14,23 @@ from fourcover.tower import (
 )
 
 
+def state(y):
+    """An element's whole stored form: two elements built the same way
+    must agree on it, not only on their value."""
+    return (y.s, y.U, y.ap, y.exact)
+
+
+def outcome(fn, *args):
+    """The stored form of fn(*args), or the type of the error it raises."""
+    try:
+        y = fn(*args)
+    except Exception as exc:  # compared by type against the reference
+        return type(exc)
+    if isinstance(y, Poly):
+        return [state(c) for c in y.c]
+    return state(y)
+
+
 def T(p=5, e=4, f=1, prec=50):
     return make_tower(p, e, f, prec)
 
@@ -255,7 +272,6 @@ def _tower_unit(draw, tw):
                 coords[0] += 1
             U.append(coords[0] if tw.f == 1 else tuple(coords))
         x = tw._canon(s, U, s + draw(st.integers(1, tw.prec)), None)
-    # negation leaves digits above the window in U; arithmetic must ignore them
     return -x if draw(st.booleans()) else x
 
 
@@ -414,6 +430,233 @@ class TestSqrt:
             assert (y * y - x).is_zeroish()
 
 
+def reference_pow(x, n):
+    """The square-and-multiply loop that ``El.__pow__`` replaced: it starts
+    from one() and squares the base once more after the top bit."""
+    if n < 0:
+        return reference_pow(x.inverse(), -n)
+    out = x.tw.one()
+    base = x
+    while n:
+        if n & 1:
+            out = out * base
+        base = base * base
+        n >>= 1
+    return out
+
+
+def reference_poly_pow(P, n):
+    """The same loop for ``Poly.__pow__``, from the constant polynomial 1."""
+    out = Poly(P.tw, [P.tw.one()])
+    base = P
+    while n:
+        if n & 1:
+            out = out * base
+        base = base * base
+        n >>= 1
+    return out
+
+
+def reference_eval(P, x):
+    """Horner's rule from zero(), as ``Poly.eval`` ran it before."""
+    out = P.tw.zero()
+    for a in reversed(P.c):
+        out = out * x + a
+    return out
+
+
+def division_hensel_root(P, residue_enc):
+    """The Newton loop x <- x - P(x)/P'(x) that ``hensel_root`` replaced,
+    with a full tower inverse in every step."""
+    tw = P.tw
+    Pd = P.deriv()
+    x = tw.lift_ff(residue_enc)
+    d = Pd.eval(x)
+    if d.is_zeroish() or d.pival() != 0:
+        raise ConstructionMismatch("residue root is not simple")
+    fx = P.eval(x)
+    if not fx.is_zeroish() and fx.pival() <= 0:
+        raise ConstructionMismatch("not a residue root")
+    for _ in range(tw.prec.bit_length() + 2):
+        if fx.is_zeroish():
+            break
+        x = x - fx / Pd.eval(x)
+        fx = P.eval(x)
+    if not fx.is_zeroish():
+        raise InsufficientPrecision("Newton lifting did not converge")
+    if x.is_zeroish() or fx.is_true_zero() or fx.ap >= x.ap:
+        return x
+    return tw._canon(x.s, x.U, fx.ap, x.exact)
+
+
+@st.composite
+def elements(draw, tw):
+    """A unit times a pi-power (full or truncated window, maybe negated),
+    an exact token, a fuzzy zero O(pi^k) or a true zero."""
+    kind = draw(st.sampled_from(["unit", "unit", "unit", "token", "fuzzy", "zero"]))
+    if kind == "fuzzy":
+        return El(tw, None, None, draw(st.integers(-tw.e, 2 * tw.prec)), None)
+    if kind == "zero":
+        return tw.zero()
+    if kind == "token":
+        q = Fraction(draw(st.integers(-10 ** 4, 10 ** 4).filter(bool)),
+                     draw(st.integers(1, 10 ** 4)))
+        return tw.from_exact_pair(q, draw(st.integers(-tw.e, 2 * tw.e)))
+    return _tower_unit(draw, tw)
+
+
+@st.composite
+def towers(draw, primes=(2, 3, 5, 7), prec_per_e=8):
+    """A tower with p in primes, e <= 12, f <= 2 and a random precision."""
+    e = draw(st.integers(1, 12))
+    return make_tower(draw(st.sampled_from(primes)), e, draw(st.integers(1, 2)),
+                      draw(st.integers(1, prec_per_e * e)))
+
+
+@st.composite
+def polys(draw, max_degree):
+    tw = draw(towers())
+    d = draw(st.integers(-1, max_degree))
+    return Poly(tw, [draw(elements(tw)) for _ in range(d + 1)])
+
+
+@st.composite
+def lift_problems(draw):
+    """(P, r): P over p in {3,5,7}, e <= 12, f <= 2 and precision up to
+    200 e, and a residue root r of P, simple unless P'(r) = 0 mod pi.
+    Each c_i = lift(a_i) + t_i for i >= 1, with a random residue a_i
+    lifted by ``lift_ff`` or as an exact integer, and
+    c_0 = t_0 - sum c_i lift(r)^i.  The t_i come from ``elements``,
+    moved up by a pi-power to a positive valuation when they have one."""
+    tw = draw(towers(primes=(3, 5, 7), prec_per_e=200))
+    r = draw(st.integers(0, tw.ff.q - 1))
+
+    def term():
+        t = draw(elements(tw))
+        return t if t.is_zeroish() else t * tw.pi_power(max(0, 1 - t.pival()))
+
+    def residue_lift():
+        if exact:
+            return tw.from_int(draw(st.integers(0, tw.p - 1)))
+        return tw.lift_ff(draw(st.integers(0, tw.ff.q - 1)))
+
+    exact = draw(st.booleans())
+    coeffs = [tw.zero()] + [residue_lift() + term()
+                            for _ in range(draw(st.integers(1, 4)))]
+    coeffs[0] = term() - Poly(tw, coeffs).eval(tw.lift_ff(r))
+    return Poly(tw, coeffs), r
+
+
+class TestLadders:
+    """The power, Horner and root-lifting loops against the loops they
+    replaced: the same stored form (s, U, ap, exact) or the same error."""
+
+    @given(towers().flatmap(elements), st.integers(-4, 40))
+    @settings(max_examples=200, deadline=None)
+    def test_pow_matches_reference(self, x, n):
+        assert outcome(pow, x, n) == outcome(reference_pow, x, n)
+
+    @given(polys(2), st.integers(0, 20))
+    @settings(max_examples=60, deadline=None)
+    def test_poly_pow_matches_reference(self, P, n):
+        assert outcome(pow, P, n) == outcome(reference_poly_pow, P, n)
+
+    @given(polys(5), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_eval_matches_reference(self, P, data):
+        x = data.draw(elements(P.tw))
+        assert outcome(P.eval, x) == outcome(reference_eval, P, x)
+
+    @given(lift_problems())
+    @settings(max_examples=150, deadline=None)
+    def test_hensel_matches_division_loop(self, problem):
+        P, r = problem
+        ref = P
+        if r == 0 and all(c.exact is not None for c in P.c):
+            # From the exact lift 0 of an exact P every iterate of the
+            # division loop can stay an exact rational, whose P(x) never
+            # reads as zero: that loop then ends in InsufficientPrecision,
+            # after rationals that grow geometrically.  The reference runs
+            # on the same digits without exact pairs instead.
+            ref = Poly(P.tw, [c if c.is_zeroish() else El(c.tw, c.s, c.U, c.ap, None)
+                              for c in P.c])
+        assert outcome(hensel_root, P, r) == outcome(division_hensel_root, ref, r)
+
+
+class TestCanonicalForm:
+    """One value has one stored form: every result equals its own
+    re-canonicalization, so results can be compared on (s, U, ap, exact)."""
+
+    def test_negation_masks_to_the_window(self):
+        t = T(5, 4, 1, 20)
+        y = -t._canon(0, [1, 2, 3, 4], 6, None)
+        assert y.U == (24, 23, 2, 1)
+
+    @given(tower_units(2), st.integers(-3, 6))
+    @settings(max_examples=150, deadline=None)
+    def test_results_are_canonical(self, xs, n):
+        x, y = xs
+        tw = x.tw
+        for z in (-x, x + y, x - y, x * y, x.inverse(), x ** n):
+            if not z.is_zeroish():
+                assert state(z) == state(tw._canon(z.s, list(z.U), z.ap, z.exact))
+
+
+def counted(monkeypatch, cls, name):
+    """Count the calls of cls.name for the rest of the test."""
+    calls = []
+    original = cls.__dict__[name]
+
+    def wrapper(*args):
+        calls.append(name)
+        return original(*args)
+    monkeypatch.setattr(cls, name, wrapper)
+    return calls
+
+
+class TestOperationCounts:
+    def test_pow_multiplies(self, monkeypatch):
+        t = T(5, 4, 1, 40)
+        x = t.one() + t.pi()
+        P = Poly(t, [t.zero(), x])
+        muls = counted(monkeypatch, El, "__mul__")
+        poly_muls = counted(monkeypatch, Poly, "__mul__")
+        assert state(x ** 0) == state(t.one()) and (P ** 0).c[0].exact == (1, 0)
+        assert not muls and not poly_muls
+        for n in range(1, 65):
+            # bit_length - 1 squarings and popcount - 1 products
+            expected = n.bit_length() - 1 + bin(n).count("1") - 1
+            del muls[:]
+            x ** n
+            assert len(muls) == expected
+            del poly_muls[:]
+            P ** n
+            assert len(poly_muls) == expected
+
+    def test_eval_multiplies(self, monkeypatch):
+        t = T(5, 4, 1, 40)
+        x = t.from_int(3) + t.pi()
+        muls = counted(monkeypatch, El, "__mul__")
+        for d in range(9):
+            P = Poly(t, [t.from_int(k + 2) for k in range(d + 1)])
+            del muls[:]
+            P.eval(x)
+            assert len(muls) == d
+
+    def test_hensel_root_divides_nowhere(self, monkeypatch):
+        t = make_tower(7, 12, 2, 600)
+        u = t.from_int(2) + t.pi() * t.lift_ff(9)
+        inverses = counted(monkeypatch, El, "inverse")
+        y = hensel_root(Poly(t, [-u, 0, 1]), t.ff.sqrt(u.residue()))
+        assert (y * y - u).is_zeroish()
+        assert not inverses
+
+    def test_negative_poly_power_is_typed(self):
+        t = T()
+        with pytest.raises(InvalidInput):
+            Poly.from_ints(t, [1, 1]) ** -1
+
+
 class TestTokens:
     def test_parse(self):
         t = T()
@@ -534,6 +777,13 @@ class TestRoots:
         r = hensel_root(Poly(t, [-u, 0, 1]), 2)
         assert (r.s, r.ap) == (0, 3)
         assert r.str() == t.sqrt(u).str() == "2 + O(pi^3)"
+
+    def test_hensel_exact_polynomial_from_zero(self):
+        # x^2 - 6x + 5 = (x - 5)(x - 1): the root at residue 0 is 5, though
+        # every division-loop iterate from the exact lift 0 is rational
+        t = T(5, 2, 1, 40)
+        r = hensel_root(Poly.from_ints(t, [5, -6, 1]), 0)
+        assert r == t.from_int(5) and r.exact is None
 
     def test_hensel_zeroish_root_unchanged(self):
         # x (x - 1) + O(pi^3): the root at residue 0 is the lift 0 itself
