@@ -236,10 +236,10 @@ def required_extension(n, cls):
 
 def _cover_to_poly(cover):
     """(C, const) with rhs = const * C(x), C integral of unit content."""
-    tw = cover.tower
+    tw = cover.tw
     C = Poly(tw, [tw.one()])
     const = cover.const
-    for q, a in cover.factors:
+    for q, a in cover.items:
         v = q.valuation()
         if v is INF or v >= 0:
             C = C * Poly(tw, [-q, tw.one()]) ** a
@@ -290,7 +290,7 @@ def _radius(tw, v):
 
 def _integral_branch_residues(cover):
     out = set()
-    for q, _ in cover.factors:
+    for q, _ in cover.items:
         v = q.valuation()
         if v is INF or v >= 0:
             out.add(q.residue())
@@ -371,7 +371,7 @@ def _line_component(cover, moebius, coord, label):
 # ---------------------------------------------------------------------------
 
 def _build_good_1a(n, cover, lam, checks):
-    tw = cover.tower
+    tw = cover.tw
     p = tw.p
     beta, gamma = n.beta, n.gamma
     C, _ = _chart_poly(cover)
@@ -403,7 +403,7 @@ def _build_good_1a(n, cover, lam, checks):
 
 
 def _build_via_1b(n, cover, lam, checks):
-    tw = cover.tower
+    tw = cover.tw
     p = tw.p
     beta, gamma = n.beta, n.gamma
     nn = beta + gamma + 1
@@ -436,7 +436,7 @@ def _build_via_1b(n, cover, lam, checks):
 
 
 def _build_via_2a(n, cover, lam, checks):
-    tw = cover.tower
+    tw = cover.tw
     p = tw.p
     b = _radius(tw, Fraction(p, 2 * (p - 1)))
     inner, _ = cover.moebius_pullback(Moebius(lam, tw.zero(), tw.zero(), tw.one()))
@@ -459,7 +459,7 @@ def _build_via_2a(n, cover, lam, checks):
 
 
 def _build_good_1b(n, cover, lam, checks):
-    tw = cover.tower
+    tw = cover.tw
     p = tw.p
     C, notes = _chart_poly(cover, Moebius(tw.tau(), tw.zero(), tw.zero(), tw.one()))
     # C is not monic, so the trichotomy runs without the chart checks
@@ -476,7 +476,7 @@ def _build_good_1b(n, cover, lam, checks):
 
 
 def _build_mumford_2(n, cover, lam, checks):
-    tw = cover.tower
+    tw = cover.tw
     p = tw.p
     comps = [
         _line_component(cover, None, "x0", "outer line (unit disk)"),
@@ -494,7 +494,7 @@ def _build_mumford_2(n, cover, lam, checks):
 
 
 def _build_via_2b3(n, cover, lam, checks, subcase):
-    tw = cover.tower
+    tw = cover.tw
     p = tw.p
     mu = tw.sqrt(lam)
     # symmetrized coordinate x0 = mu x1 / (1 - x1); the constant of the

@@ -48,6 +48,7 @@ from .errors import (
 from .ffield import FF, is_prime
 
 INF = math.inf
+_EXACT_ZERO = (Fraction(0), 0)
 
 
 def make_tower(p, e, f, precision):
@@ -83,6 +84,11 @@ class Tower:
         self.modulus = list(self.ff.modulus) if f > 1 else None
         self._ppow = [p ** k for k in range(self.nl + 1)]
         self._embed_roots = {}
+        # the stored form of 1, canonicalized once; one() wraps it in a
+        # new El, since an El kept here would tie the tower into a
+        # reference cycle that only the cyclic collector frees
+        one = self.from_exact_pair(Fraction(1), 0)
+        self._one = (one.s, one.U, one.ap, one.exact)
 
     def __repr__(self):
         return "Tower(p=%d, e=%d, f=%d, prec=%d)" % (self.p, self.e, self.f, self.prec)
@@ -252,10 +258,10 @@ class Tower:
         return [w] + [0 if self.f == 1 else (0,) * self.f] * (self.e - 1)
 
     def zero(self):
-        return El(self, None, None, None, (Fraction(0), 0))
+        return El(self, None, None, None, _EXACT_ZERO)
 
     def one(self):
-        return self.from_exact_pair(Fraction(1), 0)
+        return El(self, *self._one)
 
     def from_int(self, n):
         return self.from_rational(Fraction(n))

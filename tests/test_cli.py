@@ -89,6 +89,14 @@ class TestRun:
         assert code == 0
         assert rep["rows_total"] == 0
 
+    def test_selftest_passes(self):
+        rep, code = invoke(["selftest"])
+        assert code == 0
+        names = [c["name"] for c in rep["checks"] if c["passed"]]
+        assert names == ["torsor-bruteforce-agreement", "genus-shortcut-vs-conductor",
+                         "normalization-orbit-invariance", "deuring-orbit-invariance"]
+        assert rep["passed"]
+
     def test_precision_retry_then_exit_2(self, monkeypatch):
         calls = []
 

@@ -1,3 +1,4 @@
+import copy
 import random
 from fractions import Fraction
 
@@ -6,13 +7,13 @@ from hypothesis import assume, given, settings, strategies as st
 
 from fourcover.errors import (
     CoalescingBranchPoints, NonCyclicExponent, InvalidInput,
-    InsufficientPrecision,
+    InsufficientPrecision, FourCoverError,
 )
 from fourcover.tower import make_tower, INF
 from fourcover.normalizer import (
     INFPT, CoverDatum, FactoredCover, FactoredRat, Moebius, parse_point,
     cross_ratio, cross_ratio_orbit, normalize, j_invariant, j_numerator,
-    _verify_witness_by_sampling,
+    _check_witness_identity,
 )
 
 
@@ -130,38 +131,118 @@ class TestNormalize:
             done += 1
 
 
-class TestWitnessSampling:
-    """Each fault below is transient, so an unbounded loop that swallows
-    it would still finish: the tests fail rather than hang."""
+def _eval(fr, x):
+    """const * prod (x - q)^k of a FactoredRat, evaluated at x."""
+    out = fr.const
+    for q, k in fr.items:
+        out = out * (x - q) ** k
+    return out
 
+
+def reference_sampling(datum, n, samples=4):
+    """The numeric spot check that ``normalize`` ran before the exact
+    identity: rhs_old(x)^u = const * wit(x)^p * rhs_new(m(x)) at
+    ``samples`` points, out of at most 8 * samples candidates."""
+    tw = datum.tower
+    old = FactoredCover.from_datum(datum)
+    new = n.cover()
+    count = 0
+    x = tw.from_int(2)
+    step = tw.one()
+    for _ in range(8 * samples):
+        x = x + step + tw.pi()
+        try:
+            lhs = _eval(old, x) ** n.u
+            mx = n.moebius.apply(x)
+            if mx is INFPT:
+                continue
+            rhs = n.const * _eval(n.witness, x) ** tw.p * _eval(new, mx)
+        except FourCoverError:
+            continue
+        if lhs.is_zeroish() or rhs.is_zeroish():
+            continue
+        if not lhs.same(rhs):
+            raise InvalidInput("witness identity failed at a sample point")
+        count += 1
+        if count == samples:
+            return
+    raise InsufficientPrecision(
+        "witness check found %d of %d usable sample points" % (count, samples))
+
+
+@st.composite
+def classify_covers(draw):
+    """A cover drawn as the classify benchmark draws them: p in {3, 5, 7},
+    three distinct finite points n pi^k (k in {0, 1}) and infinity,
+    exponents summing to 0 mod p, then relabeled at random."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    tw = make_tower(p, p - 1, 1, draw(st.sampled_from([12, 50 * (p - 1)])))
+    keys = draw(st.lists(st.tuples(st.integers(-20, 20), st.integers(0, 1)),
+                         min_size=3, max_size=3,
+                         unique_by=lambda nk: nk if nk[0] else 0))
+    exps = draw(st.lists(st.integers(1, p - 1), min_size=3, max_size=3)
+                .filter(lambda a: sum(a) % p))
+    pts = [tw.from_int(n) * tw.pi_power(k) for n, k in keys] + [INFPT]
+    exps.append(-sum(exps) % p)
+    order = draw(st.permutations(range(4)))
+    return datum(tw, [pts[i] for i in order], [exps[i] for i in order])
+
+
+class TestWitnessIdentity:
     def setup_method(self):
-        tw = T()
+        tw = self.tw = T()
         pts = [tw.from_int(2), tw.from_int(7), INFPT, tw.from_int(-3)]
-        self.datum = datum(tw, pts, [1, 2, 1, 1])
+        self.datum = datum(tw, pts, [3, 2, 4, 1])
         self.n = normalize(self.datum)
 
-    def _patch_apply(self, monkeypatch, fault, calls):
-        real = Moebius.apply
-        seen = []
+    def check(self, const=1, bump=0, stray=None):
+        """The exact check of the normalization with its constant times
+        ``const``, its first witness exponent plus ``bump`` and, if given,
+        one more witness point ``stray``."""
+        n = copy.copy(self.n)
+        n.const = self.n.const * const
+        n.witness = FactoredRat(self.tw)
+        n.witness.const = self.n.witness.const
+        (q, k), *rest = self.n.witness.items
+        n.witness.items = [(q, k + bump)] + rest
+        if stray is not None:
+            n.witness.mul_point(stray, 1)
+        _check_witness_identity(self.datum, n)
 
-        def apply(m, pt):
-            seen.append(pt)
-            if len(seen) <= calls:
-                return fault()
-            return real(m, pt)
-        monkeypatch.setattr(Moebius, "apply", apply)
+    def test_untampered_witness_passes(self):
+        self.check()
 
-    def test_host_exception_propagates(self, monkeypatch):
-        def fault():
-            raise ZeroDivisionError("host fault")
-        self._patch_apply(monkeypatch, fault, 1)
-        with pytest.raises(ZeroDivisionError):
-            _verify_witness_by_sampling(self.datum, self.n)
+    @pytest.mark.parametrize("tamper", [
+        {"bump": 1}, {"const": 2}, {"stray": 11}, {"stray": Fraction(1, 5)}])
+    def test_tampered_witness_is_rejected(self, tamper):
+        if "stray" in tamper:
+            tamper = {"stray": self.tw.from_rational(tamper["stray"])}
+        for _ in range(2):
+            with pytest.raises(InvalidInput):
+                self.check(**tamper)
 
-    def test_attempts_are_bounded(self, monkeypatch):
-        self._patch_apply(monkeypatch, lambda: INFPT, 100)
+    def test_cover_without_usable_sample_points(self):
+        tw = make_tower(5, 4, 1, 12)
+        pts = [parse_point(tw, t) for t in ("16*pi", "1*pi", "-9*pi", "inf")]
+        d = datum(tw, pts, [1, 1, 1, 2])
+        n = normalize(d)
+        assert (n.beta, n.gamma) == (1, 2)
         with pytest.raises(InsufficientPrecision):
-            _verify_witness_by_sampling(self.datum, self.n)
+            reference_sampling(d, n)
+
+    @given(classify_covers())
+    @settings(max_examples=100, deadline=None)
+    def test_accepts_every_normalization(self, d):
+        n = normalize(d)  # raises InvalidInput if the exact check fails
+        _check_witness_identity(d, n)
+        try:
+            reference_sampling(d, n)
+        except InsufficientPrecision:
+            pass  # too few usable points, and every one found agreed
+        bad = copy.copy(n)
+        bad.const = n.const * 2
+        with pytest.raises(InvalidInput):
+            _check_witness_identity(d, bad)
 
 
 class TestJInvariant:
@@ -206,8 +287,8 @@ class TestFactoredCover:
         new, wit = cover.moebius_pullback(m)
         for _ in range(5):
             x = tw.from_int(rng.randrange(20, 200))
-            lhs = cover.eval_rhs(m.apply(x))
-            rhs = new.eval_rhs(x) * wit.eval(x) ** tw.p
+            lhs = _eval(cover, m.apply(x))
+            rhs = _eval(new, x) * _eval(wit, x) ** tw.p
             assert lhs.same(rhs)
 
     def test_rescale_identity(self):
@@ -217,26 +298,26 @@ class TestFactoredCover:
                                (tw.from_int(6), 3)])
         new, wit = cover.z_rescale(3)
         x = tw.from_int(11)
-        assert (cover.eval_rhs(x) ** 3).same(new.eval_rhs(x) * wit.eval(x) ** tw.p)
+        assert (_eval(cover, x) ** 3).same(_eval(new, x) * _eval(wit, x) ** tw.p)
 
 
 def reference_pullback(cover, m):
     """The loop ``FactoredCover.moebius_pullback`` ran before it went
     through ``FactoredRat.pullback``, kept as the reference."""
-    tw, p = cover.tower, cover.p
+    tw, p = cover.tw, cover.tw.p
     a, b, c, d = m.entries()
     const = cover.const
     new_factors = []
     wit = FactoredRat(tw)
     if c.is_zeroish():
         scale = a / d
-        for q, aa in cover.factors:
+        for q, aa in cover.items:
             new_factors.append(((q * d - b) / a, aa))
             const = const * scale ** aa
         return FactoredCover(tw, const, new_factors), wit
     pole = -d / c
     D = 0
-    for q, aa in cover.factors:
+    for q, aa in cover.items:
         lead = a - q * c
         if lead.is_zeroish():
             const = const * (b - q * d) ** aa
@@ -294,7 +375,7 @@ class TestPullbackReference:
                 reference_pullback(cover, m)
             return
         ref, rwit = reference_pullback(cover, m)
-        for got, want in [(new.factors, ref.factors), (wit.items, rwit.items)]:
+        for got, want in [(new.items, ref.items), (wit.items, rwit.items)]:
             assert len(got) == len(want)
             for (q, k), (r, j) in zip(got, want):
                 assert q.same(r) and k == j

@@ -1,5 +1,6 @@
 import math
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -600,6 +601,28 @@ class TestCanonicalForm:
         for z in (-x, x + y, x - y, x * y, x.inverse(), x ** n):
             if not z.is_zeroish():
                 assert state(z) == state(tw._canon(z.s, list(z.U), z.ap, z.exact))
+
+    @pytest.mark.parametrize("p,e,f,prec", [(2, 1, 1, 8), (5, 4, 1, 20), (3, 2, 2, 30)])
+    def test_one_and_zero_are_built_once(self, p, e, f, prec, monkeypatch):
+        tw = T(p, e, f, prec)
+        canon = counted(monkeypatch, Tower, "_canon")
+        ones, zeros = [tw.one() for _ in range(3)], [tw.zero() for _ in range(3)]
+        assert canon == []
+        unit, nil = (1, 0) if f == 1 else ((1,) + (0,) * (f - 1), (0,) * f)
+        for one, zero in zip(ones, zeros):
+            assert state(one) == (0, (unit,) + (nil,) * (e - 1), prec, (Fraction(1), 0))
+            assert state(one) == state(tw.from_exact_pair(Fraction(1), 0))
+            assert state(zero) == (None, None, None, (Fraction(0), 0))
+            assert one.tw is tw and zero.tw is tw
+
+    def test_tower_holds_no_element_of_itself(self):
+        # a tower tied into a reference cycle would outlive its last use
+        # until the cyclic collector runs, raising peak memory
+        tw = T(5, 4, 1, 20)
+        tw.one() + tw.zero()
+        ref = weakref.ref(tw)
+        del tw
+        assert ref() is None
 
 
 def counted(monkeypatch, cls, name):
