@@ -1,7 +1,8 @@
 """Command-line interface: classify covers, build models, run sweeps.
 
-Exit codes: 0 success, 2 insufficient precision (after one retry at 4x),
-3 invalid input, 4 failed chart certification.  JSON reports carry the
+Exit codes: 0 success, 1 a sweep with failed rows or a failing selftest,
+2 insufficient precision (after one retry at 4x), 3 invalid input,
+4 failed chart certification.  JSON reports carry the
 fixed keys {input, normalization, type, subroute, extension, components,
 edges, checks, ms}; output is byte-identical across runs unless --timing
 is given (ms is null by default for that reason).
@@ -76,14 +77,28 @@ def _report_skeleton(inp):
     }
 
 
+def _fill_classification(rep, n, cls, extension):
+    """Fill the report's normalization, type, subroute and extension."""
+    rep["normalization"] = _normalization_dict(n)
+    rep["type"] = cls.rtype
+    rep["subroute"] = cls.subroute
+    rep["extension"] = extension.as_dict()
+
+
+def _standard_cover(tw, lam, beta, gamma):
+    """The cover branched at [0, 1, inf, lam] with exponents
+    [1, beta, -(1 + beta + gamma), gamma] mod p."""
+    return CoverDatum(tw, [tw.zero(), tw.one(), INFPT, lam],
+                      [1, beta, (-(1 + beta + gamma)) % tw.p, gamma])
+
+
 def _cover_from_args(tw, args):
     lam = tw.parse(args.lam)
     p = tw.p
     beta, gamma = args.beta, args.gamma
     if not (0 < beta < p and 0 < gamma < p):
         raise InvalidInput("beta and gamma must lie in 1..p-1")
-    return CoverDatum(tw, [tw.zero(), tw.one(), INFPT, lam],
-                      [1, beta, (-(1 + beta + gamma)) % p, gamma])
+    return _standard_cover(tw, lam, beta, gamma)
 
 
 def _run_classify(args, precision, boost):
@@ -93,10 +108,7 @@ def _run_classify(args, precision, boost):
                             "lambda": args.lam, "precision": tw.prec})
     n = normalize(_cover_from_args(tw, args))
     cls = classify(n)
-    rep["normalization"] = _normalization_dict(n)
-    rep["type"] = cls.rtype
-    rep["subroute"] = cls.subroute
-    rep["extension"] = required_extension(n, cls).as_dict()
+    _fill_classification(rep, n, cls, required_extension(n, cls))
     return rep
 
 
@@ -111,10 +123,7 @@ def _run_model(args, precision, boost):
         raise NeedsExtension(
             "the model needs a tower extension; pass --allow-extension")
     m = build_stable_model(n, cls)
-    rep["normalization"] = _normalization_dict(n)
-    rep["type"] = cls.rtype
-    rep["subroute"] = cls.subroute
-    rep["extension"] = m.extension.as_dict()
+    _fill_classification(rep, n, cls, m.extension)
     rep["components"] = [c.as_dict() for c in m.components]
     rep["edges"] = [list(e) for e in m.edges]
     rep["checks"] = m.checks
@@ -127,10 +136,7 @@ def _run_qwerty(args, precision, boost):
                             "c1": args.c1, "c2": args.c2,
                             "precision": tw.prec})
     cls, n, checks = check_qwerty(tw, tw.parse(args.c1), tw.parse(args.c2))
-    rep["normalization"] = _normalization_dict(n)
-    rep["type"] = cls.rtype
-    rep["subroute"] = cls.subroute
-    rep["extension"] = required_extension(n, cls).as_dict()
+    _fill_classification(rep, n, cls, required_extension(n, cls))
     rep["checks"] = checks
     return rep
 
@@ -158,8 +164,16 @@ def _admissible_bg(p):
     return out
 
 
+def _parse_p_list(text):
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise InvalidInput("--p-list must be comma-separated integers, got %r"
+                           % text) from None
+
+
 def _run_sweep(args, precision, boost):
-    ps = [int(x) for x in args.p_list.split(",")] if args.p_list else [args.p]
+    ps = _parse_p_list(args.p_list) if args.p_list else [args.p]
     lam_tokens = [t.strip() for t in args.lambdas.split(",") if t.strip()]
     rows = []
     counts = {}
@@ -173,10 +187,7 @@ def _run_sweep(args, precision, boost):
                 row = {"p": p, "beta": beta, "gamma": gamma, "lambda": tok}
                 try:
                     tw = _base_tower(p, precision, [tok], boost)
-                    lam = tw.parse(tok)
-                    d = CoverDatum(tw, [tw.zero(), tw.one(), INFPT, lam],
-                                   [1, beta, (-(1 + beta + gamma)) % p, gamma])
-                    n = normalize(d)
+                    n = normalize(_standard_cover(tw, tw.parse(tok), beta, gamma))
                     cls = classify(n)
                     m = build_stable_model(n, cls)
                     ok = all(c["passed"] for c in m.checks)

@@ -5,11 +5,12 @@ degree f and pi satisfies pi^e = -p.  Valuations are normalized by
 v(p) = 1, so v(pi) = 1/e and every valuation is an exact Fraction with
 denominator dividing e.
 
-Elements are stored as pi^s * U where U = sum_{j<e} U[j] pi^j is a unit
-(its j = 0 coefficient is a unit of W) and each U[j] is an element of
-W/p^N, represented as an integer (f = 1) or an f-tuple of integers
-(f > 1) with respect to the power basis of a fixed monic lift of the
-residue-field modulus.  Reduction uses pi^e = -p, which keeps every
+Elements are stored as pi^s * u where u = sum_{j<e} u_j pi^j is a unit
+(u_0 is a unit of W) and each u_j is an element of W/p^N.  The unit part
+U is one flat tuple of e f integers, whatever f is: U[j f + i] is the
+coordinate of u_j on a^i, where a is the root of a fixed monic lift of
+the residue-field modulus.  Slot j is U[j f : (j + 1) f]; at f = 1 it is
+the single integer U[j].  Reduction uses pi^e = -p, which keeps every
 symbolic token (powers of pi, tau, rationals) an exact pure pi-power
 times a rational unit.
 
@@ -81,7 +82,7 @@ class Tower:
         self.pmod = p ** self.nl
         self.ff = FF(p, f)
         # monic integer lift of the residue modulus, coefficients in [0, p)
-        self.modulus = list(self.ff.modulus) if f > 1 else None
+        self.modulus = list(self.ff.modulus)
         self._ppow = [p ** k for k in range(self.nl + 1)]
         self._embed_roots = {}
         # the stored form of 1, canonicalized once; one() wraps it in a
@@ -94,48 +95,41 @@ class Tower:
         return "Tower(p=%d, e=%d, f=%d, prec=%d)" % (self.p, self.e, self.f, self.prec)
 
     # ------------------------------------------------------------------
-    # unit parts: e coefficients in W/p^nl, each an int (f = 1) or an
-    # f-tuple of ints; raw results may hold any integers until _canon
+    # unit parts: e f integers, U[j f + i] the coordinate of u_j on a^i,
+    # each in W/p^nl; raw results may hold any integers until _canon
     # ------------------------------------------------------------------
 
     def _mask(self, U, window):
-        """Reduce each U[j] to the p-digits that lie below pi^window.
+        """Reduce each u_j to the p-digits that lie below pi^window.
 
-        U[j] pi^j has its p-digit i at pi^(j + e i), so U[j] keeps
+        u_j pi^j has its p-digit i at pi^(j + e i), so u_j keeps
         ceil((window - j)/e) digits: q + 1 for j < r and q for j >= r,
         where window = q e + r.
         """
         q, r = divmod(window, self.e)
         hi = self._ppow[min(q + 1, self.nl)]
         lo = self._ppow[min(q, self.nl)]
-        if self.f == 1:
-            return [c % hi for c in U[:r]] + [c % lo for c in U[r:]]
-        return ([tuple([c % hi for c in w]) for w in U[:r]]
-                + [tuple([c % lo for c in w]) for w in U[r:]])
+        k = r * self.f
+        return [c % hi for c in U[:k]] + [c % lo for c in U[k:]]
 
     def _shift_down(self, U, m):
-        """Divide sum U[j] pi^j by pi^m (exact; requires v_pi >= m)."""
+        """Divide sum u_j pi^j by pi^m (exact; requires v_pi >= m)."""
         q, r = divmod(m, self.e)
+        k = r * self.f
         # pi^(j - m) = pi^(j - r)/(-p)^q, or pi^(j - r + e)/(-p)^(q + 1) if j < r
         d, d1 = (-self.p) ** q, (-self.p) ** (q + 1)
-        if self.f == 1:
-            return [c // d for c in U[r:]] + [c // d1 for c in U[:r]]
-        return ([tuple([c // d for c in w]) for w in U[r:]]
-                + [tuple([c // d1 for c in w]) for w in U[:r]])
+        return [c // d for c in U[k:]] + [c // d1 for c in U[:k]]
 
     def _shift_up(self, U, m):
-        """Multiply sum U[j] pi^j by pi^m (m >= 0)."""
+        """Multiply sum u_j pi^j by pi^m (m >= 0)."""
         q, r = divmod(m, self.e)
-        k = self.e - r
-        # pi^(j + m) = (-p)^q pi^(j + r), or (-p)^(q + 1) pi^(j + r - e) if j >= k
+        k = (self.e - r) * self.f
+        # pi^(j + m) = (-p)^q pi^(j + r), or (-p)^(q + 1) pi^(j + r - e) if j >= e - r
         d, d1 = (-self.p) ** q, (-self.p) ** (q + 1)
-        if self.f == 1:
-            return [c * d1 for c in U[k:]] + [c * d for c in U[:k]]
-        return ([tuple([c * d1 for c in w]) for w in U[k:]]
-                + [tuple([c * d for c in w]) for w in U[:k]])
+        return [c * d1 for c in U[k:]] + [c * d for c in U[:k]]
 
     def _unit_product(self, A, B):
-        """Coefficients of (sum A[j] pi^j)(sum B[k] pi^k), folded by
+        """Unit part of the product of the unit parts A and B, folded by
         pi^e = -p.  For f > 1 the coordinates are reduced by the modulus
         lift once per pi-slot of the product, not once per coefficient
         product."""
@@ -144,10 +138,12 @@ class Tower:
             conv = [0] * (2 * e - 1)
             _convolve(conv, A, B)
             return [c - p * h for c, h in zip(conv, conv[e:])] + [conv[e - 1]]
-        # one convolution per pair of coordinate planes: a^i A_i times a^l B_l
+        # one convolution per pair of coordinate planes: a^i A_i times a^l B_l,
+        # where plane i of a unit part is its coordinates on a^i, A[i::f]
         planes = [[0] * (2 * e - 1) for _ in range(2 * f - 1)]
-        Bt = list(zip(*B))
-        for i, Ai in enumerate(zip(*A)):
+        Bt = [B[l::f] for l in range(f)]
+        for i in range(f):
+            Ai = A[i::f]
             for l, Bl in enumerate(Bt, i):
                 _convolve(planes[l], Ai, Bl)
         # a^k = -sum modulus[i] a^(k - f + i) for k >= f, top plane first
@@ -158,12 +154,13 @@ class Tower:
                 if m:
                     low = planes[k - f + i]
                     planes[k - f + i] = [c - m * t for c, t in zip(low, top)]
-        planes = [[c - p * h for c, h in zip(P, P[e:])] + [P[e - 1]]
-                  for P in planes[:f]]
-        return list(zip(*planes))
+        out = [0] * (e * f)
+        for i, P in enumerate(planes[:f]):
+            out[i::f] = [c - p * h for c, h in zip(P, P[e:])] + [P[e - 1]]
+        return out
 
     def _unit_inverse(self, U):
-        """Coordinates of 1/u for the unit u = sum U[j] pi^j, exact in W/p^nl.
+        """Unit part of 1/u for the unit u with unit part U, exact in W/p^nl.
 
         Multiplication by u is an (e f) x (e f) matrix over Z/p^nl in the
         basis a^i pi^j (a the root of the modulus lift, pi^e = -p).  It is
@@ -176,10 +173,10 @@ class Tower:
             rows = [list(U[t::-1]) + [-p * c for c in U[:t:-1]]
                     for t in range(e)]
         else:
-            # ua[j][l]: coordinates of U[j] a^l
+            # ua[j][l]: coordinates of u_j a^l
             ua = []
-            for w in U:
-                powers = [list(w)]
+            for j in range(0, e * f, f):
+                powers = [list(U[j:j + f])]
                 for _ in range(f - 1):
                     prev = powers[-1]
                     powers.append([c - prev[-1] * m for c, m in
@@ -211,34 +208,31 @@ class Tower:
         for pivot in reversed(pivots):
             z.append((pivot[-1] - sum(map(int.__mul__, pivot, reversed(z)))) % pm)
         z.reverse()
-        if f == 1:
-            return z
-        return [tuple(z[j:j + f]) for j in range(0, e * f, f)]
+        return z
 
     # ------------------------------------------------------------------
     # element constructors
     # ------------------------------------------------------------------
 
     def _canon(self, s, U, ap, exact):
-        """Canonicalize a raw pi^s * sum U[j] pi^j with digit window ap."""
+        """Canonicalize a raw pi^s * u, u with unit part U, to digit window ap."""
         ap = min(ap, s + self.prec)
         window = ap - s
-        p, e = self.p, self.e
+        p, e, f = self.p, self.e, self.f
         if window > 0:
             U = self._mask(U, window)
-            u0 = U[0]
-            if (u0 % p if self.f == 1 else any(c % p for c in u0)):
+            # u_0 is a unit unless p divides all of its coordinates
+            if math.gcd(*U[:f]) % p:
                 return El(self, s, tuple(U), ap, exact)
-            # pi-valuation: U[j] = p^v * unit sits at pi^(j + e v)
+            # pi-valuation: a coordinate p^v * unit of u_j sits at pi^(j + e v)
             vpi = INF
-            for j, w in enumerate(U):
-                for c in ((w,) if self.f == 1 else w):
-                    if c:
-                        v = j
-                        while c % p == 0:
-                            c //= p
-                            v += e
-                        vpi = min(vpi, v)
+            for k, c in enumerate(U):
+                if c:
+                    v = k // f
+                    while c % p == 0:
+                        c //= p
+                        v += e
+                    vpi = min(vpi, v)
         else:
             vpi = INF
         if vpi >= window:
@@ -253,9 +247,9 @@ class Tower:
         U = self._mask(self._shift_down(U, vpi), window - vpi)
         return El(self, s + vpi, tuple(U), ap, exact)
 
-    def _constant(self, w):
-        """The unit part of the W element w: [w, 0, ..., 0]."""
-        return [w] + [0 if self.f == 1 else (0,) * self.f] * (self.e - 1)
+    def _constant(self, coords):
+        """The unit part of the W element with leading coordinates coords."""
+        return list(coords) + [0] * (self.e * self.f - len(coords))
 
     def zero(self):
         return El(self, None, None, None, _EXACT_ZERO)
@@ -276,20 +270,14 @@ class Tower:
         q = Fraction(q)
         if q == 0:
             return self.zero()
-        t = 0
-        num, den = q.numerator, q.denominator
-        while num % self.p == 0:
-            num //= self.p
-            t += 1
-        while den % self.p == 0:
-            den //= self.p
-            t -= 1
-        # q*pi^m = (-1)^t * (num/den) * pi^(m + t e)
+        t = _vp(q, self.p)
+        # q*pi^m = (-1)^t * (num/den) * pi^(m + t e), where num/den = q/p^t
+        num = q.numerator // self.p ** max(t, 0)
+        den = q.denominator // self.p ** max(-t, 0)
         s = m + t * self.e
         sign = -1 if t % 2 else 1
         unit = sign * num * pow(den, -1, self.pmod) % self.pmod
-        w = unit if self.f == 1 else (unit,) + (0,) * (self.f - 1)
-        return self._canon(s, self._constant(w), s + self.prec, (q, m))
+        return self._canon(s, self._constant([unit]), s + self.prec, (q, m))
 
     def pi_power(self, m):
         return self.from_exact_pair(Fraction(1), m)
@@ -314,8 +302,7 @@ class Tower:
         """Lift a residue-field element to a unit digit (level 0)."""
         if enc == 0:
             return self.zero()
-        w = enc % self.p if self.f == 1 else tuple(self.ff.coords(enc))
-        return self._canon(0, self._constant(w), self.prec, None)
+        return self._canon(0, self._constant(self.ff.coords(enc)), self.prec, None)
 
     def sqrt(self, x):
         """Square root; NeedsExtension when the value group or residue
@@ -420,12 +407,11 @@ class Tower:
         if x.is_zeroish():
             return El(big, None, None, x.ap * r, None)
         ahat = self._embedded_generator(big)
+        f = self.f
         out = big.zero()
         for j in range(self.e):
-            w = x.U[j]
-            coords = [w] if self.f == 1 else list(w)
             term = big.zero()
-            for i, c in enumerate(coords):
+            for i, c in enumerate(x.U[j * f:(j + 1) * f]):
                 if c:
                     piece = big.from_int(c)
                     if i:
@@ -479,6 +465,19 @@ def _binary_power(base, n):
     return out
 
 
+def _vp(q, p):
+    """The p-adic valuation of the nonzero rational q."""
+    t = 0
+    num, den = q.numerator, q.denominator
+    while num % p == 0:
+        num //= p
+        t += 1
+    while den % p == 0:
+        den //= p
+        t -= 1
+    return t
+
+
 def _isqrt_exact(n):
     r = math.isqrt(n)
     return r if r * r == n else None
@@ -492,7 +491,7 @@ class El:
     def __init__(self, tw, s, U, ap, exact):
         self.tw = tw
         self.s = s          # pi-shift; None for (fuzzy or true) zero
-        self.U = U          # tuple of e W-coefficients, canonical; None if zero
+        self.U = U          # unit part: e f ints, U[j f + i] on a^i pi^j; None if zero
         self.ap = ap        # absolute precision in pi-units; None = infinite
         self.exact = exact  # optional (Fraction q, int m): value q*pi^m
 
@@ -513,15 +512,7 @@ class El:
             return INF
         if self.exact is not None:
             q, m = self.exact
-            t = 0
-            num, den = q.numerator, q.denominator
-            while num % self.tw.p == 0:
-                num //= self.tw.p
-                t += 1
-            while den % self.tw.p == 0:
-                den //= self.tw.p
-                t -= 1
-            return Fraction(m + t * self.tw.e, self.tw.e)
+            return Fraction(m + _vp(q, self.tw.p) * self.tw.e, self.tw.e)
         if self.s is None:
             raise InsufficientPrecision(
                 "element is O(pi^%d); valuation undecidable" % self.ap)
@@ -546,10 +537,7 @@ class El:
             return 0
         if self.s < 0:
             raise NegativeValuation("residue of an element with v < 0")
-        u0 = self.U[0]
-        if self.tw.f == 1:
-            return u0 % self.tw.p
-        return self.tw.ff.encode([c % self.tw.p for c in u0])
+        return self.tw.ff.encode(self.U[:self.tw.f])
 
     # -- ring operations ---------------------------------------------------
 
@@ -596,11 +584,7 @@ class El:
         ap = min(self.ap, other.ap)
         U1 = self.U if self.s == s else tw._shift_up(self.U, self.s - s)
         U2 = other.U if other.s == s else tw._shift_up(other.U, other.s - s)
-        if tw.f == 1:
-            U = [a + b for a, b in zip(U1, U2)]
-        else:
-            U = [tuple([x + y for x, y in zip(a, b)]) for a, b in zip(U1, U2)]
-        return tw._canon(s, U, ap, exact)
+        return tw._canon(s, [a + b for a, b in zip(U1, U2)], ap, exact)
 
     __radd__ = __add__
 
@@ -611,11 +595,8 @@ class El:
             if self.is_true_zero():
                 return self
             return El(tw, None, None, self.ap, exact)
-        if tw.f == 1:
-            U = [-c for c in self.U]
-        else:
-            U = [tuple([-c for c in w]) for w in self.U]
-        return El(tw, self.s, tuple(tw._mask(U, self.ap - self.s)), self.ap, exact)
+        U = tw._mask([-c for c in self.U], self.ap - self.s)
+        return El(tw, self.s, tuple(U), self.ap, exact)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -703,12 +684,13 @@ class El:
     def _digits(self, levels):
         """Yield the nonzero digits of the lowest ``levels`` pi-levels."""
         tw = self.tw
+        f = tw.f
         for lev in range(levels):
             j, i = lev % tw.e, lev // tw.e
-            if tw.f == 1:
+            if f == 1:
                 d = (self.U[j] // tw._ppow[i]) % tw.p
             else:
-                d = tw.ff.encode([(c // tw._ppow[i]) % tw.p for c in self.U[j]])
+                d = tw.ff.encode([c // tw._ppow[i] for c in self.U[j * f:(j + 1) * f]])
             if d:
                 yield (self.s + lev, d)
 
@@ -727,7 +709,7 @@ class El:
             if len(parts) >= max_terms:
                 parts.append("...")
                 break
-            ds = tw.ff.render(d) if tw.f > 1 else str(d)
+            ds = tw.ff.render(d)
             if lev == 0:
                 parts.append(ds)
             else:

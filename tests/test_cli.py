@@ -162,6 +162,10 @@ class TestMain:
         assert "type 2" in text
         assert "multiplicity 5" in text
 
+    def test_sweep_bad_p_list_is_typed(self, capsys):
+        assert main(["sweep", "--p-list", "3,x", "--lambdas", "5"]) == 3
+        assert json.loads(capsys.readouterr().err)["error"] == "InvalidInput"
+
     def test_exit_code_3_on_stderr_json(self, capsys):
         rc = main(["classify", "--p", "5", "--beta", "1", "--gamma", "4",
                    "--lambda", "0"])

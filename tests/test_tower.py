@@ -173,6 +173,22 @@ class TestRingOps:
             assert (x + y).residue() == t.ff.add(x.residue(), y.residue())
 
 
+def slots(tw, U):
+    """A flat unit part as e W-coefficients: ints for f = 1, f-tuples for
+    f > 1, the per-coefficient view the references compute in."""
+    f = tw.f
+    if f == 1:
+        return list(U)
+    return [tuple(U[j:j + f]) for j in range(0, len(U), f)]
+
+
+def flat(tw, coeffs):
+    """The flat unit part of e W-coefficients given as in ``slots``."""
+    if tw.f == 1:
+        return list(coeffs)
+    return [c for w in coeffs for c in w]
+
+
 def newton_inverse(x):
     """The Newton iteration z <- z (2 - u z) that ``El.inverse`` replaced,
     kept as the reference for the exact solve."""
@@ -219,13 +235,13 @@ def reference_product(x, y):
         return c * u % pm if f == 1 else tuple(c * a % pm for a in u)
 
     conv = [0 if f == 1 else (0,) * f] * (2 * e - 1)
-    for j, a in enumerate(x.U):
-        for k, b in enumerate(y.U):
+    for j, a in enumerate(slots(tw, x.U)):
+        for k, b in enumerate(slots(tw, y.U)):
             conv[j + k] = wadd(conv[j + k], wmul(a, b))
     for t in range(2 * e - 2, e - 1, -1):
         conv[t - e] = wadd(conv[t - e], wsmul(-p, conv[t]))
     ap = min(x.ap + y.s, y.ap + x.s)
-    return tw._canon(x.s + y.s, conv[:e], ap, None)
+    return tw._canon(x.s + y.s, flat(tw, conv[:e]), ap, None)
 
 
 def reference_sum(x, y):
@@ -243,7 +259,7 @@ def reference_sum(x, y):
     def shifted(z, m):
         q, r = divmod(m, e)
         out = [0 if f == 1 else (0,) * f] * e
-        for j, c in enumerate(z.U):
+        for j, c in enumerate(slots(tw, z.U)):
             t, qq = j + r, q
             if t >= e:
                 t, qq = t - e, qq + 1
@@ -254,7 +270,7 @@ def reference_sum(x, y):
 
     s = min(x.s, y.s)
     U = [wadd(a, b) for a, b in zip(shifted(x, x.s - s), shifted(y, y.s - s))]
-    return tw._canon(s, U, min(x.ap, y.ap), None)
+    return tw._canon(s, flat(tw, U), min(x.ap, y.ap), None)
 
 
 def _tower_unit(draw, tw):
@@ -271,7 +287,7 @@ def _tower_unit(draw, tw):
             coords = [draw(digits) for _ in range(tw.f)]
             if j == 0 and all(c % p == 0 for c in coords):
                 coords[0] += 1
-            U.append(coords[0] if tw.f == 1 else tuple(coords))
+            U.extend(coords)
         x = tw._canon(s, U, s + draw(st.integers(1, tw.prec)), None)
     return -x if draw(st.booleans()) else x
 
@@ -279,11 +295,11 @@ def _tower_unit(draw, tw):
 @st.composite
 def tower_units(draw, count):
     """``count`` elements pi^s u of one tower, u a unit with random digits
-    (or an exact rational), with p in {2,3,5,7}, e <= 12, f <= 2 and a
+    (or an exact rational), with p in {2,3,5,7}, e <= 12, f <= 3 and a
     random pi-shift s and truncated ap."""
     e = draw(st.integers(1, 12))
     tw = make_tower(draw(st.sampled_from([2, 3, 5, 7])), e,
-                    draw(st.integers(1, 2)), draw(st.integers(1, 8 * e)))
+                    draw(st.integers(1, 3)), draw(st.integers(1, 8 * e)))
     return [_tower_unit(draw, tw) for _ in range(count)]
 
 
@@ -323,7 +339,7 @@ class TestInverse:
             t._unit_inverse([5, 1, 1])
         t2 = T(5, 3, 2, 30)
         with pytest.raises(ConstructionMismatch):
-            t2._unit_inverse([(0, 5), (1, 0), (0, 1)])
+            t2._unit_inverse([0, 5, 1, 0, 0, 1])
 
 
 def newton_sqrt(tw, x):
@@ -608,9 +624,8 @@ class TestCanonicalForm:
         canon = counted(monkeypatch, Tower, "_canon")
         ones, zeros = [tw.one() for _ in range(3)], [tw.zero() for _ in range(3)]
         assert canon == []
-        unit, nil = (1, 0) if f == 1 else ((1,) + (0,) * (f - 1), (0,) * f)
         for one, zero in zip(ones, zeros):
-            assert state(one) == (0, (unit,) + (nil,) * (e - 1), prec, (Fraction(1), 0))
+            assert state(one) == (0, (1,) + (0,) * (e * f - 1), prec, (Fraction(1), 0))
             assert state(one) == state(tw.from_exact_pair(Fraction(1), 0))
             assert state(zero) == (None, None, None, (Fraction(0), 0))
             assert one.tw is tw and zero.tw is tw
