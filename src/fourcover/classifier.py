@@ -162,10 +162,14 @@ def _even_pi_level(v, e):
     return e
 
 
-def _sqrt_unit_residue_square(el, tower):
-    vpi = el.pival()
-    u = el * tower.pi_power(-vpi)
-    return tower.ff.is_square(u.residue())
+def _adjoin_sqrt(el, e, f):
+    """(e, f) after adjoining a square root of el: an even pi-level for
+    v(el), and a doubled residue degree if el's unit part has a
+    non-square residue."""
+    u = el * el.tw.pi_power(-el.pival())
+    if not el.tw.ff.is_square(u.residue()):
+        f *= 2
+    return _even_pi_level(el.valuation(), e), f
 
 
 def required_extension(n, cls):
@@ -191,9 +195,7 @@ def required_extension(n, cls):
 
     elif cls.rtype == TYPE_2:
         tokens.append("lambda^(1/2)")
-        e_need = _even_pi_level(n.lam.valuation(), e_need)
-        if not _sqrt_unit_residue_square(n.lam, tw):
-            f_need *= 2
+        e_need, f_need = _adjoin_sqrt(n.lam, e_need, f_need)
 
     elif cls.subroute == VIA_2A:
         tokens.append("tau^(1/2)")
@@ -206,20 +208,16 @@ def required_extension(n, cls):
         tokens.append("disc^(1/2) (disc = j-numerator)")
         vb = (vt - vnum / 2) / 2
         tokens.append("b with v(b^2 g''(d)) = v(tau), v(b) = %s" % vb)
-        e_need = math.lcm(e_need, vb.denominator, (vnum / 2).denominator)
-        e_need = _even_pi_level(vnum, e_need)
-        if not _sqrt_unit_residue_square(num, tw):
-            f_need *= 2
+        e_need = math.lcm(e_need, vb.denominator)
+        e_need, f_need = _adjoin_sqrt(num, e_need, f_need)
 
     elif cls.subroute in (VIA_2B3_I, VIA_2B3_II):
         vlam = n.lam.valuation()
         tokens.append("lambda^(1/2)")
         vb = (vt - vlam / 2) / 2
         tokens.append("b with v(b^2 lambda^(1/2)) = v(tau), v(b) = %s" % vb)
-        e_need = math.lcm(e_need, vb.denominator, (vlam / 2).denominator)
-        e_need = _even_pi_level(vlam, e_need)
-        if not _sqrt_unit_residue_square(n.lam, tw):
-            f_need *= 2
+        e_need = math.lcm(e_need, vb.denominator)
+        e_need, f_need = _adjoin_sqrt(n.lam, e_need, f_need)
         # centers: roots of -(beta+1)x^2 + 2x - 1, discriminant -4*beta
         if (n.beta + 1) % p:
             ff2 = FF(p, f_need)

@@ -34,7 +34,7 @@ from .curves import as_genus, RatFunc
 from .ffield import FF
 
 _INVALID = (InvalidInput, NeedsExtension, DegenerateModel, UnsupportedPrime,
-            CoalescingBranchPoints, NonCyclicExponent, NotReduced, ValueError)
+            CoalescingBranchPoints, NonCyclicExponent, NotReduced)
 
 
 def _base_tower(p, precision, tokens, boost):

@@ -6,11 +6,16 @@ to the power basis 1, a, ..., a^(f-1) of a fixed generator ``a``.  Every
 field for a given (p, f) uses the lexicographically least monic
 irreducible modulus, so encodings are stable across runs and processes.
 
+Arithmetic is by table lookup, the same for every f: each field builds
+exp, log and Zech-logarithm tables of O(q) entries for its least
+multiplicative generator once, and every operation is then a few list
+indexings (Lidl-Niederreiter, *Finite Fields*, section 9.4).
+
 Polynomials over a field are plain lists of element encodings, index =
 degree, with no trailing zeros (the zero polynomial is ``[]``).
 """
 
-from functools import lru_cache
+import math
 
 from .errors import InvalidInput, ConstructionMismatch
 
@@ -27,7 +32,19 @@ def is_prime(n):
 
 
 class FF:
-    """The field F_{p^f} with a deterministic modulus."""
+    """The field F_{p^f} with a deterministic modulus.
+
+    With g the least generator of F_q^* and n = q - 1, construction
+    builds three tables, once per (p, f) and process:
+
+    - ``_exp[k] = g^k`` for 0 <= k < 2n, so a sum of two logs indexes it;
+    - ``_log[x]``, the inverse of ``_exp`` on nonzero encodings;
+    - ``_zech[k] = log(1 + g^k)``, or None where 1 + g^k = 0.
+
+    The tables take O(q) space.  Finding g walks the powers of each
+    candidate until they return to 1, at most q - 2 coordinate products
+    per candidate.
+    """
 
     _cache = {}
 
@@ -48,19 +65,20 @@ class FF:
         self.f = f
         self.q = p ** f
         self.modulus = self._least_irreducible(p, f)
-        self._pow_a = self._basis_reduction_table()
+        self._build_tables()
 
     def __repr__(self):
         return "FF(%d, %d)" % (self.p, self.f)
 
-    # -- construction of the modulus ------------------------------------
+    # -- construction ----------------------------------------------------
 
     @staticmethod
     def _least_irreducible(p, f):
         """Lexicographically least monic irreducible of degree f over F_p.
 
         The order is by the integer encoding of the low coefficient vector
-        (c_0, ..., c_{f-1}); for f = 1 the modulus is x (unused).
+        (c_0, ..., c_{f-1}).  For f = 1 the modulus is x, so a = 0 and an
+        encoding is its own constant coordinate.
         """
         if f == 1:
             return (0, 1)
@@ -71,22 +89,38 @@ class FF:
                 return tuple(poly)
         raise ConstructionMismatch("no irreducible polynomial found")
 
-    def _basis_reduction_table(self):
-        # a^k for k in [f, 2f-2], as coefficient tuples, from the modulus
-        p, f = self.p, self.f
-        if f == 1:
-            return []
-        m = self.modulus
-        table = []
-        cur = [(-m[i]) % p for i in range(f)]  # a^f
-        table.append(tuple(cur))
-        for _ in range(f - 2):
-            cur = [0] + cur
-            top = cur.pop()
-            if top:
-                cur = [(cur[i] - top * m[i]) % p for i in range(f)]
-            table.append(tuple(cur))
-        return table
+    def _coord_mul(self, x, y):
+        """x * y from coordinates: Horner in a, reducing a^f by the modulus."""
+        p = self.p
+        low = self.modulus[:self.f]
+        ys = self.coords(y)
+        out = [0] * self.f
+        for xi in reversed(self.coords(x)):
+            top = out[-1]
+            out = [(s - top * m + xi * c) % p
+                   for s, m, c in zip([0] + out[:-1], low, ys)]
+        return self.encode(out)
+
+    def _build_tables(self):
+        # the least g whose powers return to 1 only after q - 1 steps
+        n = self.q - 1
+        for g in range(1, self.q):
+            powers = [1]
+            for _ in range(n - 1):
+                nxt = self._coord_mul(powers[-1], g)
+                if nxt == 1:
+                    break
+                powers.append(nxt)
+            if len(powers) == n:
+                break
+        else:
+            raise ConstructionMismatch("no generator of %r found" % (self,))
+        self._exp = powers + powers
+        self._log = [None] * self.q
+        for k, x in enumerate(powers):
+            self._log[x] = k
+        p = self.p  # 1 + x adds 1 to the constant coordinate of x
+        self._zech = [self._log[x - x % p + (x + 1) % p] for x in powers]
 
     # -- encoding helpers ------------------------------------------------
 
@@ -107,152 +141,67 @@ class FF:
     # -- arithmetic -------------------------------------------------------
 
     def add(self, x, y):
-        if self.f == 1:
-            return (x + y) % self.p
-        p = self.p
-        out = 0
-        mult = 1
-        for _ in range(self.f):
-            out += ((x % p + y % p) % p) * mult
-            x //= p
-            y //= p
-            mult *= p
-        return out
+        if not x or not y:
+            return x or y
+        lx = self._log[x]
+        z = self._zech[(self._log[y] - lx) % (self.q - 1)]
+        return 0 if z is None else self._exp[lx + z]
 
     def neg(self, x):
-        if self.f == 1:
-            return (-x) % self.p
-        p = self.p
-        out = 0
-        mult = 1
-        for _ in range(self.f):
-            out += ((-x) % p) * mult
-            x //= p
-            mult *= p
-        return out
+        return self.mul(self.p - 1, x)
 
     def sub(self, x, y):
         return self.add(x, self.neg(y))
 
     def mul(self, x, y):
-        if self.f == 1:
-            return (x * y) % self.p
-        p, f = self.p, self.f
-        xd = self.coords(x)
-        yd = self.coords(y)
-        conv = [0] * (2 * f - 1)
-        for i, xi in enumerate(xd):
-            if xi:
-                for j, yj in enumerate(yd):
-                    conv[i + j] += xi * yj
-        res = [c % p for c in conv[:f]]
-        for k in range(f, 2 * f - 1):
-            c = conv[k] % p
-            if c:
-                red = self._pow_a[k - f]
-                for i in range(f):
-                    res[i] = (res[i] + c * red[i]) % p
-        return self.encode(res)
+        if not x or not y:
+            return 0
+        return self._exp[self._log[x] + self._log[y]]
 
     def smul(self, c, x):
         """Scalar multiple by an int c (mod p)."""
-        p = self.p
-        c %= p
-        if self.f == 1:
-            return (c * x) % p
-        out = 0
-        mult = 1
-        for _ in range(self.f):
-            out += ((x % p) * c % p) * mult
-            x //= p
-            mult *= p
-        return out
+        return self.mul(c % self.p, x)
 
     def pow(self, x, n):
-        if n < 0:
-            return self.pow(self.inv(x), -n)
-        out = 1
-        base = x
-        while n:
-            if n & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            n >>= 1
-        return out
+        if not x:
+            if n < 0:
+                raise InvalidInput("inverse of 0 in %r" % (self,))
+            return 0 if n else 1
+        return self._exp[self._log[x] * n % (self.q - 1)]
 
     def inv(self, x):
-        if x == 0:
-            raise InvalidInput("inverse of 0 in %r" % (self,))
-        if self.f == 1:
-            return pow(x, -1, self.p)
-        return self.pow(x, self.q - 2)
+        return self.pow(x, -1)
 
     def div(self, x, y):
         return self.mul(x, self.inv(y))
 
     def pth_root(self, x):
         """The unique p-th root (Frobenius is bijective)."""
-        return self.pow(x, self.p ** (self.f - 1)) if self.f > 1 else x
+        return self.pow(x, self.q // self.p)
 
     def is_square(self, x):
-        if x == 0:
-            return True
-        return self.pow(x, (self.q - 1) // 2) == 1
+        return not x or self._log[x] % math.gcd(2, self.q - 1) == 0
 
     def sqrt(self, x):
         """A square root of x, or None.  Deterministic (least encoding)."""
-        if x == 0:
+        if not x:
             return 0
         if not self.is_square(x):
             return None
-        if self.q % 4 == 3:
-            r = self.pow(x, (self.q + 1) // 4)
-        else:
-            r = self._tonelli_shanks(x)
+        k = self._log[x]
+        # an odd log of a square occurs only for q even, where q - 1 is odd
+        r = self._exp[(k + k % 2 * (self.q - 1)) // 2]
         return min(r, self.neg(r))
 
-    def _tonelli_shanks(self, x):
-        q1 = self.q - 1
-        s = 0
-        while q1 % 2 == 0:
-            q1 //= 2
-            s += 1
-        z = next(c for c in range(2, self.q) if not self.is_square(c))
-        m, c = s, self.pow(z, q1)
-        t, r = self.pow(x, q1), self.pow(x, (q1 + 1) // 2)
-        while t != 1:
-            i, t2 = 0, t
-            while t2 != 1:
-                t2 = self.mul(t2, t2)
-                i += 1
-            b = self.pow(c, 1 << (m - i - 1))
-            m, c = i, self.mul(b, b)
-            t, r = self.mul(t, c), self.mul(r, b)
-        return r
-
-    @lru_cache(maxsize=None)
     def generator(self):
         """Least multiplicative generator of F_q^*."""
-        order = self.q - 1
-        fac = _prime_factors(order)
-        for g in range(1, self.q):
-            if g == 0:
-                continue
-            if all(self.pow(g, order // r) != 1 for r in fac):
-                return g
-        raise ConstructionMismatch("no generator found")
+        return self._exp[1]
 
     def dlog(self, x):
-        """Discrete log base generator() (fields here are tiny)."""
+        """Discrete log base generator()."""
         if x == 0:
             raise InvalidInput("dlog of 0")
-        g = self.generator()
-        cur = 1
-        for k in range(self.q - 1):
-            if cur == x:
-                return k
-            cur = self.mul(cur, g)
-        raise ConstructionMismatch("dlog failed")
+        return self._log[x]
 
     def render(self, x):
         """Human form: ints for f=1, generator powers g^k for f>1."""
@@ -276,38 +225,8 @@ class FF:
         if other is self:
             return lambda x: x
         mod = list(self.modulus)
-        root = next(r for r in other.elements()
-                    if _eval_int_poly(mod, r, other) == 0)
-
-        def emb(x, _root=root):
-            digs = self.coords(x)
-            out = 0
-            for i in reversed(range(len(digs))):
-                out = other.add(other.mul(out, _root), digs[i] % other.p)
-            return out
-
-        return emb
-
-
-def _eval_int_poly(coeffs, x, ff):
-    out = 0
-    for c in reversed(coeffs):
-        out = ff.add(ff.mul(out, x), c % ff.p)
-    return out
-
-
-def _prime_factors(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
+        root = next(r for r in other.elements() if peval(other, mod, r) == 0)
+        return lambda x: peval(other, self.coords(x), root)
 
 
 def _is_irreducible_mod_p(poly, p):

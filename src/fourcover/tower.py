@@ -360,14 +360,14 @@ class Tower:
             m = self._FACT_RE.match(part)
             if not m:
                 raise InvalidInput("bad token factor %r" % part)
-            exp = int(m.group("exp")) if m.group("exp") else 1
+            exp = _token_int(m.group("exp") or "1")
             if m.group("name") == "pi":
                 fac = self.pi_power(exp)
             elif m.group("name") == "tau":
                 fac = self.tau(exp)
             else:
-                num = int(m.group("num"))
-                den = int(m.group("den") or 1)
+                num = _token_int(m.group("num"))
+                den = _token_int(m.group("den") or "1")
                 if den == 0:
                     raise InvalidInput("zero denominator in %r" % part)
                 base = Fraction(num, den)
@@ -386,7 +386,7 @@ class Tower:
         for part in str(text).split("*"):
             m = Tower._FACT_RE.match(part)
             if m and m.group("name") == "tau":
-                k = int(m.group("exp")) if m.group("exp") else 1
+                k = _token_int(m.group("exp") or "1")
                 need = math.lcm(need, (p - 1) // math.gcd(abs(k) * p, p - 1))
         return need
 
@@ -476,6 +476,16 @@ def _vp(q, p):
         den //= p
         t -= 1
     return t
+
+
+def _token_int(digits):
+    """A token's digit group as an int.  A group longer than the host's
+    limit on string-to-int conversion is an InvalidInput."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise InvalidInput("digit group of %d digits is too long"
+                           % len(digits)) from None
 
 
 def _isqrt_exact(n):

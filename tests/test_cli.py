@@ -49,6 +49,14 @@ class TestRun:
                             "--gamma", "4", "--lambda", "bogus"])
         assert code == 3
 
+    def test_overlong_digit_groups_are_typed(self):
+        # past the host's 4300-digit limit on string-to-int conversion
+        for lam in ("7" * 5000, "tau^" + "7" * 5000):
+            rep, code = invoke(["classify", "--p", "5", "--beta", "1",
+                                "--gamma", "1", "--lambda", lam])
+            assert code == 3
+            assert rep["error"] == "InvalidInput"
+
     def test_bad_exponents(self):
         rep, code = invoke(["classify", "--p", "5", "--beta", "5",
                             "--gamma", "1", "--lambda", "3"])

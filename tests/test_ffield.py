@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -161,3 +162,114 @@ def test_invalid_requests_are_typed():
         pdivmod(ff, [1, 1], [])
     with pytest.raises(InvalidInput):
         proots(ff, [])
+
+
+# -- the coordinate arithmetic FF had before its tables, kept as references ---
+
+@functools.lru_cache(maxsize=None)
+def _reduction_table(ff):
+    """a^k for k in [f, 2f - 2], as coordinate lists, from the modulus."""
+    p, f, m = ff.p, ff.f, ff.modulus
+    cur = [(-c) % p for c in m[:f]]
+    table = [cur]
+    for _ in range(f - 2):
+        top = cur[-1]
+        cur = [((cur[i - 1] if i else 0) - top * m[i]) % p for i in range(f)]
+        table.append(cur)
+    return table
+
+
+def reference_add(ff, x, y):
+    return ff.encode([a + b for a, b in zip(ff.coords(x), ff.coords(y))])
+
+
+def reference_neg(ff, x):
+    return ff.encode([-a for a in ff.coords(x)])
+
+
+def reference_smul(ff, c, x):
+    return ff.encode([c * a for a in ff.coords(x)])
+
+
+def reference_mul(ff, x, y):
+    """Convolution of coordinates, then a^k -> its reduction for k >= f."""
+    f, ys = ff.f, ff.coords(y)
+    conv = [0] * (2 * f - 1)
+    for i, xi in enumerate(ff.coords(x)):
+        for j, yj in enumerate(ys):
+            conv[i + j] += xi * yj
+    res = conv[:f]
+    for c, red in zip(conv[f:], _reduction_table(ff)):
+        res = [r + c * a for r, a in zip(res, red)]
+    return ff.encode(res)
+
+
+def reference_pow(ff, x, n):
+    """Square-and-multiply; a negative n inverts by x^(q - 2) first."""
+    if n < 0:
+        x, n = reference_pow(ff, x, ff.q - 2), -n
+    out = 1
+    while n:
+        if n & 1:
+            out = reference_mul(ff, out, x)
+        x = reference_mul(ff, x, x)
+        n >>= 1
+    return out
+
+
+def reference_generator(ff):
+    """Least g with g^((q - 1)/r) != 1 for every prime r | q - 1."""
+    order = ff.q - 1
+    primes = [r for r in range(2, order + 1)
+              if order % r == 0 and all(r % d for d in range(2, r))]
+    return next(g for g in range(1, ff.q)
+                if all(reference_pow(ff, g, order // r) != 1 for r in primes))
+
+
+def reference_dlog(ff, g, x):
+    cur = 1
+    for k in range(ff.q - 1):
+        if cur == x:
+            return k
+        cur = reference_mul(ff, cur, g)
+    raise AssertionError("no discrete log of %d" % x)
+
+
+SMALL_FIELDS = [(p, f) for p in (2, 3, 5, 7, 11, 13) for f in range(1, 9)
+                if p ** f <= 343]
+
+
+@pytest.mark.parametrize("p,f", SMALL_FIELDS)
+def test_tables_match_coordinate_arithmetic(p, f):
+    ff = FF(p, f)
+    q = ff.q
+    g = reference_generator(ff)
+    assert ff.generator() == g
+    roots = {}
+    for r in ff.elements():
+        roots.setdefault(reference_mul(ff, r, r), []).append(r)
+    for x in ff.elements():
+        assert ff.neg(x) == reference_neg(ff, x)
+        for c in (-1, 0, 2, p + 1):
+            assert ff.smul(c, x) == reference_smul(ff, c, x)
+        for n in (0, 1, 2, 5, q - 2, q + 3):
+            assert ff.pow(x, n) == reference_pow(ff, x, n)
+        assert ff.pth_root(x) == reference_pow(ff, x, q // p)
+        # a square root is the least of its roots; at p = 2 every element
+        # has exactly one, including in F_2, which has no non-square
+        assert ff.is_square(x) == (x in roots)
+        assert ff.sqrt(x) == (min(roots[x]) if x in roots else None)
+        if x:
+            assert ff.inv(x) == reference_pow(ff, x, -1)
+            assert ff.pow(x, -3) == reference_pow(ff, x, -3)
+            k = reference_dlog(ff, g, x)
+            assert ff.dlog(x) == k
+            if f > 1 and x != 1:
+                assert ff.render(x) == ("g" if k == 1 else "g^%d" % k)
+    # (x + y, y) and, for y != 0, (x * y, y) run over all pairs with x
+    for x in ff.elements():
+        for y in ff.elements():
+            total, product = reference_add(ff, x, y), reference_mul(ff, x, y)
+            assert ff.add(x, y) == total and ff.sub(total, y) == x
+            assert ff.mul(x, y) == product
+            assert not y or ff.div(product, y) == x
