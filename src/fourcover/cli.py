@@ -21,7 +21,7 @@ from .errors import (
     NeedsExtension, DegenerateModel, CoalescingBranchPoints, NonCyclicExponent,
     UnsupportedPrime, NotReduced,
 )
-from .tower import Tower, make_tower, Poly, INF
+from .tower import make_tower, Poly, INF
 from .normalizer import CoverDatum, INFPT, normalize, cross_ratio_orbit
 from .classifier import (
     classify, required_extension, build_stable_model, check_qwerty,
@@ -37,10 +37,9 @@ _INVALID = (InvalidInput, NeedsExtension, DegenerateModel, UnsupportedPrime,
             CoalescingBranchPoints, NonCyclicExponent, NotReduced)
 
 
-def _base_tower(p, precision, tokens, boost):
+def _base_tower(p, precision, boost):
+    # e = p - 1 makes every tau^k token a pure pi-power
     e = p - 1 if p > 2 else 1
-    for tok in tokens:
-        e = math.lcm(e, Tower.token_e_requirement(p, tok))
     prec = (precision if precision else 50 * e) * boost
     return make_tower(p, e, 1, prec)
 
@@ -102,7 +101,7 @@ def _cover_from_args(tw, args):
 
 
 def _run_classify(args, precision, boost):
-    tw = _base_tower(args.p, precision, [args.lam], boost)
+    tw = _base_tower(args.p, precision, boost)
     rep = _report_skeleton({"command": "classify", "p": args.p,
                             "beta": args.beta, "gamma": args.gamma,
                             "lambda": args.lam, "precision": tw.prec})
@@ -113,15 +112,17 @@ def _run_classify(args, precision, boost):
 
 
 def _run_model(args, precision, boost):
-    tw = _base_tower(args.p, precision, [args.lam], boost)
+    tw = _base_tower(args.p, precision, boost)
     rep = _report_skeleton({"command": "model", "p": args.p,
                             "beta": args.beta, "gamma": args.gamma,
                             "lambda": args.lam, "precision": tw.prec})
     n = normalize(_cover_from_args(tw, args))
     cls = classify(n)
-    if not args.allow_extension and required_extension(n, cls).e != tw.e:
-        raise NeedsExtension(
-            "the model needs a tower extension; pass --allow-extension")
+    if not args.allow_extension:
+        ext = required_extension(n, cls)
+        if (ext.e, ext.f) != (tw.e, tw.f):
+            raise NeedsExtension(
+                "the model needs a tower extension; pass --allow-extension")
     m = build_stable_model(n, cls)
     _fill_classification(rep, n, cls, m.extension)
     rep["components"] = [c.as_dict() for c in m.components]
@@ -131,7 +132,7 @@ def _run_model(args, precision, boost):
 
 
 def _run_qwerty(args, precision, boost):
-    tw = _base_tower(args.p, precision, [args.c1, args.c2], boost)
+    tw = _base_tower(args.p, precision, boost)
     rep = _report_skeleton({"command": "qwerty", "p": args.p,
                             "c1": args.c1, "c2": args.c2,
                             "precision": tw.prec})
@@ -142,7 +143,7 @@ def _run_qwerty(args, precision, boost):
 
 
 def _run_deuring(args, precision, boost):
-    tw = _base_tower(2, precision, [args.lam], boost)
+    tw = _base_tower(2, precision, boost)
     rep = _report_skeleton({"command": "deuring", "p": 2,
                             "lambda": args.lam, "precision": tw.prec})
     lam = tw.parse(args.lam)
@@ -179,6 +180,7 @@ def _run_sweep(args, precision, boost):
     counts = {}
     failures = 0
     for p in ps:
+        FF(p, 1)  # a bad p fails the request before its (p - 1)^2 pairs
         pairs = _admissible_bg(p)
         if args.beta and args.gamma:
             pairs = [(args.beta, args.gamma)]
@@ -186,7 +188,7 @@ def _run_sweep(args, precision, boost):
             for tok in lam_tokens:
                 row = {"p": p, "beta": beta, "gamma": gamma, "lambda": tok}
                 try:
-                    tw = _base_tower(p, precision, [tok], boost)
+                    tw = _base_tower(p, precision, boost)
                     n = normalize(_standard_cover(tw, tw.parse(tok), beta, gamma))
                     cls = classify(n)
                     m = build_stable_model(n, cls)

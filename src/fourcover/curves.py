@@ -4,7 +4,10 @@ Covers T^p - T + u = 0 are handled through the reduced representative of
 u modulo p-th-power-minus-itself adjustments: every pole order of the
 reduced form is prime to p and additive constants are declared trivial
 (the residue field emulates its algebraic closure; constants always lie
-in the image of w -> w^p - w over the closure).
+in the image of w -> w^p - w over the closure).  The reduction factors
+u's denominator once: subtracting w^p - w for a w whose only pole is the
+place P changes u only at P, so each place's pole order is lowered in
+place (Stichtenoth, *Algebraic Function Fields and Codes*, Lemma 3.7.7).
 
 Purely inseparable covers T^p = t(x) of the line are rational curves:
 k(x, t^(1/p)) embeds in k(x^(1/p)) which is rational, and the degrees
@@ -13,8 +16,8 @@ match, so their geometric genus is 0.
 
 from .errors import NotReduced, InvalidInput, ConstructionMismatch
 from .ffield import (
-    padd, psub, pneg, pmul, pdivmod, pmod, pgcd, peval, ppow, ppow_mod,
-    pfactor, pnormalize, pdeg, p_is_pth_power, prender, pscale,
+    padd, psub, pneg, pmul, pdivmod, pmod, pgcd, peval, ppow, pfactor,
+    pnormalize, pdeg, prender, pscale, p_is_pth_power as is_pth_power,
 )
 
 
@@ -92,7 +95,7 @@ class RatFunc:
         if isinstance(other, list):
             return RatFunc(self.ff, other)
         if isinstance(other, int):
-            return RatFunc(self.ff, [other % self.ff.q] if other % self.ff.q else [])
+            return RatFunc(self.ff, [other % self.ff.p])
         raise InvalidInput("cannot coerce %r" % (other,))
 
     def frobenius_shift(self):
@@ -152,73 +155,40 @@ def as_reduce(u):
     prime to p and no constant term.  The dropped constant is separately
     reported; over the algebraic closure it is always of the form
     w^p - w, so the reduced class of u is u - ℘(witness) - constant.
+
+    The denominator is factored once.  At a finite place P with pole
+    order kp, let A be the leading coefficient (u P^(kp)) mod P and B its
+    p-th root in F_q[x]/(P); w = B/P^k has its only pole at P and
+    vanishes at infinity, so u - ℘(w) has the same principal parts at
+    every other place, the same polynomial part, and a lower pole order
+    at P.  Each place is therefore finished in turn, its new order read
+    off the degree of the new denominator, whose part prime to P is
+    unchanged.
     """
     ff = u.ff
     p = ff.p
     witness = RatFunc(ff, [])
     cur = u
-    # kill p-divisible pole orders at finite places
-    changed = True
-    while changed:
-        changed = False
-        for place, order, _deg in pole_profile(cur):
-            if place == INF_PLACE or order % p:
-                continue
-            P = list(place)
-            k = order // p
-            # leading coefficient of the pole: A = (num * (den/P^order)^-1) mod P
-            den_rest = pdivmod(ff, cur.den, ppow(ff, P, order))[0]
-            modP = lambda a: pmod(ff, a, P)
-            inv_rest = _inv_mod(ff, den_rest, P)
-            A = modP(pmul(ff, cur.num, inv_rest))
-            B = _pth_root_mod(ff, A, P)
-            w = RatFunc(ff, B, ppow(ff, P, k))
+    for P, order in pfactor(ff, u.den):
+        # F_q[x]/(P) has n = q^deg(P) elements: 1/a = a^(n-2) and the
+        # p-th root of a is a^(n/p)
+        n = ff.q ** pdeg(P)
+        rest = pdivmod(ff, cur.den, ppow(ff, P, order))[0]
+        while order and order % p == 0:
+            A = pmod(ff, pmul(ff, cur.num, ppow(ff, rest, n - 2, P)), P)
+            w = RatFunc(ff, ppow(ff, A, n // p, P), ppow(ff, P, order // p))
             cur = cur - w.frobenius_shift()
             witness = witness + w
-            changed = True
-            break
-    # polynomial part: reduce exponents divisible by p, drop the constant
+            order = (pdeg(cur.den) - pdeg(rest)) // pdeg(P)
+    # polynomial part: lower a degree divisible by p, drop the constant
     poly_part, rem_num = pdivmod(ff, cur.num, cur.den)
-    frac = RatFunc(ff, rem_num, cur.den)
-    while True:
-        top = pdeg(poly_part)
-        if top < 1:
-            break
-        if top % p == 0 and poly_part[top] != 0:
-            c = ff.pth_root(poly_part[top])
-            w = RatFunc(ff, [0] * (top // p) + [c])
-            poly_part = psub(ff, poly_part,
-                             psub(ff, ppow(ff, [0] * (top // p) + [c], p),
-                                  [0] * (top // p) + [c]))
-            witness = witness + w
-        else:
-            break
+    while pdeg(poly_part) > 0 and pdeg(poly_part) % p == 0:
+        w = [0] * (pdeg(poly_part) // p) + [ff.pth_root(poly_part[-1])]
+        poly_part = psub(ff, poly_part, psub(ff, ppow(ff, w, p), w))
+        witness = witness + RatFunc(ff, w)
     constant = poly_part[0] if poly_part else 0
-    if poly_part:
-        poly_part = pnormalize(poly_part[:0] + [0] + poly_part[1:])
-    reduced = frac + RatFunc(ff, poly_part)
+    reduced = RatFunc(ff, rem_num, cur.den) + RatFunc(ff, [0] + poly_part[1:])
     return ASReduction(reduced, witness, constant)
-
-
-def _inv_mod(ff, a, P):
-    """Inverse of a modulo the irreducible P (extended Euclid)."""
-    a = pmod(ff, a, P)
-    r0, r1 = list(P), a
-    s0, s1 = [], [1]
-    while pnormalize(r1):
-        q, r = pdivmod(ff, r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, psub(ff, s0, pmul(ff, q, s1))
-    # r0 = gcd (a unit since P irreducible and a != 0 mod P)
-    c = ff.inv(r0[0])
-    return pmod(ff, pscale(ff, c, s0), P)
-
-
-def _pth_root_mod(ff, a, P):
-    """p-th root in the residue field F_q[x]/(P) (Frobenius inverse)."""
-    m = ff.f * pdeg(P)
-    n = ff.p ** (m - 1)
-    return ppow_mod(ff, a, n, P)
 
 
 def as_irreducible(u):
@@ -273,7 +243,7 @@ class InsepCurve:
 
     def __init__(self, ff, t):
         t = pnormalize(list(t))
-        if p_is_pth_power(ff, t):
+        if is_pth_power(ff, t):
             raise InvalidInput("t is a p-th power; the cover is not reduced")
         self.ff = ff
         self.t = t
@@ -320,7 +290,3 @@ def p_rank_DS(p, branch_count):
         raise InvalidInput("branch_count must be >= 1")
     return (p - 1) * (branch_count - 1)
 
-
-def is_pth_power(ff, t):
-    """Membership of a polynomial in k[x]^p over the perfect field k."""
-    return p_is_pth_power(ff, pnormalize(list(t)))

@@ -46,10 +46,14 @@ from .errors import (
     InsufficientPrecision, NeedsExtension, NegativeValuation,
     DivisionByIndistinguishableZero, InvalidInput, ConstructionMismatch,
 )
-from .ffield import FF, is_prime
+from .ffield import FF
 
 INF = math.inf
 _EXACT_ZERO = (Fraction(0), 0)
+
+# A token's exact pair may take at most this many decimal digits, the
+# host's limit on one string-to-int conversion (see _token_int).
+TOKEN_DIGITS = 4300
 
 
 def make_tower(p, e, f, precision):
@@ -64,8 +68,6 @@ def make_tower(p, e, f, precision):
 class Tower:
 
     def __init__(self, p, e, f=1, prec=None):
-        if not is_prime(p):
-            raise InvalidInput("p must be a prime >= 2, got %r" % (p,))
         if not isinstance(e, int) or e < 1:
             raise InvalidInput("ramification index e must be >= 1, got %r" % (e,))
         if not isinstance(f, int) or f < 1:
@@ -74,17 +76,16 @@ class Tower:
             prec = 50 * e
         if not isinstance(prec, int) or prec < 1:
             raise InvalidInput("precision must be a positive integer")
+        self.ff = FF(p, f)  # rejects p that is not prime, or too large a field
         self.p = p
         self.e = e
         self.f = f
         self.prec = prec
         self.nl = -(-prec // e) + 2          # p-digit levels per W coefficient
         self.pmod = p ** self.nl
-        self.ff = FF(p, f)
         # monic integer lift of the residue modulus, coefficients in [0, p)
         self.modulus = list(self.ff.modulus)
         self._ppow = [p ** k for k in range(self.nl + 1)]
-        self._embed_roots = {}
         # the stored form of 1, canonicalized once; one() wraps it in a
         # new El, since an El kept here would tie the tower into a
         # reference cycle that only the cyclic collector frees
@@ -287,13 +288,17 @@ class Tower:
 
     def tau(self, k=1):
         """tau^k = (-p)^(kp/(p-1)), a pure pi-power when (p-1) | e."""
+        return self.pi_power(self._tau_exponent(k))
+
+    def _tau_exponent(self, k):
+        """The m with tau^k = pi^m; NeedsExtension unless (p-1) | k e p."""
         p, e = self.p, self.e
         if (k * e * p) % (p - 1):
             need = (p - 1) // math.gcd(k * p, p - 1)
             raise NeedsExtension(
                 "tau^%d needs (p-1) | %d*e; enlarge e by a factor of %d"
                 % (k, k, need), e=self.e * need)
-        return self.pi_power(k * e * p // (p - 1))
+        return k * e * p // (p - 1)
 
     def tau_valuation(self):
         return Fraction(self.p, self.p - 1)
@@ -352,43 +357,49 @@ class Tower:
         r"(?:\^(?P<exp>-?\d+))?\s*$")
 
     def parse(self, text):
-        """Parse a symbolic token: products of a/b, n^k, pi^k, tau^k."""
+        """Parse a symbolic token: products of a/b, n^k, pi^k, tau^k.
+
+        The token becomes one exact pair (q, m) with value q * pi^m.  Its
+        size, the decimal digits of q's numerator and denominator and of
+        p^(|m|/e), must stay within TOKEN_DIGITS; that is checked before
+        any power is taken.
+        """
         if not isinstance(text, str) or not text.strip():
             raise InvalidInput("empty token")
-        out = self.one()
+        sign, m, powers = 1, 0, []
         for part in text.split("*"):
-            m = self._FACT_RE.match(part)
-            if not m:
+            g = self._FACT_RE.match(part)
+            if not g:
                 raise InvalidInput("bad token factor %r" % part)
-            exp = _token_int(m.group("exp") or "1")
-            if m.group("name") == "pi":
-                fac = self.pi_power(exp)
-            elif m.group("name") == "tau":
-                fac = self.tau(exp)
+            exp = _token_int(g.group("exp") or "1")
+            if g.group("name") == "pi":
+                m += exp
+            elif g.group("name") == "tau":
+                m += self._tau_exponent(exp)
             else:
-                num = _token_int(m.group("num"))
-                den = _token_int(m.group("den") or "1")
+                num = _token_int(g.group("num"))
+                den = _token_int(g.group("den") or "1")
                 if den == 0:
                     raise InvalidInput("zero denominator in %r" % part)
-                base = Fraction(num, den)
-                if base == 0 and exp < 0:
+                if num == 0 and exp < 0:
                     raise InvalidInput("zero to a negative power")
-                fac = self.from_rational(base ** exp)
-            if m.group("neg"):
-                fac = -fac
-            out = out * fac
-        return out
-
-    @staticmethod
-    def token_e_requirement(p, text):
-        """Minimal multiple of e needed so every tau^k factor is integral."""
-        need = 1
-        for part in str(text).split("*"):
-            m = Tower._FACT_RE.match(part)
-            if m and m.group("name") == "tau":
-                k = _token_int(m.group("exp") or "1")
-                need = math.lcm(need, (p - 1) // math.gcd(abs(k) * p, p - 1))
-        return need
+                powers.append((Fraction(num, den), exp))
+            if g.group("neg"):
+                sign = -sign
+        room = float(TOKEN_DIGITS)
+        sizes = [(m, math.log10(self.p) / self.e)]
+        sizes += [(exp, math.log10(max(b.numerator, 1) * b.denominator))
+                  for b, exp in powers]
+        for n, digits in sizes:
+            # compared as int against float, so a huge n cannot overflow
+            if digits and abs(n) > room / digits:
+                raise InvalidInput("token is larger than %d digits"
+                                   % TOKEN_DIGITS)
+            room -= abs(n) * digits
+        q = Fraction(sign)
+        for b, exp in powers:
+            q *= b ** exp
+        return self.from_exact_pair(q, m)
 
     # ------------------------------------------------------------------
     # embedding into a bigger tower
@@ -422,18 +433,12 @@ class Tower:
         return El(big, out.s, out.U, min(out.ap, r * x.ap), None)
 
     def _embedded_generator(self, big):
-        key = id(big)
-        if key in self._embed_roots:
-            return self._embed_roots[key]
         if self.f == 1:
-            gen = big.one()
-        else:
-            emb = self.ff.embedding_into(big.ff)
-            root0 = emb(self.ff.encode([0, 1] + [0] * (self.f - 2)))
-            mpoly = Poly(big, [big.from_int(c) for c in self.modulus])
-            gen = hensel_root(mpoly, root0)
-        self._embed_roots[key] = gen
-        return gen
+            return big.one()
+        emb = self.ff.embedding_into(big.ff)
+        root0 = emb(self.ff.encode([0, 1] + [0] * (self.f - 2)))
+        mpoly = Poly(big, [big.from_int(c) for c in self.modulus])
+        return hensel_root(mpoly, root0)
 
     def extended(self, e_mult=1, f_mult=1):
         """A tower with e, f multiplied, carrying equivalent precision."""

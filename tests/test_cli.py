@@ -1,4 +1,10 @@
 import json
+import os
+import resource
+import subprocess
+import sys
+
+import pytest
 
 import fourcover.cli as cli
 from fourcover.cli import build_parser, run, main
@@ -11,6 +17,23 @@ SCHEMA_KEYS = ["input", "normalization", "type", "subroute", "extension",
 def invoke(argv):
     args = build_parser().parse_args(argv)
     return run(args)
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src")
+
+
+def invoke_process(argv, timeout=60):
+    """Run the CLI in a child process with 1 GB of address space, so that
+    a hang fails the test at the timeout and a runaway allocation fails
+    in the child instead of exhausting the host.  Each probe below exits
+    in well under a second; 60 s leaves room for slow hosts."""
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run([sys.executable, "-m", "fourcover.cli"] + argv,
+                          env=env, capture_output=True, text=True,
+                          timeout=timeout, preexec_fn=limit)
 
 
 class TestRun:
@@ -56,6 +79,17 @@ class TestRun:
                                 "--gamma", "1", "--lambda", lam])
             assert code == 3
             assert rep["error"] == "InvalidInput"
+
+    def test_no_allow_extension_checks_the_residue_degree(self):
+        # this model needs f = 2 at e = p - 1
+        argv = ["model", "--p", "3", "--beta", "1", "--gamma", "2",
+                "--lambda", "3"]
+        rep, code = invoke(argv)
+        assert code == 0
+        assert (rep["extension"]["e"], rep["extension"]["f"]) == (2, 2)
+        rep, code = invoke(argv + ["--no-allow-extension"])
+        assert code == 3
+        assert rep["error"] == "NeedsExtension"
 
     def test_bad_exponents(self):
         rep, code = invoke(["classify", "--p", "5", "--beta", "5",
@@ -180,3 +214,26 @@ class TestMain:
         assert rc == 3
         err = capsys.readouterr().err
         assert "error" in json.loads(err)
+
+
+class TestBoundedInputs:
+    """Inputs whose exact size would exhaust time or memory are rejected
+    as InvalidInput (exit 3) before any work proportional to it."""
+
+    @pytest.mark.parametrize("lam", ["2^99999999999", "pi^99999999999",
+                                     "pi^-99999999999", "tau^99999999999"])
+    def test_huge_token(self, lam):
+        res = invoke_process(["classify", "--p", "5", "--beta", "1",
+                              "--gamma", "1", "--lambda", lam])
+        assert res.returncode == 3
+        assert json.loads(res.stderr)["error"] == "InvalidInput"
+
+    @pytest.mark.parametrize("command", [
+        ["classify", "--beta", "1", "--gamma", "1", "--lambda", "7"],
+        ["sweep", "--lambdas", "7"],
+    ])
+    def test_huge_prime(self, command):
+        # 2^61 - 1 is prime; trial division to its square root never ends
+        res = invoke_process(command + ["--p", str(2 ** 61 - 1)])
+        assert res.returncode == 3
+        assert json.loads(res.stderr)["error"] == "InvalidInput"

@@ -1,17 +1,123 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fourcover.errors import NotReduced, InvalidInput, ConstructionMismatch
-from fourcover.ffield import FF, pmul, ppow, pnormalize
+from fourcover.ffield import (
+    FF, pmul, ppow, pnormalize, pdeg, pdivmod, pmod, psub, pscale, pfactor,
+)
 from fourcover.curves import (
-    RatFunc, as_reduce, as_irreducible, as_genus, p_rank_DS, is_pth_power,
-    ASCurve, InsepCurve, pole_profile, INF_PLACE,
+    RatFunc, ASReduction, as_reduce, as_irreducible, as_genus, p_rank_DS,
+    is_pth_power, ASCurve, InsepCurve, pole_profile, INF_PLACE,
 )
 
 
 def rf(ff, num, den=None):
     return RatFunc(ff, num, den)
+
+
+# ---------------------------------------------------------------------------
+# reference: the reduction that re-factors the denominator after every
+# correction, with the inverse modulo P by extended Euclid
+# ---------------------------------------------------------------------------
+
+def _inv_mod(ff, a, P):
+    """Inverse of a modulo the irreducible P (extended Euclid)."""
+    a = pmod(ff, a, P)
+    r0, r1 = list(P), a
+    s0, s1 = [], [1]
+    while pnormalize(r1):
+        q, r = pdivmod(ff, r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, psub(ff, s0, pmul(ff, q, s1))
+    # r0 = gcd (a unit since P irreducible and a != 0 mod P)
+    c = ff.inv(r0[0])
+    return pmod(ff, pscale(ff, c, s0), P)
+
+
+def reference_as_reduce(u):
+    ff = u.ff
+    p = ff.p
+    witness = RatFunc(ff, [])
+    cur = u
+    # kill p-divisible pole orders at finite places, one per restart
+    changed = True
+    while changed:
+        changed = False
+        for place, order, _deg in pole_profile(cur):
+            if place == INF_PLACE or order % p:
+                continue
+            P = list(place)
+            k = order // p
+            den_rest = pdivmod(ff, cur.den, ppow(ff, P, order))[0]
+            A = pmod(ff, pmul(ff, cur.num, _inv_mod(ff, den_rest, P)), P)
+            # p-th root in F_q[x]/(P), which has p^m elements
+            B = ppow(ff, A, ff.p ** (ff.f * pdeg(P) - 1), P)
+            w = RatFunc(ff, B, ppow(ff, P, k))
+            cur = cur - w.frobenius_shift()
+            witness = witness + w
+            changed = True
+            break
+    # polynomial part: reduce exponents divisible by p, drop the constant
+    poly_part, rem_num = pdivmod(ff, cur.num, cur.den)
+    frac = RatFunc(ff, rem_num, cur.den)
+    while True:
+        top = pdeg(poly_part)
+        if top < 1:
+            break
+        if top % p == 0 and poly_part[top] != 0:
+            c = ff.pth_root(poly_part[top])
+            w = RatFunc(ff, [0] * (top // p) + [c])
+            poly_part = psub(ff, poly_part,
+                             psub(ff, ppow(ff, [0] * (top // p) + [c], p),
+                                  [0] * (top // p) + [c]))
+            witness = witness + w
+        else:
+            break
+    constant = poly_part[0] if poly_part else 0
+    if poly_part:
+        poly_part = pnormalize(poly_part[:0] + [0] + poly_part[1:])
+    reduced = frac + RatFunc(ff, poly_part)
+    return ASReduction(reduced, witness, constant)
+
+
+def _irreducible(ff, deg, code):
+    """The first monic irreducible of degree deg at or after code, in
+    the order of the encodings of its low coefficients."""
+    for k in range(ff.q ** deg):
+        c = (code + k) % ff.q ** deg
+        P = [c // ff.q ** i % ff.q for i in range(deg)] + [1]
+        if pfactor(ff, P) == [(P, 1)]:
+            return P
+    raise AssertionError("no irreducible of degree %d" % deg)
+
+
+@st.composite
+def as_inputs(draw):
+    """u = N / prod P^order + a polynomial + ℘(w) over F_(p^f), p in
+    {3, 5, 7}, f <= 2.  The first place P has a p-divisible pole order,
+    every place has degree 1 or 2, and the polynomial part's degree may
+    be divisible by p.  w = M/P^2 + a polynomial of degree <= 2, so a
+    place or the polynomial part may need more than one correction."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    ff = FF(p, draw(st.integers(1, 2)))
+    coeff = st.integers(0, ff.q - 1)
+    places = []
+    for i in range(draw(st.integers(1, 2))):
+        deg = draw(st.integers(1, 2))
+        P = _irreducible(ff, deg, draw(st.integers(0, ff.q ** deg - 1)))
+        places.append((P, draw(st.sampled_from([p, 2 * p] if i == 0 else [1, 2, p]))))
+    den = [1]
+    for P, order in places:
+        den = pmul(ff, den, ppow(ff, P, order))
+    num = [draw(coeff) for _ in range(draw(st.integers(1, pdeg(den) + 1)))]
+    top = draw(st.sampled_from([0, 1, 2, p, 2 * p]))
+    poly = [draw(coeff) for _ in range(top)] + [draw(st.integers(1, ff.q - 1))]
+    P = places[0][0]
+    w = (rf(ff, [draw(coeff) for _ in range(2 * pdeg(P))], ppow(ff, P, 2))
+         + rf(ff, [draw(coeff) for _ in range(3)]))
+    return rf(ff, num, den) + rf(ff, poly) + w.frobenius_shift()
 
 
 class TestAsReduce:
@@ -73,6 +179,14 @@ class TestAsReduce:
             red = as_reduce(rf(ff, num, den)).reduced
             for _, order, _ in pole_profile(red):
                 assert order % 3
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(as_inputs())
+    def test_matches_the_restarting_reference(self, u):
+        red, ref = as_reduce(u), reference_as_reduce(u)
+        assert (red.reduced, red.witness, red.constant) == \
+            (ref.reduced, ref.witness, ref.constant)
 
 
 class TestAsIrreducible:
@@ -230,6 +344,14 @@ class TestPthPower:
                          ppow(ff, [0, 1], p - 1))
                 t = pmul(ff, t, [ff.neg(1), (beta + 1) % p])
                 assert not is_pth_power(ff, t)
+
+
+class TestRatFuncCoerce:
+    def test_int_is_the_prime_field_constant(self):
+        ff = FF(5, 2)
+        assert (rf(ff, [1]) + (-1)).is_zero()
+        assert rf(ff, []) + 7 == rf(ff, [2])
+        assert rf(ff, [0, 1]) * 6 == rf(ff, [0, 1])
 
 
 class TestRatFuncErrors:

@@ -5,7 +5,7 @@ import pytest
 
 from fourcover.errors import InvalidInput
 from fourcover.ffield import (
-    FF, padd, pmul, pdivmod, pgcd, pfactor, proots, _is_irreducible_mod_p,
+    MAX_ORDER, FF, padd, pmul, pdivmod, pgcd, pfactor, proots, _is_irreducible_mod_p,
     p_is_pth_power, p_pth_root, ppow, prender, pnormalize,
 )
 
@@ -273,3 +273,13 @@ def test_tables_match_coordinate_arithmetic(p, f):
             assert ff.add(x, y) == total and ff.sub(total, y) == x
             assert ff.mul(x, y) == product
             assert not y or ff.div(product, y) == x
+
+
+def test_order_bound():
+    # past MAX_ORDER no table is built and p is not trial-divided; a
+    # prime whose trial division would not end is probed in test_cli
+    for p, f in [(2, 14), (101, 2), (10007, 1)]:
+        assert p ** f > MAX_ORDER
+        with pytest.raises(InvalidInput):
+            FF(p, f)
+    assert FF(7, 4).q == 2401
