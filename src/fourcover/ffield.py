@@ -436,20 +436,41 @@ def _ddf(ff, a):
 
 
 def _edf(ff, a, d):
-    """Equal-degree factorization, deterministic candidate sweep (q odd)."""
+    """Equal-degree factorization, deterministic candidate sweep.
+
+    A candidate t splits a when gcd(h(t), a) is a proper factor.  For odd
+    q, h(t) = t^((q^d - 1)/2) - 1 and the candidates are the monic t of
+    degree 1 to deg a - 1, in the order of their encodings.  In
+    characteristic 2 that exponent never splits, so h(t) is the trace
+    t + t^2 + ... + t^(2^(kd - 1)) to F_2, q = 2^k.  It is F_2-linear and
+    onto F_2 on each factor's residue field, so some t of any F_2-basis
+    of F_q[x]/(a) gives two factors different traces: the candidates are
+    c x^i for 1 <= i < deg a and c running over the basis 1, ..., a^(k-1)
+    of F_q (constants never split).
+    """
     n = pdeg(a)
     if n == d:
         return [a]
-    expo = (ff.q ** d - 1) // 2
-    # sweep low-degree candidates in a fixed order
-    for degc in range(1, n):
-        for code in range(ff.q ** degc):
-            t = [(code // ff.q ** i) % ff.q for i in range(degc)] + [1]
-            h = ppow(ff, t, expo, a)
-            g = pgcd(ff, psub(ff, h, [1]), a)
-            if 0 < pdeg(g) < n:
-                return sorted(_edf(ff, g, d) + _edf(ff, pdivmod(ff, a, g)[0], d),
-                              key=lambda f: (len(f), f))
+    q = ff.q
+    if ff.p == 2:
+        def h(t):
+            out = square = t
+            for _ in range(ff.f * d - 1):
+                square = ppow(ff, square, 2, a)
+                out = padd(ff, out, square)
+            return out
+        basis = [ff.encode([0] * j + [1]) for j in range(ff.f)]
+        candidates = ([0] * i + [c] for i in range(1, n) for c in basis)
+    else:
+        def h(t):
+            return psub(ff, ppow(ff, t, (q ** d - 1) // 2, a), [1])
+        candidates = ([(code // q ** i) % q for i in range(degc)] + [1]
+                      for degc in range(1, n) for code in range(q ** degc))
+    for t in candidates:
+        g = pgcd(ff, h(t), a)
+        if 0 < pdeg(g) < n:
+            return sorted(_edf(ff, g, d) + _edf(ff, pdivmod(ff, a, g)[0], d),
+                          key=lambda f: (len(f), f))
     raise ConstructionMismatch("EDF sweep exhausted (should not happen)")
 
 

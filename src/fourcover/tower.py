@@ -19,9 +19,14 @@ pair (q, m) with value q * pi^m; arithmetic propagates exactness when
 the result is again of that shape, so valuations of token-built data are
 decided exactly even when they exceed the digit window.
 
-Products work on the coefficient lists directly: one integer
-convolution, one fold of pi^e by -p and, for f > 1, one reduction by the
-modulus lift per pi-slot.  The inverse is an exact solve, not a
+Products work on the coefficient lists directly, and cost what the
+operands' nonzero pi-slots cost: the integer convolution runs only up to
+each factor's last nonzero slot, pi^e is folded by -p only when the
+product reaches slot e, and for f > 1 the modulus lift reduces once per
+pi-slot.  Token-built values keep their unit part in slot 0, so most
+products are one coordinate product per plane pair.  A unit part of
+exactly 1 (a pi-power) is a shift: the product keeps the other factor's
+unit part and moves only s and ap.  The inverse is an exact solve, not a
 precision loop: multiplication by the unit part is an (e f) x (e f)
 matrix over Z/p^N that is invertible mod p, and Gaussian elimination
 with unit pivots gives every coordinate of the inverse in one pass.
@@ -131,20 +136,33 @@ class Tower:
 
     def _unit_product(self, A, B):
         """Unit part of the product of the unit parts A and B, folded by
-        pi^e = -p.  For f > 1 the coordinates are reduced by the modulus
-        lift once per pi-slot of the product, not once per coefficient
-        product."""
+        pi^e = -p.
+
+        The cost follows the pi-slots in use: each factor is convolved
+        only up to its last nonzero slot, and pi^e is folded only when
+        the product reaches slot e, so a token-built unit (slot 0 alone)
+        times another costs one coordinate product per plane pair.  For
+        f > 1 the coordinates are reduced by the modulus lift once per
+        pi-slot of the product, not once per coefficient product.
+        """
         p, e, f = self.p, self.e, self.f
+        # a nonzero last coordinate means every slot is in use
+        la = e if A[-1] else _slots_used(A, f)
+        lb = e if B[-1] else _slots_used(B, f)
+        n = la + lb - 1   # pi-slots of the product before the fold
         if f == 1:
-            conv = [0] * (2 * e - 1)
-            _convolve(conv, A, B)
-            return [c - p * h for c, h in zip(conv, conv[e:])] + [conv[e - 1]]
+            if n == 1:   # two W-constants: one integer product
+                conv = [A[0] * B[0]]
+            else:
+                conv = [0] * n
+                _convolve(conv, A[:la], B[:lb])
+            return _fold(conv, n, e, p)
         # one convolution per pair of coordinate planes: a^i A_i times a^l B_l,
         # where plane i of a unit part is its coordinates on a^i, A[i::f]
-        planes = [[0] * (2 * e - 1) for _ in range(2 * f - 1)]
-        Bt = [B[l::f] for l in range(f)]
+        planes = [[0] * n for _ in range(2 * f - 1)]
+        Bt = [B[l:lb * f:f] for l in range(f)]
         for i in range(f):
-            Ai = A[i::f]
+            Ai = A[i:la * f:f]
             for l, Bl in enumerate(Bt, i):
                 _convolve(planes[l], Ai, Bl)
         # a^k = -sum modulus[i] a^(k - f + i) for k >= f, top plane first
@@ -157,7 +175,7 @@ class Tower:
                     planes[k - f + i] = [c - m * t for c, t in zip(low, top)]
         out = [0] * (e * f)
         for i, P in enumerate(planes[:f]):
-            out[i::f] = [c - p * h for c, h in zip(P, P[e:])] + [P[e - 1]]
+            out[i::f] = _fold(P, n, e, p)
         return out
 
     def _unit_inverse(self, U):
@@ -430,7 +448,7 @@ class Tower:
                     term = term + piece
             if not term.is_zeroish():
                 out = out + term * big.pi_power(r * (x.s + j))
-        return El(big, out.s, out.U, min(out.ap, r * x.ap), None)
+        return big._canon(out.s, out.U, min(out.ap, r * x.ap), None)
 
     def _embedded_generator(self, big):
         if self.f == 1:
@@ -452,6 +470,25 @@ def _convolve(acc, A, B):
     for j, a in enumerate(A):
         if a:
             acc[j:j + n] = [c + a * b for c, b in zip(acc[j:j + n], B)]
+
+
+def _slots_used(U, f):
+    """The number of pi-slots of the unit part U up to its last nonzero
+    one, scanned from the top; slot 0 of a unit is never zero."""
+    if not any(U[f:]):
+        return 1
+    n = len(U)
+    while not any(U[n - f:n]):
+        n -= f
+    return n // f
+
+
+def _fold(conv, n, e, p):
+    """The e slots of a product plane of n slots, pi^(e + k) folded onto
+    pi^k as -p; a plane that stops short of slot e is padded with zeros."""
+    if n <= e:
+        return conv + [0] * (e - n)
+    return [c - p * h for c, h in zip(conv, conv[e:])] + conv[n - e:e]
 
 
 def _binary_power(base, n):
@@ -499,7 +536,12 @@ def _isqrt_exact(n):
 
 
 class El:
-    """One element of a tower.  Immutable."""
+    """One element of a tower.  Immutable.
+
+    Only the true zero has no precision bound: ap is None exactly when the
+    value is 0, and every other element, a fuzzy zero O(pi^ap) included,
+    carries an integer ap.
+    """
 
     __slots__ = ("tw", "s", "U", "ap", "exact")
 
@@ -513,7 +555,7 @@ class El:
     # -- state predicates ----------------------------------------------
 
     def is_true_zero(self):
-        return self.exact is not None and self.exact[0] == 0
+        return self.ap is None
 
     def is_zeroish(self):
         """True zero, or indistinguishable from zero at current precision."""
@@ -566,13 +608,14 @@ class El:
         return NotImplemented
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if other.__class__ is not El or other.tw is not self.tw:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         tw = self.tw
-        if self.is_true_zero():
+        if self.ap is None:
             return other
-        if other.is_true_zero():
+        if other.ap is None:
             return self
         exact = None
         if self.exact is not None and other.exact is not None:
@@ -623,11 +666,12 @@ class El:
         return (-self) + other
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if other.__class__ is not El or other.tw is not self.tw:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         tw = self.tw
-        if self.is_true_zero() or other.is_true_zero():
+        if self.ap is None or other.ap is None:
             return tw.zero()
         exact = None
         if self.exact is not None and other.exact is not None:
@@ -636,9 +680,19 @@ class El:
             a1 = self.ap if self.s is None else self.s
             a2 = other.ap if other.s is None else other.s
             return El(tw, None, None, a1 + a2, exact)
+        s = self.s + other.s
         ap = min(self.ap + other.s, other.ap + self.s)
-        return tw._canon(self.s + other.s, tw._unit_product(self.U, other.U),
-                         ap, exact)
+        one = tw._one[1]
+        if self.U == one or other.U == one:
+            # a unit part of 1 is a pi-power: the product is the other
+            # factor shifted, masked only where the window ap - s shrank
+            # (it stays >= 1, so u_0 stays a unit and no _canon is needed)
+            x = other if self.U == one else self
+            U = x.U
+            if ap - s < x.ap - x.s:
+                U = tuple(tw._mask(U, ap - s))
+            return El(tw, s, U, ap, exact)
+        return tw._canon(s, tw._unit_product(self.U, other.U), ap, exact)
 
     __rmul__ = __mul__
 

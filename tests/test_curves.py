@@ -96,11 +96,11 @@ def _irreducible(ff, deg, code):
 @st.composite
 def as_inputs(draw):
     """u = N / prod P^order + a polynomial + ℘(w) over F_(p^f), p in
-    {3, 5, 7}, f <= 2.  The first place P has a p-divisible pole order,
+    {2, 3, 5, 7}, f <= 2.  The first place P has a p-divisible pole order,
     every place has degree 1 or 2, and the polynomial part's degree may
     be divisible by p.  w = M/P^2 + a polynomial of degree <= 2, so a
     place or the polynomial part may need more than one correction."""
-    p = draw(st.sampled_from([3, 5, 7]))
+    p = draw(st.sampled_from([2, 3, 5, 7]))
     ff = FF(p, draw(st.integers(1, 2)))
     coeff = st.integers(0, ff.q - 1)
     places = []
@@ -140,6 +140,20 @@ class TestAsReduce:
         red = as_reduce(u)
         assert red.reduced == u
         assert red.witness.is_zero()
+
+    @pytest.mark.parametrize("f", [1, 2])
+    def test_characteristic_two(self, f):
+        # factoring x^2 + x raised ConstructionMismatch in characteristic 2
+        ff = FF(2, f)
+        u = rf(ff, [1], [0, 1, 1])  # 1/(x^2 + x): simple poles at 0 and 1
+        red = as_reduce(u)
+        assert red.reduced == u
+        assert red.witness.is_zero()
+        # poles of order 2 at 0 and 1 lose their even part
+        u = rf(ff, [1], ppow(ff, [0, 1, 1], 2))
+        red = as_reduce(u)
+        assert [order for _, order, _ in pole_profile(red.reduced)] == [1, 1]
+        assert red.reduced + red.witness.frobenius_shift() + rf(ff, [red.constant]) == u
 
     def test_idempotent_random(self):
         ff = FF(3, 1)

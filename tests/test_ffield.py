@@ -150,6 +150,56 @@ def test_irreducible_counts():
             assert got == want, (p, n)
 
 
+def monic_irreducibles(ff, max_degree):
+    """Every monic irreducible over ff of degree <= max_degree, by a sieve
+    that needs no factoring: a monic polynomial is irreducible when no
+    irreducible of at most half its degree divides it."""
+    out = []
+    for n in range(1, max_degree + 1):
+        for code in range(ff.q ** n):
+            P = [(code // ff.q ** i) % ff.q for i in range(n)] + [1]
+            if all(pdivmod(ff, P, g)[1] for g in out if 2 * (len(g) - 1) <= n):
+                out.append(P)
+    return out
+
+
+def factor_key(P):
+    return (len(P), P)
+
+
+def distinct_products(irr, max_degree):
+    """Every nonempty set of distinct polynomials from irr whose degrees
+    add up to at most max_degree."""
+    out = [[]]
+    for P in irr:
+        out += [s + [P] for s in out
+                if sum(len(Q) - 1 for Q in s) + len(P) - 1 <= max_degree]
+    return out[1:]
+
+
+@pytest.mark.parametrize("f", [1, 2])
+def test_equal_degree_factoring_in_characteristic_two(f):
+    # x^2 + x = x (x + 1) raised ConstructionMismatch, since the odd-q
+    # exponent (q^d - 1)/2 never splits when q is even
+    ff = FF(2, f)
+    assert pfactor(ff, [0, 1, 1]) == [([0, 1], 1), ([1, 1], 1)]
+    irr = monic_irreducibles(ff, 4)
+    assert [sum(len(P) == n + 1 for P in irr) for n in range(1, 5)] == \
+        {1: [2, 1, 2, 3], 2: [4, 6, 20, 60]}[f]
+    if f == 1:
+        # all 255 products of distinct irreducibles of degree <= 4 over F_2
+        products = distinct_products(irr, 22)
+    else:
+        # over F_4: every squarefree product of total degree <= 4, and
+        # every product of two distinct irreducibles of degree <= 4
+        products = distinct_products(irr, 4)
+        products += [[P, Q] for i, P in enumerate(irr) for Q in irr[i + 1:]
+                     if len(P) + len(Q) > 6]
+    for factors in products:
+        a = functools.reduce(lambda x, y: pmul(ff, x, y), factors)
+        assert pfactor(ff, a) == [(P, 1) for P in sorted(factors, key=factor_key)]
+
+
 def test_invalid_requests_are_typed():
     ff = FF(5, 1)
     with pytest.raises(InvalidInput):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fourcover.errors import (
-    NeedsExtension, NegativeValuation, InsufficientPrecision,
+    FourCoverError, NeedsExtension, NegativeValuation, InsufficientPrecision,
     DivisionByIndistinguishableZero, InvalidInput, ConstructionMismatch,
 )
 from fourcover.tower import (
@@ -274,21 +274,32 @@ def reference_sum(x, y):
 
 
 def _tower_unit(draw, tw):
+    """pi^s u in one of five shapes: an exact rational token; random digits
+    in every pi-slot; random digits up to a random slot, zeros above it;
+    a unit part of exactly 1 (a pi-power) truncated to a short window; or
+    digits in slot 0 alone, which at f > 1 fill its f coordinates."""
     s = draw(st.integers(-3 * tw.e, 3 * tw.e))
     p = tw.p
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(["exact", "digits", "trailing", "one", "slot0"]))
+    if kind == "exact":
         num = draw(st.integers(1, 10 ** 6).filter(lambda n: n % p))
         den = draw(st.integers(1, 10 ** 6).filter(lambda n: n % p))
         x = tw.from_exact_pair(Fraction(num, den), s)
+    elif kind == "one":
+        x = tw._canon(s, tw._constant([1]), s + draw(st.integers(1, tw.prec)), None)
     else:
+        if kind == "trailing":
+            used = draw(st.integers(1, tw.e))
+        else:
+            used = tw.e if kind == "digits" else 1
         digits = st.integers(0, p ** tw.nl - 1)
         U = []
-        for j in range(tw.e):
+        for j in range(used):
             coords = [draw(digits) for _ in range(tw.f)]
             if j == 0 and all(c % p == 0 for c in coords):
                 coords[0] += 1
             U.extend(coords)
-        x = tw._canon(s, U, s + draw(st.integers(1, tw.prec)), None)
+        x = tw._canon(s, tw._constant(U), s + draw(st.integers(1, tw.prec)), None)
     return -x if draw(st.booleans()) else x
 
 
@@ -589,15 +600,44 @@ class TestLadders:
     def test_hensel_matches_division_loop(self, problem):
         P, r = problem
         ref = P
-        if r == 0 and all(c.exact is not None for c in P.c):
-            # From the exact lift 0 of an exact P every iterate of the
-            # division loop can stay an exact rational, whose P(x) never
+        if r == 0 and P.coeff(0).exact is not None and P.coeff(1).exact is not None:
+            # From the exact lift 0 the division loop's first iterate
+            # -c_0/c_1 is an exact rational when c_0 and c_1 are, which the
+            # lifter's approximate 1/P'(x) never is.  If every coefficient
+            # is exact, each iterate can stay exact, with a P(x) that never
             # reads as zero: that loop then ends in InsufficientPrecision,
             # after rationals that grow geometrically.  The reference runs
             # on the same digits without exact pairs instead.
             ref = Poly(P.tw, [c if c.is_zeroish() else El(c.tw, c.s, c.U, c.ap, None)
                               for c in P.c])
         assert outcome(hensel_root, P, r) == outcome(division_hensel_root, ref, r)
+
+
+OPERATIONS = {
+    "+": lambda a, b, n: a + b,
+    "-": lambda a, b, n: a - b,
+    "*": lambda a, b, n: a * b,
+    "inverse": lambda a, b, n: a.inverse(),
+    "**": lambda a, b, n: a ** n,
+}
+
+
+class TestTrueZero:
+    @given(towers().flatmap(lambda tw: st.lists(elements(tw), min_size=1, max_size=4)),
+           st.lists(st.tuples(st.sampled_from(sorted(OPERATIONS)), st.integers(0, 20),
+                              st.integers(0, 20), st.integers(-3, 5)), max_size=12))
+    @settings(max_examples=200, deadline=None)
+    def test_only_the_true_zero_has_no_precision_bound(self, xs, steps):
+        # a - a of an exact element, a product with zero() and powers of
+        # either are true zeros; fuzzy zeros O(pi^k) are not
+        pool = list(xs)
+        for name, i, j, n in steps:
+            try:
+                pool.append(OPERATIONS[name](pool[i % len(pool)], pool[j % len(pool)], n))
+            except FourCoverError:
+                continue
+        for z in pool:
+            assert z.is_true_zero() == (z.exact is not None and z.exact[0] == 0)
 
 
 class TestCanonicalForm:
@@ -688,6 +728,22 @@ class TestOperationCounts:
         y = hensel_root(Poly(t, [-u, 0, 1]), t.ff.sqrt(u.residue()))
         assert (y * y - u).is_zeroish()
         assert not inverses
+
+    @pytest.mark.parametrize("p,e,f,prec", [(5, 4, 1, 40), (3, 2, 2, 30), (7, 12, 3, 120)])
+    def test_pi_power_product_skips_the_kernel(self, p, e, f, prec, monkeypatch):
+        t = T(p, e, f, prec)
+        x = t.from_int(3) + t.pi() * t.lift_ff(t.ff.q - 1) + t.pi_power(e - 1)
+        units = [x, -x, t.from_rational(Fraction(2, 7)), t.one(), x * t.pi_power(prec - 2)]
+        kernel = counted(monkeypatch, Tower, "_unit_product")
+        for k in range(-2 * e, 2 * e + 1):
+            pk = t.pi_power(k)
+            for y in units:
+                for z in (y * pk, pk * y):
+                    ref = reference_product(y, pk)
+                    assert (z.s, z.U, z.ap) == (ref.s, ref.U, ref.ap)
+                    assert z.exact == (None if y.exact is None else
+                                       (y.exact[0], y.exact[1] + k))
+        assert kernel == []
 
     def test_negative_poly_power_is_typed(self):
         t = T()
