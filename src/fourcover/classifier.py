@@ -15,6 +15,15 @@ branch is identical.  Every constructed chart is certified through the
 torsor trichotomy and re-measured by the conductor genus oracle; a chart
 that fails certification raises ConstructionMismatch rather than being
 trusted.
+
+Chart centers.  Off the branch points, the critical points of
+C = x(x-1)^beta(x-lam)^gamma are the roots of the critical quadratic g
+of ``_critical_quadratic``.  Type 1a centers at the vertex of g, via-1b
+at the two roots of g by the quadratic formula, and via-2a at the roots
+of g on the unit disk and of g(lam x)/lam on the disk of radius lam.
+Every center that lifts a residue root goes through ``_lift_centers``
+(via-2a, and the finite centers of 2b3), except the flipped 2b3 center,
+whose residue root is 0 and which ``hensel_root`` lifts directly.
 """
 
 import math
@@ -295,15 +304,33 @@ def _integral_branch_residues(cover):
     return out
 
 
-def _residue_center_roots(S, exclude):
-    """Simple residue roots of the integral polynomial S, off ``exclude``."""
+def _critical_quadratic(n, lam):
+    """g = (1+beta+gamma) x^2 - (lam(beta+1)+gamma+1) x + lam, the numerator
+    of C'/C for C = x(x-1)^beta(x-lam)^gamma: off the branch points, the
+    critical points of C are the roots of g."""
+    tw = lam.tw
+    beta, gamma = n.beta, n.gamma
+    return Poly(tw, [lam, -(lam * (beta + 1) + tw.from_int(gamma + 1)),
+                     tw.from_int(beta + gamma + 1)])
+
+
+def _lift_centers(S, exclude, want, where):
+    """The chart centers on ``where``: the lifts of the simple residue roots
+    of the integral polynomial S off the branch residues ``exclude``, of
+    which there must be exactly ``want``."""
     ff = S.tw.ff
     rbar = S.residue_poly()
     if not pnormalize(rbar):
-        raise ConstructionMismatch("critical polynomial reduces to zero")
-    roots = [r for r in proots(ff, rbar) if r not in exclude]
+        raise ConstructionMismatch("critical polynomial reduces to zero on "
+                                   "the %s" % where)
     der = pderiv(ff, rbar)
-    return [r for r in roots if peval(ff, der, r) != 0]
+    roots = sorted(r for r in proots(ff, rbar)
+                   if r not in exclude and peval(ff, der, r) != 0)
+    if len(roots) != want:
+        raise ConstructionMismatch(
+            "expected %d critical residue root(s) on the %s, found %d"
+            % (want, where, len(roots)))
+    return [hensel_root(S, r) for r in roots]
 
 
 def _expect(out, case, label):
@@ -371,10 +398,10 @@ def _line_component(cover, moebius, coord, label):
 def _build_good_1a(n, cover, lam, checks):
     tw = cover.tw
     p = tw.p
-    beta, gamma = n.beta, n.gamma
     C, _ = _chart_poly(cover)
-    d = (lam * (beta + 1) + tw.from_int(gamma + 1)) / tw.from_int(
-        2 * (beta + gamma + 1))
+    # the center is the vertex of g, the midpoint of its roots
+    g = _critical_quadratic(n, lam)
+    d = -g.c[1] / (g.c[2] * 2)
     b = _radius(tw, Fraction(p, 3 * (p - 1)))
     # sufficiency bookkeeping: v(f'(d)) >= v(b^2), v(f''(d)) >= v(b^2)
     C1 = C.deriv()
@@ -403,12 +430,12 @@ def _build_good_1a(n, cover, lam, checks):
 def _build_via_1b(n, cover, lam, checks):
     tw = cover.tw
     p = tw.p
-    beta, gamma = n.beta, n.gamma
-    nn = beta + gamma + 1
     C, _ = _chart_poly(cover)
-    # critical quadratic g = x^2 - x (lam(beta+1)+gamma+1)/nn + lam/nn
-    Bc = -(lam * (beta + 1) + tw.from_int(gamma + 1)) / tw.from_int(nn)
-    Cc = lam / tw.from_int(nn)
+    # the centers solve g/g2 = x^2 + Bc x + Cc by the quadratic formula:
+    # the two critical disks may share a residue, where Hensel fails
+    g0, g1, g2 = _critical_quadratic(n, lam).c
+    Bc = g1 / g2
+    Cc = g0 / g2
     disc = Bc * Bc - Cc * 4
     if disc.is_zeroish():
         raise InsufficientPrecision("critical discriminant indistinguishable from 0")
@@ -438,17 +465,16 @@ def _build_via_2a(n, cover, lam, checks):
     p = tw.p
     b = _radius(tw, Fraction(p, 2 * (p - 1)))
     inner, _ = cover.moebius_pullback(Moebius(lam, tw.zero(), tw.zero(), tw.one()))
+    # the critical points on the disk of radius lam are the roots of
+    # g(lam x)/lam = lam g2 x^2 + g1 x + 1
+    g = _critical_quadratic(n, lam)
+    g_inner = Poly(tw, [tw.one(), g.c[1], lam * g.c[2]])
     comps = []
-    for cvr, tag in ((cover, "unit disk"), (inner, "disk of radius lam")):
+    for cvr, S, tag in ((cover, g, "unit disk"),
+                        (inner, g_inner, "disk of radius lam")):
         C, notes = _chart_poly(cvr)
-        S = C.deriv()
-        roots = _residue_center_roots(S, _integral_branch_residues(cvr))
-        if len(roots) != 1:
-            raise ConstructionMismatch(
-                "expected one critical residue root on the %s, found %d"
-                % (tag, len(roots)))
-        comps.append(_blowup_component(C, hensel_root(S, roots[0]), b,
-                                       (p - 1) // 2,
+        [d] = _lift_centers(S, _integral_branch_residues(cvr), 1, tag)
+        comps.append(_blowup_component(C, d, b, (p - 1) // 2,
                                        "type-3 chart on the %s" % tag,
                                        notes=notes))
     checks.append(_check("via-2a-centers", True,
@@ -502,30 +528,24 @@ def _build_via_2b3(n, cover, lam, checks, subcase):
     if F.degree != 2 * p or not F.c[-1].same(tw.one()):
         raise ConstructionMismatch("symmetrized equation is not monic of degree 2p")
     h = Poly(tw, [tw.zero(), -tw.one(), tw.one()])  # x(x-1)
-    branch_res = _integral_branch_residues(moved)
-    T0, centers = _centers_2b3(F, h, mu, subcase, branch_res)
+    T0, S = _critical_2b3(F, h, mu, subcase)
     tbar = [tw.ff.neg(c) for c in T0.residue_poly()]
     checks.append(_check("2b3-inseparable-intermediate",
                          not is_pth_power(tw.ff, tbar),
                          "t(x1) = -((h^p-F)/lambda^(1/2))~ not a p-th power"))
     b = _radius(tw, (tw.tau_valuation() - mu.valuation()) / 2)
     want = 2 if (n.beta + 1) % p else 1
-    if len(centers) != want:
-        raise ConstructionMismatch(
-            "expected %d critical residue roots, found %d" % (want, len(centers)))
+    centers = _lift_centers(S, _integral_branch_residues(moved), want,
+                            "symmetrized line")
     if want == 2:
         charts = [(F, h, d, "x1 chart %d" % i) for i, d in enumerate(centers)]
     else:
-        # the second singular point is at infinity: flip y = 1/x1
+        # the second singular point is at infinity: flip y = 1/x1 and
+        # lift its residue root 0, which hensel_root requires to be simple
         Fs, hs = F.reverse(2 * p), h.reverse(2)
-        flip_res = {tw.ff.inv(x) for x in branch_res if x}
-        _, flipped = _centers_2b3(Fs, hs, mu, subcase, flip_res)
-        flipped = [d for d in flipped if d.residue() == 0]
-        if len(flipped) != 1:
-            raise ConstructionMismatch(
-                "expected exactly one flipped center with residue 0")
+        _, Ss = _critical_2b3(Fs, hs, mu, subcase)
         charts = [(F, h, centers[0], "x1 finite chart"),
-                  (Fs, hs, flipped[0], "1/x1 chart")]
+                  (Fs, hs, hensel_root(Ss, 0), "1/x1 chart")]
     comps = []
     for C, hc, d, coord in charts:
         # sub-case i certifies with x2^2; sub-case ii transports h through
@@ -548,19 +568,13 @@ def _level_quotient(P, mu, what):
     return P.divexact_el(mu)
 
 
-def _centers_2b3(F, h, mu, subcase, exclude):
-    """(T0, centers) for z^p = F with witness h: T0 = (h^p - F)/mu, and the
-    centers lift the residue roots of F'/mu (sub-case i) or of T0'
-    (sub-case ii)."""
+def _critical_2b3(F, h, mu, subcase):
+    """(T0, S) for z^p = F with witness h: T0 = (h^p - F)/mu, and the
+    centers are roots of S = F'/mu (sub-case i) or S = T0' (sub-case ii)."""
     T0 = _level_quotient((h ** F.tw.p) - F, mu, "h^p - F")
     if subcase == VIA_2B3_I:
-        S = _level_quotient(F.deriv(), mu, "F'")
-    else:
-        S = T0.deriv()
-    roots = _residue_center_roots(S, exclude)
-    if not roots:
-        raise ConstructionMismatch("no valid critical residue roots")
-    return T0, [hensel_root(S, r) for r in sorted(roots)]
+        return T0, _level_quotient(F.deriv(), mu, "F'")
+    return T0, T0.deriv()
 
 
 # ---------------------------------------------------------------------------

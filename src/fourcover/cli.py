@@ -40,7 +40,7 @@ _INVALID = (InvalidInput, NeedsExtension, DegenerateModel, UnsupportedPrime,
 def _base_tower(p, precision, boost):
     # e = p - 1 makes every tau^k token a pure pi-power
     e = p - 1 if p > 2 else 1
-    prec = (precision if precision else 50 * e) * boost
+    prec = (50 * e if precision is None else precision) * boost
     return make_tower(p, e, 1, prec)
 
 
@@ -91,13 +91,15 @@ def _standard_cover(tw, lam, beta, gamma):
                       [1, beta, (-(1 + beta + gamma)) % tw.p, gamma])
 
 
+def _check_exponents(p, beta, gamma):
+    if beta is None or gamma is None or not (0 < beta < p and 0 < gamma < p):
+        raise InvalidInput("beta and gamma must both lie in 1..p-1")
+
+
 def _cover_from_args(tw, args):
     lam = tw.parse(args.lam)
-    p = tw.p
-    beta, gamma = args.beta, args.gamma
-    if not (0 < beta < p and 0 < gamma < p):
-        raise InvalidInput("beta and gamma must lie in 1..p-1")
-    return _standard_cover(tw, lam, beta, gamma)
+    _check_exponents(tw.p, args.beta, args.gamma)
+    return _standard_cover(tw, lam, args.beta, args.gamma)
 
 
 def _run_classify(args, precision, boost):
@@ -176,14 +178,16 @@ def _parse_p_list(text):
 def _run_sweep(args, precision, boost):
     ps = _parse_p_list(args.p_list) if args.p_list else [args.p]
     lam_tokens = [t.strip() for t in args.lambdas.split(",") if t.strip()]
+    pinned = args.beta is not None or args.gamma is not None
+    for p in ps:  # a bad p, precision or pair fails before any row
+        _base_tower(p, precision, boost)
+        if pinned:
+            _check_exponents(p, args.beta, args.gamma)
     rows = []
     counts = {}
     failures = 0
     for p in ps:
-        FF(p, 1)  # a bad p fails the request before its (p - 1)^2 pairs
-        pairs = _admissible_bg(p)
-        if args.beta and args.gamma:
-            pairs = [(args.beta, args.gamma)]
+        pairs = [(args.beta, args.gamma)] if pinned else _admissible_bg(p)
         for beta, gamma in pairs:
             for tok in lam_tokens:
                 row = {"p": p, "beta": beta, "gamma": gamma, "lambda": tok}
@@ -421,7 +425,8 @@ def build_parser():
     ap.add_argument("--p-list", dest="p_list", default=None,
                     help="comma-separated primes for sweep (overrides --p)")
     ap.add_argument("--precision", type=int, default=None,
-                    help="pi-digits carried (default 50 per unit of e)")
+                    help="pi-digits carried, a positive integer "
+                         "(default 50 per unit of e)")
     ap.add_argument("--json", action="store_true", help="emit JSON")
     ap.add_argument("--timing", action="store_true",
                     help="fill the ms field (breaks byte-identical output)")

@@ -1,17 +1,24 @@
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from fourcover.errors import UnsupportedPrime, FourCoverError
-from fourcover.tower import make_tower
-from fourcover.normalizer import CoverDatum, INFPT, normalize
+from fourcover.ffield import peval, pderiv, pnormalize, proots
+from fourcover.tower import make_tower, hensel_root, Poly
+from fourcover.normalizer import (
+    CoverDatum, FactoredCover, INFPT, Moebius, normalize,
+)
 from fourcover.classifier import (
     classify, required_extension, build_stable_model, verify_model,
     check_qwerty, deuring_good_reduction, deuring_j_valuation,
     Classification, TYPE_1A, TYPE_1B, TYPE_2, TYPE_3,
     VIA_1B, VIA_2A, VIA_2B3_I, VIA_2B3_II,
+    _chart_poly, _cover_to_poly, _critical_2b3, _critical_quadratic,
+    _integral_branch_residues,
 )
 from fourcover.normalizer import cross_ratio_orbit
 
@@ -231,6 +238,119 @@ class TestModels:
                 done += 1
 
 
+def state(el):
+    return el.s, el.U, el.ap, el.exact
+
+
+def residue_center_roots(S, exclude):
+    """The residue-root filter that ``_lift_centers`` replaced: the simple
+    residue roots of S off ``exclude``."""
+    ff = S.tw.ff
+    rbar = S.residue_poly()
+    assert pnormalize(rbar)
+    roots = [r for r in proots(ff, rbar) if r not in exclude]
+    der = pderiv(ff, rbar)
+    return [r for r in roots if peval(ff, der, r) != 0]
+
+
+def model_cover(n, big):
+    """lam and the standard cover in ``big``, as ``build_stable_model``
+    makes them."""
+    lam = n.tower.embed(n.lam, big)
+    return lam, FactoredCover(big, big.one(), [
+        (big.zero(), 1), (big.one(), n.beta), (lam, n.gamma)])
+
+
+def derivative_centers_2a(n, big):
+    """The via-2a centers as they were found before the critical quadratic:
+    on the unit disk and on the disk of radius lam, the Hensel lift of the
+    one simple residue root of C' off the branch residues."""
+    lam, cover = model_cover(n, big)
+    inner, _ = cover.moebius_pullback(Moebius(lam, big.zero(), big.zero(), big.one()))
+    centers = []
+    for cvr in (cover, inner):
+        S = _chart_poly(cvr)[0].deriv()
+        [r] = residue_center_roots(S, _integral_branch_residues(cvr))
+        centers.append(hensel_root(S, r))
+    return centers
+
+
+def all_roots_flipped_center(n, big, subcase):
+    """The flipped 2b3 center as it was found before: lift every simple
+    residue root of the flipped critical polynomial off the flipped branch
+    residues, then keep the one lift with residue 0."""
+    p = n.p
+    lam, cover = model_cover(n, big)
+    mu = big.sqrt(lam)
+    moved, _ = cover.moebius_pullback(Moebius(mu, big.zero(), -big.one(), big.one()))
+    F, _ = _cover_to_poly(moved)
+    h = Poly(big, [big.zero(), -big.one(), big.one()])
+    _, Ss = _critical_2b3(F.reverse(2 * p), h.reverse(2), mu, subcase)
+    flip_res = {big.ff.inv(x) for x in _integral_branch_residues(moved) if x}
+    lifted = [hensel_root(Ss, r)
+              for r in sorted(residue_center_roots(Ss, flip_res))]
+    [d] = [d for d in lifted if d.residue() == 0]
+    return d
+
+
+@st.composite
+def positive_tokens(draw, p, max_pi):
+    """A lambda token u/w * pi^k, u/w * p^k or u/w * tau^k of positive
+    valuation, with p prime to u and w."""
+    unit = st.integers(1, 40).filter(lambda u: u % p)
+    power = draw(st.one_of(
+        st.integers(1, max_pi).map(lambda k: "pi^%d" % k),
+        st.integers(1, 3).map(lambda k: "%d^%d" % (p, k)),
+        st.integers(1, 2).map(lambda k: "tau^%d" % k)))
+    sign = draw(st.sampled_from(["", "-"]))
+    return "%s%d/%d*%s" % (sign, draw(unit), draw(unit), power)
+
+
+@st.composite
+def via_2a_covers(draw):
+    p = draw(st.sampled_from([3, 5, 7, 11]))
+    pairs = [(b, g) for b in range(1, p) for g in range(1, p - 1)
+             if (1 + b + g) % p]
+    beta, gamma = draw(st.sampled_from(pairs))
+    tw = tower_for(p, levels=24)
+    return norm(tw, beta, gamma, tw.parse(draw(positive_tokens(p, 3 * (p - 1)))))
+
+
+@st.composite
+def flipped_2b3_covers(draw):
+    # beta = gamma = p - 1 and 0 < v(lam) < v(tau^2) = 2p/(p-1)
+    p = draw(st.sampled_from([3, 5, 7]))
+    tw = tower_for(p, levels=24)
+    lam = tw.parse(draw(positive_tokens(p, 2 * p - 1)))
+    assume(lam.valuation() < 2 * tw.tau_valuation())
+    return norm(tw, p - 1, p - 1, lam)
+
+
+class TestRemovedCenterRoutes:
+    """Each center route that the critical quadratic and ``_lift_centers``
+    replaced, kept as the reference for the centers the models carry."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(via_2a_covers())
+    def test_via_2a_centers_match_the_derivative_lift(self, n):
+        assume(classify(n) == Classification(TYPE_3, VIA_2A))
+        m = build_stable_model(n)
+        got = [c.chart.center for c in m.components]
+        want = derivative_centers_2a(n, got[0].tw)
+        assert [state(d) for d in got] == [state(d) for d in want]
+
+    @settings(max_examples=25, deadline=None)
+    @given(flipped_2b3_covers())
+    def test_flipped_2b3_center_matches_the_all_roots_lift(self, n):
+        cls = classify(n)
+        assume(cls.subroute in (VIA_2B3_I, VIA_2B3_II)
+               and n.beta == n.gamma == n.p - 1)
+        m = build_stable_model(n, cls)
+        got = m.components[1].chart.center
+        want = all_roots_flipped_center(n, got.tw, cls.subroute)
+        assert state(got) == state(want)
+
+
 class TestClosedFormIdentities:
     """The generic pullback machinery must reproduce the closed forms the
     per-case constructions are based on."""
@@ -286,18 +406,13 @@ class TestClosedFormIdentities:
     def test_derivative_factorization(self):
         # f'(x) = (x-1)^(beta-1) (x-lam)^(gamma-1)
         #         ((beta+gamma+1)x^2 - x(beta lam + lam + gamma + 1) + lam)
-        from fourcover.normalizer import FactoredCover
-        from fourcover.classifier import _cover_to_poly
-        from fourcover.tower import Poly
         tw = tower_for(7, levels=30)
         lam = tw.from_int(3)
         for beta, gamma in [(1, 1), (2, 3), (4, 2)]:
             cover = FactoredCover(tw, tw.one(), [
                 (tw.zero(), 1), (tw.one(), beta), (lam, gamma)])
             C, _ = _cover_to_poly(cover)
-            nn = beta + gamma + 1
-            quad = Poly(tw, [lam, -(lam * (beta + 1) + tw.from_int(gamma + 1)),
-                             tw.from_int(nn)])
+            quad = _critical_quadratic(SimpleNamespace(beta=beta, gamma=gamma), lam)
             expect = Poly(tw, [-tw.one(), tw.one()]) ** (beta - 1) \
                 * Poly(tw, [-lam, tw.one()]) ** (gamma - 1) * quad
             got = C.deriv()
@@ -305,19 +420,17 @@ class TestClosedFormIdentities:
                 assert got.coeff(i) == expect.coeff(i)
 
     def test_vertex_value_is_j_numerator(self):
-        # at the vertex d of g the value is -(j-numerator)/(4(beta+gamma+1)^2):
+        # at the vertex d of g the value is -(j-numerator)/(4(beta+gamma+1)):
         # the j condition v(j) >= 0 is exactly v(g(d)) >= v(b^2)
         from fourcover.normalizer import j_numerator
         tw = tower_for(7, levels=30)
         for beta, gamma, lamv in [(1, 1, 3), (2, 2, 5), (3, 1, 10)]:
-            lam = tw.from_int(lamv)
-            n = norm(tw, beta, gamma, lam)
-            nn = beta + gamma + 1
-            d = (lam * (beta + 1) + tw.from_int(gamma + 1)) / tw.from_int(2 * nn)
-            g_at_d = d * d - d * (lam * (beta + 1) + tw.from_int(gamma + 1)) \
-                / tw.from_int(nn) + lam / tw.from_int(nn)
-            expect = -j_numerator(n) / tw.from_int(4 * nn * nn)
-            assert g_at_d == expect
+            n = norm(tw, beta, gamma, tw.from_int(lamv))
+            g = _critical_quadratic(n, n.lam)
+            nn = n.beta + n.gamma + 1
+            d = -g.c[1] / (g.c[2] * 2)
+            expect = -j_numerator(n) / tw.from_int(4 * nn)
+            assert g.eval(d) == expect
 
 
 class TestNormalizationInvariance:

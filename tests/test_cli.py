@@ -119,6 +119,36 @@ class TestRun:
         good = [r for r in rep["rows"] if "type" in r]
         assert len(bad) == 3 and len(good) == 3
 
+    @pytest.mark.parametrize("pair", [
+        ["--beta", "9", "--gamma", "9"],   # out of range for p = 5
+        ["--beta", "0", "--gamma", "1"],
+        ["--beta", "2"],                   # a lone value
+        ["--gamma", "2"],
+    ])
+    def test_sweep_rejects_a_bad_pinned_pair(self, pair):
+        rep, code = invoke(["sweep", "--p", "5", "--lambdas", "5"] + pair)
+        assert code == 3
+        assert rep["error"] == "InvalidInput"
+
+    def test_sweep_checks_the_pinned_pair_for_every_p(self):
+        argv = ["sweep", "--beta", "6", "--gamma", "1", "--lambdas", "5"]
+        rep, code = invoke(argv + ["--p-list", "7"])
+        assert code == 0
+        assert [(r["beta"], r["gamma"]) for r in rep["rows"]] == [(6, 1)]
+        rep, code = invoke(argv + ["--p-list", "7,5"])
+        assert code == 3
+        assert rep["error"] == "InvalidInput"
+
+    @pytest.mark.parametrize("command", [
+        ["model", "--beta", "2", "--gamma", "1", "--lambda", "5"],
+        ["sweep", "--lambdas", "5"],
+    ])
+    @pytest.mark.parametrize("precision", ["0", "-1"])
+    def test_precision_must_be_positive(self, command, precision):
+        rep, code = invoke(command + ["--p", "5", "--precision", precision])
+        assert code == 3
+        assert rep["error"] == "InvalidInput"
+
     def test_qwerty_huge_exact_constant(self):
         # the normalized constant is an exact rational far past float range
         for c1, c2 in [("3^400", "2"), ("2^700", "3")]:
