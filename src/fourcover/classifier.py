@@ -434,8 +434,8 @@ def _build_via_1b(n, cover, lam, checks):
     # the centers solve g/g2 = x^2 + Bc x + Cc by the quadratic formula:
     # the two critical disks may share a residue, where Hensel fails
     g0, g1, g2 = _critical_quadratic(n, lam).c
-    Bc = g1 / g2
-    Cc = g0 / g2
+    inv = g2.inverse()
+    Bc, Cc = g1 * inv, g0 * inv
     disc = Bc * Bc - Cc * 4
     if disc.is_zeroish():
         raise InsufficientPrecision("critical discriminant indistinguishable from 0")

@@ -29,7 +29,10 @@ exactly 1 (a pi-power) is a shift: the product keeps the other factor's
 unit part and moves only s and ap.  The inverse is an exact solve, not a
 precision loop: multiplication by the unit part is an (e f) x (e f)
 matrix over Z/p^N that is invertible mod p, and Gaussian elimination
-with unit pivots gives every coordinate of the inverse in one pass.
+with unit pivots gives every coordinate of the inverse in one pass.  A
+W-constant (a unit part in slot 0 alone) maps each pi-slot to itself, so
+its matrix is e copies of one f x f block, and the solve runs on that
+block alone: at f = 1 it is one modular inverse.
 
 Roots are lifted in one place, ``hensel_root``: Newton steps from a
 simple residue root until the polynomial cannot be told from zero.  Square
@@ -184,9 +187,14 @@ class Tower:
         Multiplication by u is an (e f) x (e f) matrix over Z/p^nl in the
         basis a^i pi^j (a the root of the modulus lift, pi^e = -p).  It is
         invertible mod p because u is a unit, so Gaussian elimination with
-        a unit pivot in every column solves u z = 1 exactly.
+        a unit pivot in every column solves u z = 1 exactly.  When u is a
+        W-constant (U[f:] all zero) the matrix is e copies of the f x f
+        block of u_0, and 1/u is the W-constant that solves that block: the
+        same elimination runs with e = 1 on U[:f].
         """
         p, e, f, pm = self.p, self.e, self.f, self.pmod
+        if not any(U[f:]):
+            e, U = 1, U[:f]
         if f == 1:
             # row t: the coefficient of pi^t in u pi^k for k = 0..e-1
             rows = [list(U[t::-1]) + [-p * c for c in U[:t:-1]]
@@ -227,7 +235,7 @@ class Tower:
         for pivot in reversed(pivots):
             z.append((pivot[-1] - sum(map(int.__mul__, pivot, reversed(z)))) % pm)
         z.reverse()
-        return z
+        return z + [0] * ((self.e - e) * f)
 
     # ------------------------------------------------------------------
     # element constructors
@@ -489,6 +497,22 @@ def _fold(conv, n, e, p):
     if n <= e:
         return conv + [0] * (e - n)
     return [c - p * h for c, h in zip(conv, conv[e:])] + conv[n - e:e]
+
+
+def _times_int(c, i):
+    """c * i for an int i > 0 without building an element for i.
+
+    i = p^t i' with i' a unit is (-1)^t pi^(t e) i', so s and ap move by
+    t e and the unit part is scaled by (-1)^t i' within its window ap - s,
+    which every element keeps at most prec.
+    """
+    if c.s is None:   # the true zero is its own product; O(pi^ap) takes c * i
+        return c if c.ap is None else c * i
+    t = _vp(i, c.tw.p)
+    u = (-1) ** t * i // c.tw.p ** t
+    U = c.tw._mask([u * x for x in c.U], c.ap - c.s)
+    return El(c.tw, c.s + t * c.tw.e, tuple(U), c.ap + t * c.tw.e,
+              None if c.exact is None else (c.exact[0] * i, c.exact[1]))
 
 
 def _binary_power(base, n):
@@ -873,7 +897,7 @@ class Poly:
         return out
 
     def deriv(self):
-        return Poly(self.tw, [self.c[i] * i for i in range(1, len(self.c))])
+        return Poly(self.tw, [_times_int(c, i) for i, c in enumerate(self.c[1:], 1)])
 
     def taylor(self, d, b=None):
         """Coefficients of f(d + b t) in t, by synthetic shift.

@@ -273,14 +273,17 @@ def reference_sum(x, y):
     return tw._canon(s, flat(tw, U), min(x.ap, y.ap), None)
 
 
-def _tower_unit(draw, tw):
+UNIT_SHAPES = ("exact", "digits", "trailing", "one", "slot0")
+
+
+def _tower_unit(draw, tw, shapes=UNIT_SHAPES):
     """pi^s u in one of five shapes: an exact rational token; random digits
     in every pi-slot; random digits up to a random slot, zeros above it;
     a unit part of exactly 1 (a pi-power) truncated to a short window; or
     digits in slot 0 alone, which at f > 1 fill its f coordinates."""
     s = draw(st.integers(-3 * tw.e, 3 * tw.e))
     p = tw.p
-    kind = draw(st.sampled_from(["exact", "digits", "trailing", "one", "slot0"]))
+    kind = draw(st.sampled_from(shapes))
     if kind == "exact":
         num = draw(st.integers(1, 10 ** 6).filter(lambda n: n % p))
         den = draw(st.integers(1, 10 ** 6).filter(lambda n: n % p))
@@ -304,14 +307,56 @@ def _tower_unit(draw, tw):
 
 
 @st.composite
-def tower_units(draw, count):
+def tower_units(draw, count, shapes=UNIT_SHAPES):
     """``count`` elements pi^s u of one tower, u a unit with random digits
     (or an exact rational), with p in {2,3,5,7}, e <= 12, f <= 3 and a
-    random pi-shift s and truncated ap."""
+    random pi-shift s and truncated ap; ``shapes`` limits the shapes of
+    ``_tower_unit`` drawn."""
     e = draw(st.integers(1, 12))
     tw = make_tower(draw(st.sampled_from([2, 3, 5, 7])), e,
                     draw(st.integers(1, 3)), draw(st.integers(1, 8 * e)))
-    return [_tower_unit(draw, tw) for _ in range(count)]
+    return [_tower_unit(draw, tw, shapes) for _ in range(count)]
+
+
+def reference_full_inverse(tw, U):
+    """The (e f) x (e f) elimination that ``Tower._unit_inverse`` runs on
+    every unit part, kept as the reference for its single f x f block
+    solve of a W-constant."""
+    p, e, f, pm = tw.p, tw.e, tw.f, tw.pmod
+    if f == 1:
+        rows = [list(U[t::-1]) + [-p * c for c in U[:t:-1]]
+                for t in range(e)]
+    else:
+        ua = []
+        for j in range(0, e * f, f):
+            powers = [list(U[j:j + f])]
+            for _ in range(f - 1):
+                prev = powers[-1]
+                powers.append([c - prev[-1] * m for c, m in
+                               zip([0] + prev[:-1], tw.modulus)])
+            ua.append(powers)
+        rows = [[ua[t - k][l][i] if k <= t else -p * ua[t - k + e][l][i]
+                 for k in range(e) for l in range(f)]
+                for t in range(e) for i in range(f)]
+    for row in rows:
+        row.append(0)
+    rows[0][-1] = 1
+    pivots = []
+    for _ in range(e * f):
+        r = next((r for r, row in enumerate(rows) if row[0] % p), None)
+        if r is None:
+            raise ConstructionMismatch("no unit pivot")
+        row = rows.pop(r)
+        inv = pow(row[0], -1, pm)
+        pivot = [c * inv % pm for c in row[1:]]
+        rows = [[(c - other[0] * b) % pm for c, b in zip(other[1:], pivot)]
+                if other[0] else other[1:] for other in rows]
+        pivots.append(pivot)
+    z = []
+    for pivot in reversed(pivots):
+        z.append((pivot[-1] - sum(map(int.__mul__, pivot, reversed(z)))) % pm)
+    z.reverse()
+    return z
 
 
 class TestInverse:
@@ -342,15 +387,26 @@ class TestInverse:
             z, ref = a + b, reference_sum(a, b)
             assert (z.s, z.U, z.ap) == (ref.s, ref.U, ref.ap)
 
+    @given(tower_units(1, shapes=("slot0", "exact")))
+    @settings(max_examples=150, deadline=None)
+    def test_w_constant_matches_full_solve(self, xs):
+        # a unit part in slot 0 alone solves its f x f block, not the whole
+        # (e f) x (e f) system, and must give the same coordinates
+        x, = xs
+        tw = x.tw
+        assert not any(x.U[tw.f:])
+        assert tw._unit_inverse(x.U) == reference_full_inverse(tw, x.U)
+
     def test_missing_pivot_is_typed(self):
         # a non-unit U[0] is never canonical, but the solve must still end
-        # in a typed error rather than a host exception
+        # in a typed error rather than a host exception, also when the
+        # non-unit is a W-constant and only its f x f block is solved
         t = T(5, 3, 1, 30)
-        with pytest.raises(ConstructionMismatch):
-            t._unit_inverse([5, 1, 1])
         t2 = T(5, 3, 2, 30)
-        with pytest.raises(ConstructionMismatch):
-            t2._unit_inverse([0, 5, 1, 0, 0, 1])
+        for tw, U in [(t, [5, 1, 1]), (t2, [0, 5, 1, 0, 0, 1]),
+                      (t, [5, 0, 0]), (t2, [0, 5, 0, 0, 0, 0])]:
+            with pytest.raises(ConstructionMismatch):
+                tw._unit_inverse(U)
 
 
 def newton_sqrt(tw, x):
@@ -493,6 +549,12 @@ def reference_eval(P, x):
     return out
 
 
+def reference_deriv(P):
+    """The derivative that multiplied each coefficient by the exact
+    element ``from_rational(i)``, kept as the reference for ``Poly.deriv``."""
+    return Poly(P.tw, [P.c[i] * i for i in range(1, len(P.c))])
+
+
 def division_hensel_root(P, residue_enc):
     """The Newton loop x <- x - P(x)/P'(x) that ``hensel_root`` replaced,
     with a full tower inverse in every step."""
@@ -594,6 +656,18 @@ class TestLadders:
     def test_eval_matches_reference(self, P, data):
         x = data.draw(elements(P.tw))
         assert outcome(P.eval, x) == outcome(reference_eval, P, x)
+
+    @given(st.one_of(tower_units(1), towers().flatmap(elements).map(lambda c: [c])),
+           st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_deriv_matches_integer_products(self, xs, data):
+        # c at degree i, with p | i for some i: units, exact tokens, fuzzy
+        # zeros and the true zero, followed by 1 so that P keeps degree i + 1
+        c, = xs
+        tw = c.tw
+        i = data.draw(st.integers(1, 3 * tw.p ** 2))
+        P = Poly(tw, [tw.zero()] * i + [c, tw.one()])
+        assert outcome(P.deriv) == outcome(reference_deriv, P)
 
     @given(lift_problems())
     @settings(max_examples=150, deadline=None)
