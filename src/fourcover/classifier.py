@@ -443,13 +443,16 @@ def _build_via_1b(n, cover, lam, checks):
     inv2 = tw.from_rational(Fraction(1, 2))
     centers = [(-Bc + sq) * inv2, (-Bc - sq) * inv2]
     v_sep = (centers[0] - centers[1]).valuation()
-    C2 = C.deriv().deriv()
     comps = []
     for i, d in enumerate(centers):
-        c2 = C2.eval(d)
-        if c2.is_zeroish():
+        # C'/C = g/(x(x-1)(x-lam)), so at a root d of g
+        # v(C''(d)) - v(C(d)) = v(g'(d)) - v(d) - v(d-1) - v(d-lam)
+        dg = g2 * d * 2 + g1
+        if dg.is_zeroish():
             raise ConstructionMismatch("degenerate second derivative at a center")
-        vb = (tw.tau_valuation() - c2.valuation() + C.eval(d).valuation()) / 2
+        v2 = (dg.valuation() - d.valuation() - (d - 1).valuation()
+              - (d - lam).valuation())
+        vb = (tw.tau_valuation() - v2) / 2
         b = _radius(tw, vb)
         if not v_sep < vb:
             raise ConstructionMismatch("critical disks are not separated")

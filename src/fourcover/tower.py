@@ -17,7 +17,16 @@ times a rational unit.
 Elements constructed from rational tokens additionally carry the exact
 pair (q, m) with value q * pi^m; arithmetic propagates exactness when
 the result is again of that shape, so valuations of token-built data are
-decided exactly even when they exceed the digit window.
+decided exactly even when they exceed the digit window.  q is a Python
+int exactly when it is an integer, and a reduced Fraction otherwise
+(``_exact_q`` is the one place that decides), so products and sums of
+integer pairs run as int arithmetic.  The split of a value into q and m
+is kept as it was built: the p-part of q is not folded into m, since
+``Tower.sqrt`` picks its root from the split and
+``normalizer._is_exact_pth_power`` reads it too.
+
+Digit windows are masked by one tuple of e f moduli per window, built
+the first time the window is used and kept on the tower.
 
 Products work on the coefficient lists directly, and cost what the
 operands' nonzero pi-slots cost: the integer convolution runs only up to
@@ -57,7 +66,7 @@ from .errors import (
 from .ffield import FF
 
 INF = math.inf
-_EXACT_ZERO = (Fraction(0), 0)
+_EXACT_ZERO = (0, 0)
 
 # A token's exact pair may take at most this many decimal digits, the
 # host's limit on one string-to-int conversion (see _token_int).
@@ -94,10 +103,11 @@ class Tower:
         # monic integer lift of the residue modulus, coefficients in [0, p)
         self.modulus = list(self.ff.modulus)
         self._ppow = [p ** k for k in range(self.nl + 1)]
+        self._moduli = {}   # window -> the e f moduli of _mask, filled lazily
         # the stored form of 1, canonicalized once; one() wraps it in a
         # new El, since an El kept here would tie the tower into a
         # reference cycle that only the cyclic collector frees
-        one = self.from_exact_pair(Fraction(1), 0)
+        one = self.from_exact_pair(1, 0)
         self._one = (one.s, one.U, one.ap, one.exact)
 
     def __repr__(self):
@@ -109,7 +119,14 @@ class Tower:
     # ------------------------------------------------------------------
 
     def _mask(self, U, window):
-        """Reduce each u_j to the p-digits that lie below pi^window.
+        """Reduce each u_j to the p-digits that lie below pi^window."""
+        mods = self._moduli.get(window)
+        if mods is None:
+            mods = self._window_moduli(window)
+        return [c % m for c, m in zip(U, mods)]
+
+    def _window_moduli(self, window):
+        """The e f moduli that ``_mask`` reduces by, cached per window.
 
         u_j pi^j has its p-digit i at pi^(j + e i), so u_j keeps
         ceil((window - j)/e) digits: q + 1 for j < r and q for j >= r,
@@ -118,8 +135,9 @@ class Tower:
         q, r = divmod(window, self.e)
         hi = self._ppow[min(q + 1, self.nl)]
         lo = self._ppow[min(q, self.nl)]
-        k = r * self.f
-        return [c % hi for c in U[:k]] + [c % lo for c in U[k:]]
+        mods = (hi,) * (r * self.f) + (lo,) * ((self.e - r) * self.f)
+        self._moduli[window] = mods
+        return mods
 
     def _shift_down(self, U, m):
         """Divide sum u_j pi^j by pi^m (exact; requires v_pi >= m)."""
@@ -249,7 +267,7 @@ class Tower:
         if window > 0:
             U = self._mask(U, window)
             # u_0 is a unit unless p divides all of its coordinates
-            if math.gcd(*U[:f]) % p:
+            if (U[0] if f == 1 else math.gcd(*U[:f])) % p:
                 return El(self, s, tuple(U), ap, exact)
             # pi-valuation: a coordinate p^v * unit of u_j sits at pi^(j + e v)
             vpi = INF
@@ -265,7 +283,7 @@ class Tower:
         if vpi >= window:
             if exact is not None:
                 if exact[0] == 0:
-                    return El(self, None, None, None, (Fraction(0), 0))
+                    return El(self, None, None, None, _EXACT_ZERO)
                 # the value is known exactly but lies below the digit
                 # window: re-expand from the exact form instead of
                 # degrading to an indistinguishable zero
@@ -285,16 +303,15 @@ class Tower:
         return El(self, *self._one)
 
     def from_int(self, n):
-        return self.from_rational(Fraction(n))
+        return self.from_exact_pair(n, 0)
 
     def from_rational(self, q):
         """Embed a rational; exactness flag set for lossless re-expansion."""
-        q = Fraction(q)
         return self.from_exact_pair(q, 0)
 
     def from_exact_pair(self, q, m):
         """The element q * pi^m for a rational q."""
-        q = Fraction(q)
+        q = _exact_q(q)
         if q == 0:
             return self.zero()
         t = _vp(q, self.p)
@@ -307,7 +324,7 @@ class Tower:
         return self._canon(s, self._constant([unit]), s + self.prec, (q, m))
 
     def pi_power(self, m):
-        return self.from_exact_pair(Fraction(1), m)
+        return self.from_exact_pair(1, m)
 
     def pi(self):
         return self.pi_power(1)
@@ -339,10 +356,14 @@ class Tower:
         """Square root; NeedsExtension when the value group or residue
         field is too small.
 
-        Branch: the lift of the least square root of the residue, except
-        that an exact rational square keeps its positive rational root (and
-        its exactness flag).  Downstream constructions are
-        branch-independent.
+        Branch: when x carries an exact pair (q, m) with m even and q > 0
+        the square of a rational, the root is the positive root of q times
+        pi^(m/2), and it carries that pair.  The branch follows the split of
+        the pair, not the value: at p = 5, e = 4 the tokens 25 and pi^8 are
+        equal, and their roots are (5, 0) and (1, 4), that is 5 and -5.
+        Every other x = pi^s u gets pi^(s/2) times the Hensel lift of the
+        least-encoded square root of the residue of u.  Downstream
+        constructions are branch-independent.
         """
         if self.p == 2:
             raise NeedsExtension("square roots at p=2 are outside this tower's scope")
@@ -361,7 +382,7 @@ class Tower:
                 rn = _isqrt_exact(q.numerator)
                 rd = _isqrt_exact(q.denominator)
                 if rn is not None and rd is not None:
-                    exact = (Fraction(rn, rd), m // 2)
+                    exact = (_exact_q(Fraction(rn, rd)), m // 2)
         u = x * self.pi_power(-s)
         rr = self.ff.sqrt(u.residue())
         if rr is None:
@@ -512,7 +533,18 @@ def _times_int(c, i):
     u = (-1) ** t * i // c.tw.p ** t
     U = c.tw._mask([u * x for x in c.U], c.ap - c.s)
     return El(c.tw, c.s + t * c.tw.e, tuple(U), c.ap + t * c.tw.e,
-              None if c.exact is None else (c.exact[0] * i, c.exact[1]))
+              None if c.exact is None else (_exact_q(c.exact[0] * i), c.exact[1]))
+
+
+def _exact_q(q):
+    """The q of an exact pair: an int when q is an integer, otherwise a
+    reduced Fraction.  Every producer of an exact pair passes q through
+    here, so int arithmetic carries every integer pair."""
+    if q.__class__ is int:
+        return q
+    if q.__class__ is not Fraction:
+        q = Fraction(q)
+    return q.numerator if q.denominator == 1 else q
 
 
 def _binary_power(base, n):
@@ -574,7 +606,8 @@ class El:
         self.s = s          # pi-shift; None for (fuzzy or true) zero
         self.U = U          # unit part: e f ints, U[j f + i] on a^i pi^j; None if zero
         self.ap = ap        # absolute precision in pi-units; None = infinite
-        self.exact = exact  # optional (Fraction q, int m): value q*pi^m
+        self.exact = exact  # optional (q, int m): value q*pi^m, q an int when integral,
+                            # else a non-integer Fraction
 
     # -- state predicates ----------------------------------------------
 
@@ -628,7 +661,7 @@ class El:
                 raise InvalidInput("elements of different towers")
             return other
         if isinstance(other, (int, Fraction)):
-            return self.tw.from_rational(Fraction(other))
+            return self.tw.from_rational(other)
         return NotImplemented
 
     def __add__(self, other):
@@ -645,11 +678,11 @@ class El:
         if self.exact is not None and other.exact is not None:
             q1, m1 = self.exact
             q2, m2 = other.exact
-            d = m2 - m1
-            if d % tw.e == 0:
-                exact = (q1 + q2 * Fraction(-tw.p) ** (d // tw.e), m1)
-            elif (-d) % tw.e == 0:
-                exact = (q2 + q1 * Fraction(-tw.p) ** ((-d) // tw.e), m2)
+            k, r = divmod(m2 - m1, tw.e)
+            if not r:
+                # q2 pi^(m2 - m1) = q2 (-p)^k, which divides when k < 0
+                w = q2 * (-tw.p) ** k if k >= 0 else Fraction(q2, (-tw.p) ** -k)
+                exact = (_exact_q(q1 + w), m1)
         if self.s is None or other.s is None:
             if self.s is None and other.s is None:
                 ap = min(self.ap, other.ap)
@@ -672,7 +705,9 @@ class El:
 
     def __neg__(self):
         tw = self.tw
-        exact = (-self.exact[0], self.exact[1]) if self.exact is not None else None
+        exact = None
+        if self.exact is not None:
+            exact = (_exact_q(-self.exact[0]), self.exact[1])
         if self.s is None:
             if self.is_true_zero():
                 return self
@@ -699,7 +734,8 @@ class El:
             return tw.zero()
         exact = None
         if self.exact is not None and other.exact is not None:
-            exact = (self.exact[0] * other.exact[0], self.exact[1] + other.exact[1])
+            exact = (_exact_q(self.exact[0] * other.exact[0]),
+                     self.exact[1] + other.exact[1])
         if self.s is None or other.s is None:
             a1 = self.ap if self.s is None else self.s
             a2 = other.ap if other.s is None else other.s
@@ -727,7 +763,7 @@ class El:
                 "inverse of zero or O(pi^%s)" % (self.ap,))
         exact = None
         if self.exact is not None:
-            exact = (1 / self.exact[0], -self.exact[1])
+            exact = (_exact_q(Fraction(1, self.exact[0])), -self.exact[1])
         # u^-1 is known to the unit's window, min(ap - s, prec) pi-digits
         return tw._canon(-self.s, tw._unit_inverse(self.U),
                          self.ap - 2 * self.s, exact)
@@ -825,8 +861,7 @@ class Poly:
         c = list(coeffs)
         while c and isinstance(c[-1], El) and c[-1].is_true_zero():
             c.pop()
-        self.c = [x if isinstance(x, El) else tw.from_rational(Fraction(x))
-                  for x in c]
+        self.c = [x if isinstance(x, El) else tw.from_rational(x) for x in c]
         while self.c and self.c[-1].is_true_zero():
             self.c.pop()
 

@@ -306,6 +306,40 @@ def positive_tokens(draw, p, max_pi):
     return "%s%d/%d*%s" % (sign, draw(unit), draw(unit), power)
 
 
+def second_derivative_radius(n, center):
+    """The via-1b radius valuation as it was found before the critical
+    quadratic's derivative: (v(tau) - v(C''(d)) + v(C(d)))/2 from the
+    expanded chart polynomial C and its second derivative."""
+    big = center.tw
+    _, cover = model_cover(n, big)
+    C = _chart_poly(cover)[0]
+    return (big.tau_valuation() - C.deriv().deriv().eval(center).valuation()
+            + C.eval(center).valuation()) / 2
+
+
+@st.composite
+def via_1b_covers(draw):
+    # a unit lambda u/w away from 0 and 1 mod p, or a pi-perturbation of a
+    # residue where the critical quadratic's discriminant vanishes, so that
+    # the two critical points collide mod pi and g'(d) is not a unit;
+    # classify decides which of them go through via-1b
+    p = draw(st.sampled_from([5, 7, 11, 13]))
+    beta = draw(st.integers(1, p - 1))
+    gamma = draw(st.integers(1, p - 1))
+    assume((1 + beta + gamma) % p)
+    tw = tower_for(p, levels=40)
+    deep = [r for r in range(2, p) if ((r * (beta + 1) + gamma + 1) ** 2
+                                       - 4 * (1 + beta + gamma) * r) % p == 0]
+    if deep and draw(st.booleans()):
+        lam = (tw.from_int(draw(st.sampled_from(deep)))
+               + tw.pi_power(draw(st.integers(1, p - 2))))
+    else:
+        unit = st.integers(1, 60).filter(lambda u: u % p)
+        lam = tw.parse("%d/%d" % (draw(unit), draw(unit)))
+    assume(lam.residue() not in (0, 1))
+    return norm(tw, beta, gamma, lam)
+
+
 @st.composite
 def via_2a_covers(draw):
     p = draw(st.sampled_from([3, 5, 7, 11]))
@@ -327,8 +361,18 @@ def flipped_2b3_covers(draw):
 
 
 class TestRemovedCenterRoutes:
-    """Each center route that the critical quadratic and ``_lift_centers``
-    replaced, kept as the reference for the centers the models carry."""
+    """Each center or radius route that the critical quadratic and
+    ``_lift_centers`` replaced, kept as the reference for the charts the
+    models carry."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(via_1b_covers())
+    def test_via_1b_radius_matches_the_second_derivative(self, n):
+        assume(classify(n) == Classification(TYPE_3, VIA_1B))
+        m = build_stable_model(n)
+        for c in m.components:
+            got = c.chart.radius.valuation()
+            assert got == second_derivative_radius(n, c.chart.center)
 
     @settings(max_examples=40, deadline=None)
     @given(via_2a_covers())

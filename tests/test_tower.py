@@ -11,7 +11,7 @@ from fourcover.errors import (
     DivisionByIndistinguishableZero, InvalidInput, ConstructionMismatch,
 )
 from fourcover.tower import (
-    make_tower, Tower, El, Poly, hensel_root, INF,
+    make_tower, Tower, El, Poly, hensel_root, INF, _times_int,
 )
 
 
@@ -195,7 +195,7 @@ def newton_inverse(x):
     tw = x.tw
     exact = None
     if x.exact is not None:
-        exact = (1 / x.exact[0], -x.exact[1])
+        exact = (Fraction(1) / x.exact[0], -x.exact[1])
     u = tw._canon(0, x.U, x.ap - x.s, None)
     z = tw.lift_ff(tw.ff.inv(u.residue()))
     two = tw.from_int(2)
@@ -407,6 +407,160 @@ class TestInverse:
                       (t, [5, 0, 0]), (t2, [0, 5, 0, 0, 0, 0])]:
             with pytest.raises(ConstructionMismatch):
                 tw._unit_inverse(U)
+
+
+def fraction_pair(op, xs, tw, n=None):
+    """The exact pair of op as the Fraction arithmetic computed it before
+    integer q: kept as the reference for the int-or-Fraction pairs."""
+    pairs = [(Fraction(x.exact[0]), x.exact[1]) for x in xs]
+    q1, m1 = pairs[0]
+    if op == "+":
+        q2, m2 = pairs[1]
+        d = m2 - m1
+        if d % tw.e:
+            return None
+        return (q1 + q2 * Fraction(-tw.p) ** (d // tw.e), m1)
+    if op == "*":
+        q2, m2 = pairs[1]
+        return (q1 * q2, m1 + m2)
+    if op == "-":
+        return (-q1, m1)
+    if op == "inverse":
+        return (1 / q1, -m1)
+    if op == "times_int":
+        return (q1 * n, m1)
+    # sqrt: the positive rational root of a rational square, m even
+    if m1 % 2 or q1 <= 0:
+        return None
+    rn, rd = math.isqrt(q1.numerator), math.isqrt(q1.denominator)
+    if rn * rn != q1.numerator or rd * rd != q1.denominator:
+        return None
+    return (Fraction(rn, rd), m1 // 2)
+
+
+EXACT_OPS = {
+    "+": lambda x, y, n: x + y,
+    "*": lambda x, y, n: x * y,
+    "-": lambda x, y, n: -x,
+    "inverse": lambda x, y, n: x.inverse(),
+    "times_int": lambda x, y, n: _times_int(x, n),
+    "sqrt": lambda x, y, n: x.tw.sqrt(x),
+}
+
+
+@st.composite
+def exact_operands(draw):
+    """An operation of EXACT_OPS and two token-built operands of one tower,
+    p in {3,5,7}, e <= 6, f <= 2.  q is drawn as an integer (p-divisible
+    ones and +-1 included) or a non-integer rational, times a power of p;
+    the second operand's m is the first's plus a multiple of e that is as
+    often negative as positive, or off the multiples of e; sqrt takes the
+    square of the first operand's pair or that pair itself."""
+    e = draw(st.integers(1, 6))
+    tw = make_tower(draw(st.sampled_from([3, 5, 7])), e,
+                    draw(st.integers(1, 2)), draw(st.integers(1, 8 * e)))
+
+    def q():
+        num = draw(st.one_of(st.sampled_from([1, -1, 2, -3]),
+                             st.integers(-10 ** 4, 10 ** 4).filter(bool)))
+        den = draw(st.one_of(st.just(1), st.integers(1, 10 ** 3)))
+        return Fraction(num, den) * Fraction(tw.p) ** draw(st.integers(-2, 2))
+
+    op = draw(st.sampled_from(sorted(EXACT_OPS)))
+    q1, m1 = q(), draw(st.integers(-3 * e, 3 * e))
+    m2 = m1 + e * draw(st.integers(-4, 4)) + draw(st.sampled_from([0, 0, 0, 1]))
+    if op == "sqrt" and draw(st.booleans()):
+        q1, m1 = q1 * q1, 2 * m1
+    n = draw(st.integers(1, 3 * tw.p ** 2))
+    return op, tw.from_exact_pair(q1, m1), tw.from_exact_pair(q(), m2), n
+
+
+def divmod_mask(tw, U, window):
+    """The divmod form of ``Tower._mask`` that its cached per-window
+    moduli replaced, kept as their reference."""
+    q, r = divmod(window, tw.e)
+    hi = tw._ppow[min(q + 1, tw.nl)]
+    lo = tw._ppow[min(q, tw.nl)]
+    k = r * tw.f
+    return [c % hi for c in U[:k]] + [c % lo for c in U[k:]]
+
+
+class TestExactPairs:
+    """q of an exact pair is an int exactly when it is an integer, and its
+    value is the one Fraction arithmetic gives."""
+
+    @given(exact_operands())
+    @settings(max_examples=300, deadline=None)
+    def test_pairs_match_fraction_arithmetic(self, args):
+        op, x, y, n = args
+        tw = x.tw
+        try:
+            z = EXACT_OPS[op](x, y, n)
+        except FourCoverError:
+            return
+        ref = fraction_pair(op, [x, y], tw, n)
+        if ref is None:
+            assert z.exact is None
+            return
+        # an exact cancellation is the true zero, whose pair is (0, 0)
+        assert z.exact == ((0, 0) if ref[0] == 0 else ref)
+        q = z.exact[0]
+        assert (type(q) is int) == (Fraction(q).denominator == 1)
+        assert type(q) in (int, Fraction)
+        assert z.s is None or len(z.U) == tw.e * tw.f
+
+    @given(tower_units(2), st.integers(1, 60), st.integers(-3, 4))
+    @settings(max_examples=150, deadline=None)
+    def test_unit_parts_have_e_f_coordinates(self, xs, i, n):
+        # _mask zips a unit part with e f moduli, so a shorter one would be
+        # cut short without an error
+        x, y = xs
+        tw = x.tw
+        for z in (-x, x + y, x - y, x * y, x.inverse(), x ** n, _times_int(x, i),
+                  tw.one(), tw.pi_power(n), tw.lift_ff(tw.ff.q - 1)):
+            assert z.s is None or len(z.U) == tw.e * tw.f
+            if z.exact is not None:
+                assert (type(z.exact[0]) is int) == (z.exact[0].denominator == 1)
+
+    def test_sum_down_a_negative_power_of_pi_e(self):
+        # pi^5 + 3 pi at e = 4: the second pair sits k = -1 multiples of e
+        # below the first, so its q is divided by -p (an int power would
+        # turn into a float there); -5 pi + 3 pi = -2 pi either way round
+        t = T(5, 4, 1, 40)
+        x, y = t.pi_power(5), t.parse("3*pi")
+        assert (x + y).exact == (Fraction(2, 5), 5)
+        assert type((x + y).exact[0]) is Fraction
+        assert (y + x).exact == (-2, 1) and type((y + x).exact[0]) is int
+        assert (x + y).same(t.from_int(-2) * t.pi())
+
+    def test_integer_inverse(self):
+        t = T(5, 4, 1, 40)
+        assert t.from_int(3).inverse().exact == (Fraction(1, 3), 0)
+        assert t.from_int(-1).inverse().exact == (-1, 0)
+        assert type(t.from_int(-1).inverse().exact[0]) is int
+        assert t.parse("1/7").inverse().exact == (7, 0)
+
+    def test_sqrt_follows_the_split_of_the_pair(self):
+        # 25 and pi^8 are one value at p = 5, e = 4; the root is the
+        # positive root of q times pi^(m/2), so 5 for one and pi^4 = -5
+        # for the other
+        t = T(5, 4, 1, 40)
+        a, b = t.sqrt(t.parse("25")), t.sqrt(t.parse("pi^8"))
+        assert t.parse("25").same(t.parse("pi^8"))
+        assert a.exact == (5, 0) and type(a.exact[0]) is int
+        assert b.exact == (1, 4) and type(b.exact[0]) is int
+        assert a.same(t.from_int(5)) and b.same(t.from_int(-5))
+
+    @given(tower_units(1), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_mask_matches_divmod(self, xs, data):
+        tw = xs[0].tw
+        big = tw.p ** (tw.nl + 2)
+        U = data.draw(st.lists(st.integers(-big, big),
+                               min_size=tw.e * tw.f, max_size=tw.e * tw.f))
+        for window in range(1, tw.prec + 1):
+            assert tw._mask(U, window) == divmod_mask(tw, U, window)
+            assert tw._mask(xs[0].U, window) == divmod_mask(tw, xs[0].U, window)
 
 
 def newton_sqrt(tw, x):
