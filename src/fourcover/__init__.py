@@ -6,7 +6,7 @@ from .errors import (
     FourCoverError, InsufficientPrecision, NeedsExtension, NegativeValuation,
     DivisionByIndistinguishableZero, DegenerateModel, ConstructionMismatch,
     CoalescingBranchPoints, NonCyclicExponent, NotReduced, UnsupportedPrime,
-    BudgetExceeded, InvalidInput,
+    BudgetExceeded, InvalidInput, PrecisionTooLarge,
 )
 from .tower import Tower, make_tower, Poly, INF
 from .ffield import FF

@@ -19,7 +19,7 @@ from fractions import Fraction
 from .errors import (
     FourCoverError, InsufficientPrecision, ConstructionMismatch, InvalidInput,
     NeedsExtension, DegenerateModel, CoalescingBranchPoints, NonCyclicExponent,
-    UnsupportedPrime, NotReduced,
+    UnsupportedPrime, NotReduced, PrecisionTooLarge,
 )
 from .tower import make_tower, Poly, INF
 from .normalizer import CoverDatum, INFPT, normalize, cross_ratio_orbit
@@ -343,8 +343,11 @@ def run(args):
     try:
         try:
             rep = runner(args, args.precision, 1)
-        except InsufficientPrecision:
-            rep = runner(args, args.precision, 4)  # retry once at 4x precision
+        except InsufficientPrecision as first:
+            try:
+                rep = runner(args, args.precision, 4)  # retry once at 4x precision
+            except PrecisionTooLarge:
+                raise first from None   # 4x is past the bound: report the first run
         if args.timing:
             rep["ms"] = int((time.monotonic() - t0) * 1000)
         return rep, 0

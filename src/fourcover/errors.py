@@ -64,3 +64,9 @@ class BudgetExceeded(FourCoverError):
 
 class InvalidInput(FourCoverError):
     """Malformed request data (bad token, bad exponents, lambda in {0,1}...)."""
+
+
+class PrecisionTooLarge(InvalidInput):
+    """A precision whose coordinate modulus p^N would pass TOKEN_DIGITS
+    decimal digits.  The CLI's retry at 4x precision reports the first
+    run's InsufficientPrecision instead of this."""

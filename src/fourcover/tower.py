@@ -7,12 +7,17 @@ denominator dividing e.
 
 Elements are stored as pi^s * u where u = sum_{j<e} u_j pi^j is a unit
 (u_0 is a unit of W) and each u_j is an element of W/p^N.  The unit part
-U is one flat tuple of e f integers, whatever f is: U[j f + i] is the
+U is one flat tuple of integers, whatever f is: U[j f + i] is the
 coordinate of u_j on a^i, where a is the root of a fixed monic lift of
 the residue-field modulus.  Slot j is U[j f : (j + 1) f]; at f = 1 it is
-the single integer U[j].  Reduction uses pi^e = -p, which keeps every
-symbolic token (powers of pi, tau, rationals) an exact pure pi-power
-times a rational unit.
+the single integer U[j].  U stops at its last nonzero pi-slot: it has
+f (k + 1) coordinates, k the last slot holding a nonzero coordinate, so
+a W-constant (a unit part in slot 0 alone, such as every token and every
+pi-power) is f integers in every mask, sum, negation and product, and
+only the operations that need all e slots (a shift that wraps past
+pi^e, a dense inverse) pad it.  Reduction uses pi^e = -p, which keeps
+every symbolic token (powers of pi, tau, rationals) an exact pure
+pi-power times a rational unit.
 
 Elements constructed from rational tokens additionally carry the exact
 pair (q, m) with value q * pi^m; arithmetic propagates exactness when
@@ -26,21 +31,23 @@ is kept as it was built: the p-part of q is not folded into m, since
 ``normalizer._is_exact_pth_power`` reads it too.
 
 Digit windows are masked by one tuple of e f moduli per window, built
-the first time the window is used and kept on the tower.
+the first time the window is used and kept on the tower; a unit part
+takes as many of them as it has coordinates.  The precision is bounded:
+p^N, the modulus of every coordinate, may take at most TOKEN_DIGITS
+decimal digits, checked before any power is taken.
 
 Products work on the coefficient lists directly, and cost what the
-operands' nonzero pi-slots cost: the integer convolution runs only up to
-each factor's last nonzero slot, pi^e is folded by -p only when the
-product reaches slot e, and for f > 1 the modulus lift reduces once per
-pi-slot.  Token-built values keep their unit part in slot 0, so most
-products are one coordinate product per plane pair.  A unit part of
-exactly 1 (a pi-power) is a shift: the product keeps the other factor's
-unit part and moves only s and ap.  The inverse is an exact solve, not a
-precision loop: multiplication by the unit part is an (e f) x (e f)
-matrix over Z/p^N that is invertible mod p, and Gaussian elimination
-with unit pivots gives every coordinate of the inverse in one pass.  A
-W-constant (a unit part in slot 0 alone) maps each pi-slot to itself, so
-its matrix is e copies of one f x f block, and the solve runs on that
+operands' pi-slots cost: the integer convolution runs over the slots
+each factor has, pi^e is folded by -p only when the product reaches
+slot e, and for f > 1 the modulus lift reduces once per pi-slot.  Two
+W-constants multiply as one f x f coordinate product (one integer
+product at f = 1).  A unit part of exactly 1 (a pi-power) is a shift:
+the product keeps the other factor's unit part and moves only s and ap.
+The inverse is an exact solve, not a precision loop: multiplication by
+the unit part is an (e f) x (e f) matrix over Z/p^N that is invertible
+mod p, and Gaussian elimination with unit pivots gives every coordinate
+of the inverse in one pass.  A W-constant maps each pi-slot to itself,
+so its matrix is e copies of one f x f block, and the solve runs on that
 block alone: at f = 1 it is one modular inverse.
 
 Roots are lifted in one place, ``hensel_root``: Newton steps from a
@@ -48,7 +55,12 @@ simple residue root until the polynomial cannot be told from zero.  Square
 roots go through it too.  The lifter divides nowhere: it carries an
 approximate 1/P'(x), started from a residue-field inverse and refined by
 its own Newton step, so no step runs a tower inverse.  The root's
-precision is capped at that of the last residual P(x).
+precision is capped at that of the last residual P(x).  When every
+coefficient of P lies in W (pi^(t e) u with u a W-constant, t >= 0, so
+it has the coordinates of (-p)^t u) and the residue root is nonzero, the
+Newton steps run on W/p^N coordinates, plain integers at f = 1, and the
+root they reach enters the element loop, where one full-precision P(x)
+certifies it.
 
 Powers start from the base at the lowest set bit of the exponent and
 stop after the top bit, so they compute no product by one and no unused
@@ -62,6 +74,7 @@ from fractions import Fraction
 from .errors import (
     InsufficientPrecision, NeedsExtension, NegativeValuation,
     DivisionByIndistinguishableZero, InvalidInput, ConstructionMismatch,
+    PrecisionTooLarge,
 )
 from .ffield import FF
 
@@ -69,7 +82,8 @@ INF = math.inf
 _EXACT_ZERO = (0, 0)
 
 # A token's exact pair may take at most this many decimal digits, the
-# host's limit on one string-to-int conversion (see _token_int).
+# host's limit on one string-to-int conversion (see _token_int); p^N, the
+# modulus of a tower's coordinates, is bounded by it too.
 TOKEN_DIGITS = 4300
 
 
@@ -77,7 +91,8 @@ def make_tower(p, e, f, precision):
     """Build the tower with v(pi) = 1/e and pi^e = -p.
 
     ``precision`` counts pi-digits carried by elements.  Rejects p that
-    is not prime and nonpositive e, f, precision.
+    is not prime, nonpositive e, f, precision, and a precision whose
+    coordinate modulus p^N would pass TOKEN_DIGITS decimal digits.
     """
     return Tower(p, e, f, precision)
 
@@ -99,6 +114,12 @@ class Tower:
         self.f = f
         self.prec = prec
         self.nl = -(-prec // e) + 2          # p-digit levels per W coefficient
+        # p^nl has floor(nl log10 p) + 1 digits; _ppow below holds nl of
+        # these powers, so the check comes before any of them is taken
+        if self.nl * math.log10(p) >= TOKEN_DIGITS:
+            raise PrecisionTooLarge(
+                "precision %d needs p^%d, more than %d digits"
+                % (prec, self.nl, TOKEN_DIGITS))
         self.pmod = p ** self.nl
         # monic integer lift of the residue modulus, coefficients in [0, p)
         self.modulus = list(self.ff.modulus)
@@ -114,8 +135,9 @@ class Tower:
         return "Tower(p=%d, e=%d, f=%d, prec=%d)" % (self.p, self.e, self.f, self.prec)
 
     # ------------------------------------------------------------------
-    # unit parts: e f integers, U[j f + i] the coordinate of u_j on a^i,
-    # each in W/p^nl; raw results may hold any integers until _canon
+    # unit parts: f (k + 1) integers up to the last nonzero slot k, U[j f + i]
+    # the coordinate of u_j on a^i, each in W/p^nl; raw results may hold
+    # any integers, and any whole number of slots up to e, until _canon
     # ------------------------------------------------------------------
 
     def _mask(self, U, window):
@@ -142,9 +164,16 @@ class Tower:
     def _shift_down(self, U, m):
         """Divide sum u_j pi^j by pi^m (exact; requires v_pi >= m)."""
         q, r = divmod(m, self.e)
+        d = (-self.p) ** q
+        if not r:
+            return [c // d for c in U]
+        # pi^(j - m) = pi^(j - r)/(-p)^q, or pi^(j - r + e)/(-p)^(q + 1) if
+        # j < r: slots below r wrap to the top, so U takes all e slots
+        full = self.e * self.f
+        if len(U) < full:
+            U = list(U) + [0] * (full - len(U))
         k = r * self.f
-        # pi^(j - m) = pi^(j - r)/(-p)^q, or pi^(j - r + e)/(-p)^(q + 1) if j < r
-        d, d1 = (-self.p) ** q, (-self.p) ** (q + 1)
+        d1 = -d * self.p
         return [c // d for c in U[k:]] + [c // d1 for c in U[:k]]
 
     def _shift_up(self, U, m):
@@ -152,38 +181,40 @@ class Tower:
         q, r = divmod(m, self.e)
         k = (self.e - r) * self.f
         # pi^(j + m) = (-p)^q pi^(j + r), or (-p)^(q + 1) pi^(j + r - e) if j >= e - r
-        d, d1 = (-self.p) ** q, (-self.p) ** (q + 1)
-        return [c * d1 for c in U[k:]] + [c * d for c in U[:k]]
+        d = (-self.p) ** q
+        if len(U) <= k:   # no slot wraps past pi^e
+            return [0] * (r * self.f) + [c * d for c in U]
+        d1 = -d * self.p
+        return ([c * d1 for c in U[k:]] + [0] * (self.e * self.f - len(U))
+                + [c * d for c in U[:k]])
 
     def _unit_product(self, A, B):
         """Unit part of the product of the unit parts A and B, folded by
         pi^e = -p.
 
-        The cost follows the pi-slots in use: each factor is convolved
-        only up to its last nonzero slot, and pi^e is folded only when
-        the product reaches slot e, so a token-built unit (slot 0 alone)
-        times another costs one coordinate product per plane pair.  For
-        f > 1 the coordinates are reduced by the modulus lift once per
-        pi-slot of the product, not once per coefficient product.
+        The cost follows the pi-slots the factors have: each is convolved
+        over its own slots, and pi^e is folded only when the product
+        reaches slot e.  Two W-constants (slot 0 alone) multiply as one
+        f x f coordinate product.  For f > 1 the coordinates are reduced
+        by the modulus lift once per pi-slot of the product, not once per
+        coefficient product.
         """
         p, e, f = self.p, self.e, self.f
-        # a nonzero last coordinate means every slot is in use
-        la = e if A[-1] else _slots_used(A, f)
-        lb = e if B[-1] else _slots_used(B, f)
-        n = la + lb - 1   # pi-slots of the product before the fold
+        n = (len(A) + len(B)) // f - 1   # pi-slots of the product before the fold
         if f == 1:
             if n == 1:   # two W-constants: one integer product
-                conv = [A[0] * B[0]]
-            else:
-                conv = [0] * n
-                _convolve(conv, A[:la], B[:lb])
+                return [A[0] * B[0]]
+            conv = [0] * n
+            _convolve(conv, A, B)
             return _fold(conv, n, e, p)
+        if n == 1:
+            return self._w_product(A, B)
         # one convolution per pair of coordinate planes: a^i A_i times a^l B_l,
         # where plane i of a unit part is its coordinates on a^i, A[i::f]
         planes = [[0] * n for _ in range(2 * f - 1)]
-        Bt = [B[l:lb * f:f] for l in range(f)]
+        Bt = [B[l::f] for l in range(f)]
         for i in range(f):
-            Ai = A[i:la * f:f]
+            Ai = A[i::f]
             for l, Bl in enumerate(Bt, i):
                 _convolve(planes[l], Ai, Bl)
         # a^k = -sum modulus[i] a^(k - f + i) for k >= f, top plane first
@@ -194,10 +225,29 @@ class Tower:
                 if m:
                     low = planes[k - f + i]
                     planes[k - f + i] = [c - m * t for c, t in zip(low, top)]
-        out = [0] * (e * f)
+        out = [0] * (min(n, e) * f)
         for i, P in enumerate(planes[:f]):
             out[i::f] = _fold(P, n, e, p)
         return out
+
+    def _w_product(self, A, B):
+        """The f coordinates of the product of the W elements with
+        coordinates A and B: one convolution, then a^k for k >= f reduced
+        by the modulus lift, top first.  The low coordinates are left
+        unreduced, as in the planes of ``_unit_product``."""
+        f = self.f
+        conv = [0] * (2 * f - 1)
+        for i, a in enumerate(A):
+            if a:
+                for l, b in enumerate(B, i):
+                    conv[l] += a * b
+        pm = self.pmod
+        for k in range(2 * f - 2, f - 1, -1):
+            top = conv[k] % pm
+            for i, m in enumerate(self.modulus[:f]):
+                if m:
+                    conv[k - f + i] -= m * top
+        return conv[:f]
 
     def _unit_inverse(self, U):
         """Unit part of 1/u for the unit u with unit part U, exact in W/p^nl.
@@ -206,13 +256,15 @@ class Tower:
         basis a^i pi^j (a the root of the modulus lift, pi^e = -p).  It is
         invertible mod p because u is a unit, so Gaussian elimination with
         a unit pivot in every column solves u z = 1 exactly.  When u is a
-        W-constant (U[f:] all zero) the matrix is e copies of the f x f
+        W-constant (U is f coordinates) the matrix is e copies of the f x f
         block of u_0, and 1/u is the W-constant that solves that block: the
-        same elimination runs with e = 1 on U[:f].
+        same elimination runs with e = 1.  Any other U is padded to e slots.
         """
         p, e, f, pm = self.p, self.e, self.f, self.pmod
-        if not any(U[f:]):
-            e, U = 1, U[:f]
+        if len(U) == f:
+            e = 1
+        elif len(U) < e * f:
+            U = list(U) + [0] * (e * f - len(U))
         if f == 1:
             # row t: the coefficient of pi^t in u pi^k for k = 0..e-1
             rows = [list(U[t::-1]) + [-p * c for c in U[:t:-1]]
@@ -253,7 +305,7 @@ class Tower:
         for pivot in reversed(pivots):
             z.append((pivot[-1] - sum(map(int.__mul__, pivot, reversed(z)))) % pm)
         z.reverse()
-        return z + [0] * ((self.e - e) * f)
+        return z
 
     # ------------------------------------------------------------------
     # element constructors
@@ -268,7 +320,8 @@ class Tower:
             U = self._mask(U, window)
             # u_0 is a unit unless p divides all of its coordinates
             if (U[0] if f == 1 else math.gcd(*U[:f])) % p:
-                return El(self, s, tuple(U), ap, exact)
+                # a dense U skips the call: this is every product's and sum's path
+                return El(self, s, tuple(U) if U[-1] else _trimmed(U, f), ap, exact)
             # pi-valuation: a coordinate p^v * unit of u_j sits at pi^(j + e v)
             vpi = INF
             for k, c in enumerate(U):
@@ -290,11 +343,7 @@ class Tower:
                 return self.from_exact_pair(*exact)
             return El(self, None, None, ap, None)
         U = self._mask(self._shift_down(U, vpi), window - vpi)
-        return El(self, s + vpi, tuple(U), ap, exact)
-
-    def _constant(self, coords):
-        """The unit part of the W element with leading coordinates coords."""
-        return list(coords) + [0] * (self.e * self.f - len(coords))
+        return El(self, s + vpi, _trimmed(U, f), ap, exact)
 
     def zero(self):
         return El(self, None, None, None, _EXACT_ZERO)
@@ -321,7 +370,7 @@ class Tower:
         s = m + t * self.e
         sign = -1 if t % 2 else 1
         unit = sign * num * pow(den, -1, self.pmod) % self.pmod
-        return self._canon(s, self._constant([unit]), s + self.prec, (q, m))
+        return self._canon(s, [unit] + [0] * (self.f - 1), s + self.prec, (q, m))
 
     def pi_power(self, m):
         return self.from_exact_pair(1, m)
@@ -350,7 +399,7 @@ class Tower:
         """Lift a residue-field element to a unit digit (level 0)."""
         if enc == 0:
             return self.zero()
-        return self._canon(0, self._constant(self.ff.coords(enc)), self.prec, None)
+        return self._canon(0, self.ff.coords(enc), self.prec, None)
 
     def sqrt(self, x):
         """Square root; NeedsExtension when the value group or residue
@@ -467,7 +516,7 @@ class Tower:
         ahat = self._embedded_generator(big)
         f = self.f
         out = big.zero()
-        for j in range(self.e):
+        for j in range(len(x.U) // f):
             term = big.zero()
             for i, c in enumerate(x.U[j * f:(j + 1) * f]):
                 if c:
@@ -501,22 +550,24 @@ def _convolve(acc, A, B):
             acc[j:j + n] = [c + a * b for c, b in zip(acc[j:j + n], B)]
 
 
-def _slots_used(U, f):
-    """The number of pi-slots of the unit part U up to its last nonzero
-    one, scanned from the top; slot 0 of a unit is never zero."""
-    if not any(U[f:]):
-        return 1
+def _trimmed(U, f):
+    """The masked unit part U as a tuple that stops at its last nonzero
+    pi-slot; slot 0 of a unit is never zero.  A U whose last coordinate
+    is nonzero, as a dense one, is kept whole without a scan, and one
+    whose last slot is nonzero without a slice."""
+    if U[-1]:
+        return tuple(U)
     n = len(U)
     while not any(U[n - f:n]):
         n -= f
-    return n // f
+    return tuple(U[:n] if n < len(U) else U)
 
 
 def _fold(conv, n, e, p):
-    """The e slots of a product plane of n slots, pi^(e + k) folded onto
-    pi^k as -p; a plane that stops short of slot e is padded with zeros."""
+    """A product plane of n slots with pi^(e + k) folded onto pi^k as -p;
+    a plane that stops short of slot e is left as it is."""
     if n <= e:
-        return conv + [0] * (e - n)
+        return conv
     return [c - p * h for c, h in zip(conv, conv[e:])] + conv[n - e:e]
 
 
@@ -604,7 +655,8 @@ class El:
     def __init__(self, tw, s, U, ap, exact):
         self.tw = tw
         self.s = s          # pi-shift; None for (fuzzy or true) zero
-        self.U = U          # unit part: e f ints, U[j f + i] on a^i pi^j; None if zero
+        self.U = U          # unit part: f ints per pi-slot up to the last nonzero
+                            # one, U[j f + i] on a^i pi^j; None if zero
         self.ap = ap        # absolute precision in pi-units; None = infinite
         self.exact = exact  # optional (q, int m): value q*pi^m, q an int when integral,
                             # else a non-integer Fraction
@@ -699,7 +751,12 @@ class El:
         ap = min(self.ap, other.ap)
         U1 = self.U if self.s == s else tw._shift_up(self.U, self.s - s)
         U2 = other.U if other.s == s else tw._shift_up(other.U, other.s - s)
-        return tw._canon(s, [a + b for a, b in zip(U1, U2)], ap, exact)
+        if len(U1) < len(U2):
+            U1, U2 = U2, U1
+        U = [a + b for a, b in zip(U1, U2)]
+        if len(U) < len(U1):   # the longer part's top slots pass unchanged
+            U += U1[len(U):]
+        return tw._canon(s, U, ap, exact)
 
     __radd__ = __add__
 
@@ -750,7 +807,7 @@ class El:
             x = other if self.U == one else self
             U = x.U
             if ap - s < x.ap - x.s:
-                U = tuple(tw._mask(U, ap - s))
+                U = _trimmed(tw._mask(U, ap - s), tw.f)
             return El(tw, s, U, ap, exact)
         return tw._canon(s, tw._unit_product(self.U, other.U), ap, exact)
 
@@ -814,8 +871,11 @@ class El:
         """Yield the nonzero digits of the lowest ``levels`` pi-levels."""
         tw = self.tw
         f = tw.f
+        n = len(self.U)
         for lev in range(levels):
             j, i = lev % tw.e, lev // tw.e
+            if j * f >= n:   # above the last nonzero slot
+                continue
             if f == 1:
                 d = (self.U[j] // tw._ppow[i]) % tw.p
             else:
@@ -1021,6 +1081,12 @@ def hensel_root(P, residue_enc):
     Precision rule: since P'(x) is a unit, the root lies within |P(x)| of
     x, so the result's ap is capped at the ap of the final P(x).  A root
     that is itself indistinguishable from zero is returned unchanged.
+
+    When every coefficient of P lies in W and the residue root is
+    nonzero, the same steps run first on W/p^nl coordinates
+    (``_w_newton``), and the loop below starts from the root they reach:
+    its first P(x) is then indistinguishable from zero and certifies the
+    root, with the same cap and the same errors as the loop from the lift.
     """
     tw = P.tw
     Pd = P.deriv()
@@ -1032,7 +1098,13 @@ def hensel_root(P, residue_enc):
     if not fx.is_zeroish() and fx.pival() <= 0:
         raise ConstructionMismatch("%r is not a root of the residue polynomial"
                                    % (residue_enc,))
-    z = tw.lift_ff(tw.ff.inv(d.residue()))
+    zbar = tw.ff.inv(d.residue())
+    coeffs = _w_coordinates(P) if residue_enc and not fx.is_zeroish() else None
+    if coeffs is not None:
+        x, z = _w_newton(tw, coeffs, tw.ff.coords(residue_enc), tw.ff.coords(zbar))
+        fx = P.eval(x)
+    else:
+        z = tw.lift_ff(zbar)
     two = tw.from_int(2)
     for _ in range(tw.prec.bit_length() + 2):
         if fx.is_zeroish():
@@ -1046,3 +1118,65 @@ def hensel_root(P, residue_enc):
     if x.is_zeroish() or fx.is_true_zero() or fx.ap >= x.ap:
         return x
     return tw._canon(x.s, x.U, fx.ap, x.exact)
+
+
+def _w_coordinates(P):
+    """The coefficients of P as lists of f coordinates in W/p^nl, or None
+    unless each is the true zero or pi^(t e) u with t >= 0 and u a
+    W-constant, which has the coordinates of (-p)^t u."""
+    tw = P.tw
+    out = []
+    for c in P.c:
+        if c.ap is None:
+            out.append([0] * tw.f)
+        elif c.s is None or c.s < 0 or c.s % tw.e or len(c.U) != tw.f:
+            return None
+        else:
+            scale = (-tw.p) ** (c.s // tw.e)
+            out.append([u * scale % tw.pmod for u in c.U])
+    return out
+
+
+def _w_newton(tw, coeffs, x, z):
+    """The Newton steps of ``hensel_root`` on W/p^nl coordinates: x, the
+    lift of the residue root, and z, that of 1/P'(x), are refined until
+    P(x) = 0 mod p^nl.  Returns both as elements at full precision.
+
+    The coordinates are exact mod p^nl, so each step doubles the p-digits
+    of x and z; the step count is bounded as in ``hensel_root``.
+    """
+    pm, f = tw.pmod, tw.f
+    derivs = [[a * i for a in c] for i, c in enumerate(coeffs[1:], 1)]
+    steps = tw.prec.bit_length() + 2
+    if f == 1:   # plain ints
+        cs, ds = [c for c, in coeffs], [c for c, in derivs]
+        (x,), (z,) = x, z
+        for _ in range(steps):
+            fx = 0
+            for c in reversed(cs):
+                fx = (fx * x + c) % pm
+            if not fx:
+                break
+            x = (x - fx * z) % pm
+            dx = 0
+            for c in reversed(ds):
+                dx = (dx * x + c) % pm
+            z = z * (2 - dx * z) % pm
+        x, z = [x], [z]
+    else:
+        mul = tw._w_product
+
+        def value(cs, x):
+            out = [0] * f
+            for c in reversed(cs):
+                out = [(a + b) % pm for a, b in zip(mul(out, x), c)]
+            return out
+
+        for _ in range(steps):
+            fx = value(coeffs, x)
+            if not any(fx):
+                break
+            x = [(a - b) % pm for a, b in zip(x, mul(fx, z))]
+            t = mul(value(derivs, x), z)
+            z = [c % pm for c in mul(z, [2 - t[0]] + [-c for c in t[1:]])]
+    return tw._canon(0, x, tw.prec, None), tw._canon(0, z, tw.prec, None)

@@ -193,6 +193,20 @@ class TestRun:
         assert code == 2
         assert rep["error"] == "InsufficientPrecision"
 
+    def test_retry_past_the_precision_bound_reports_the_first_run(self, monkeypatch):
+        # 20000 pi-digits at p = 5 fit the bound on p^N; 4x of them do not,
+        # so the retry's tower is rejected and the first failure is reported
+        def short(args, precision, boost):
+            if boost == 1:
+                raise InsufficientPrecision("digits exhausted")
+            cli._base_tower(args.p, precision, boost)
+            raise AssertionError("the 4x tower was built")
+
+        monkeypatch.setitem(cli._RUNNERS, "classify", short)
+        rep, code = invoke(["classify", "--p", "5", "--beta", "1", "--gamma", "4",
+                            "--lambda", "3", "--precision", "20000"])
+        assert code == 2
+        assert rep == {"error": "InsufficientPrecision", "detail": "digits exhausted"}
 
     def test_retry_does_not_stick_to_the_namespace(self, monkeypatch):
         # the 4x retry of one run must not raise the precision of the next
@@ -257,6 +271,17 @@ class TestBoundedInputs:
                               "--gamma", "1", "--lambda", lam])
         assert res.returncode == 3
         assert json.loads(res.stderr)["error"] == "InvalidInput"
+
+    @pytest.mark.parametrize("command", [
+        ["classify", "--beta", "1", "--gamma", "1", "--lambda", "7"],
+        ["sweep", "--lambdas", "7"],
+    ])
+    def test_huge_precision(self, command):
+        # p^N for 10^9 pi-digits has about 1.75e8 digits, and the table of
+        # its powers about N^2; both are refused before any is taken
+        res = invoke_process(command + ["--p", "5", "--precision", "1000000000"])
+        assert res.returncode == 3
+        assert json.loads(res.stderr)["error"] == "PrecisionTooLarge"
 
     @pytest.mark.parametrize("command", [
         ["classify", "--beta", "1", "--gamma", "1", "--lambda", "7"],

@@ -1,8 +1,9 @@
 """Golden corpus: the exact ``--json`` output of fixed CLI requests.
 
 One request per reduction type and type-3 subroute (p = 3 and f = 2
-cases included), plus one each of ``classify``, ``qwerty``, ``deuring``
-and ``sweep``.  A refactor must leave every byte of these reports
+cases included), requests whose centers lift on polynomials over the
+unramified ring W, plus one each of ``classify``, ``qwerty``,
+``deuring`` and ``sweep``.  A refactor must leave every byte of these reports
 unchanged; ``golden/freeze.py`` wrote them.
 """
 
@@ -17,9 +18,9 @@ from fourcover.cli import main
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 
-def _model(p, beta, gamma, lam):
+def _model(p, beta, gamma, lam, *extra):
     return ["model", "--p", str(p), "--beta", str(beta), "--gamma",
-            str(gamma), "--lambda", lam, "--json"]
+            str(gamma), "--lambda", lam, *extra, "--json"]
 
 
 CASES = {
@@ -34,6 +35,14 @@ CASES = {
     "model_via-2b3-ii": _model(5, 1, 4, "25"),
     "model_via-2b3-ii_e16": _model(5, 1, 4, "tau^2*pi^-1"),
     "model_via-2b3-ii_flipped_p3": _model(3, 2, 2, "pi^5"),
+    # centers lifted from polynomials with every coefficient in W: a
+    # degree-12 lift at e = 12, f = 2, a degree-11 lift with the flipped
+    # residue-0 root, W-constant products at f = 2, and a request at 4x
+    # the default precision
+    "model_via-2b3-ii_w_lift_f2": _model(7, 1, 6, "7^2"),
+    "model_via-2b3-ii_w_lift_flipped": _model(7, 6, 6, "7^2"),
+    "model_via-1b_w_f2": _model(7, 1, 1, "2"),
+    "model_via-2b3-ii_deep": _model(5, 2, 4, "25", "--precision", "800"),
     "classify_1b": ["classify", "--p", "5", "--beta", "1", "--gamma", "4",
                     "--lambda", "tau^2", "--json"],
     "qwerty": ["qwerty", "--p", "5", "--c1", "1", "--c2", "tau^2", "--json"],

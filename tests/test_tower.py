@@ -9,9 +9,11 @@ from hypothesis import given, settings, strategies as st
 from fourcover.errors import (
     FourCoverError, NeedsExtension, NegativeValuation, InsufficientPrecision,
     DivisionByIndistinguishableZero, InvalidInput, ConstructionMismatch,
+    PrecisionTooLarge,
 )
+from fourcover import tower as tower_module
 from fourcover.tower import (
-    make_tower, Tower, El, Poly, hensel_root, INF, _times_int,
+    make_tower, Tower, El, Poly, hensel_root, INF, TOKEN_DIGITS, _times_int,
 )
 
 
@@ -48,6 +50,16 @@ class TestMakeTower:
             make_tower(2, 0, 1, 50)
         with pytest.raises(InvalidInput):
             make_tower(4, 1, 1, 50)
+
+    def test_precision_bound(self):
+        # p^N (N = ceil(prec/e) + 2 p-digit levels) may take 4300 digits:
+        # at p = 5, e = 4 that is N = 6151, 24596 pi-digits
+        tw = make_tower(5, 4, 1, 24596)
+        assert len(str(tw.pmod)) == TOKEN_DIGITS
+        for prec in (24597, 10 ** 9, 10 ** 100):
+            with pytest.raises(PrecisionTooLarge):
+                make_tower(5, 4, 1, prec)
+        assert issubclass(PrecisionTooLarge, InvalidInput)
 
     def test_tau_needs_extension(self):
         t = make_tower(5, 3, 1, 30)
@@ -289,7 +301,7 @@ def _tower_unit(draw, tw, shapes=UNIT_SHAPES):
         den = draw(st.integers(1, 10 ** 6).filter(lambda n: n % p))
         x = tw.from_exact_pair(Fraction(num, den), s)
     elif kind == "one":
-        x = tw._canon(s, tw._constant([1]), s + draw(st.integers(1, tw.prec)), None)
+        x = tw._canon(s, [1] + [0] * (tw.f - 1), s + draw(st.integers(1, tw.prec)), None)
     else:
         if kind == "trailing":
             used = draw(st.integers(1, tw.e))
@@ -302,7 +314,7 @@ def _tower_unit(draw, tw, shapes=UNIT_SHAPES):
             if j == 0 and all(c % p == 0 for c in coords):
                 coords[0] += 1
             U.extend(coords)
-        x = tw._canon(s, tw._constant(U), s + draw(st.integers(1, tw.prec)), None)
+        x = tw._canon(s, U, s + draw(st.integers(1, tw.prec)), None)
     return -x if draw(st.booleans()) else x
 
 
@@ -318,10 +330,25 @@ def tower_units(draw, count, shapes=UNIT_SHAPES):
     return [_tower_unit(draw, tw, shapes) for _ in range(count)]
 
 
+def trimmed_form(tw, U):
+    """Whether the unit part U has the stored form: f coordinates per
+    pi-slot, at most e slots, ending at a slot with a nonzero coordinate.
+    Slot 0 of a unit is nonzero, so a W-constant is exactly f integers."""
+    f = tw.f
+    return (type(U) is tuple and len(U) % f == 0 and f <= len(U) <= tw.e * f
+            and any(U[-f:]) and any(U[:f]))
+
+
+def padded(tw, U):
+    """U padded with zero slots to all e slots, the stored form before unit
+    parts stopped at their last nonzero slot."""
+    return list(U) + [0] * (tw.e * tw.f - len(U))
+
+
 def reference_full_inverse(tw, U):
     """The (e f) x (e f) elimination that ``Tower._unit_inverse`` runs on
     every unit part, kept as the reference for its single f x f block
-    solve of a W-constant."""
+    solve of a W-constant; U has all e f coordinates."""
     p, e, f, pm = tw.p, tw.e, tw.f, tw.pmod
     if f == 1:
         rows = [list(U[t::-1]) + [-p * c for c in U[:t:-1]]
@@ -394,16 +421,19 @@ class TestInverse:
         # (e f) x (e f) system, and must give the same coordinates
         x, = xs
         tw = x.tw
-        assert not any(x.U[tw.f:])
-        assert tw._unit_inverse(x.U) == reference_full_inverse(tw, x.U)
+        assert len(x.U) == tw.f
+        full = reference_full_inverse(tw, padded(tw, x.U))
+        assert tw._unit_inverse(x.U) == full[:tw.f] and not any(full[tw.f:])
 
     def test_missing_pivot_is_typed(self):
         # a non-unit U[0] is never canonical, but the solve must still end
         # in a typed error rather than a host exception, also when the
-        # non-unit is a W-constant and only its f x f block is solved
+        # non-unit is a W-constant (f coordinates) and only its f x f block
+        # is solved, and when it is one padded to all e slots
         t = T(5, 3, 1, 30)
         t2 = T(5, 3, 2, 30)
         for tw, U in [(t, [5, 1, 1]), (t2, [0, 5, 1, 0, 0, 1]),
+                      (t, [5]), (t2, [0, 5]),
                       (t, [5, 0, 0]), (t2, [0, 5, 0, 0, 0, 0])]:
             with pytest.raises(ConstructionMismatch):
                 tw._unit_inverse(U)
@@ -507,18 +537,22 @@ class TestExactPairs:
         q = z.exact[0]
         assert (type(q) is int) == (Fraction(q).denominator == 1)
         assert type(q) in (int, Fraction)
-        assert z.s is None or len(z.U) == tw.e * tw.f
+        # a token's unit part lies in slot 0: exactly f coordinates
+        assert z.s is None or (trimmed_form(tw, z.U) and len(z.U) == tw.f)
 
     @given(tower_units(2), st.integers(1, 60), st.integers(-3, 4))
     @settings(max_examples=150, deadline=None)
-    def test_unit_parts_have_e_f_coordinates(self, xs, i, n):
-        # _mask zips a unit part with e f moduli, so a shorter one would be
-        # cut short without an error
+    def test_unit_parts_stop_at_the_last_nonzero_slot(self, xs, i, n):
+        # every result stores f coordinates per slot up to its last nonzero
+        # slot and no further, the same coordinates as the padded form
         x, y = xs
         tw = x.tw
         for z in (-x, x + y, x - y, x * y, x.inverse(), x ** n, _times_int(x, i),
                   tw.one(), tw.pi_power(n), tw.lift_ff(tw.ff.q - 1)):
-            assert z.s is None or len(z.U) == tw.e * tw.f
+            assert z.s is None or trimmed_form(tw, z.U)
+            if not z.is_zeroish():
+                again = tw._canon(z.s, padded(tw, z.U), z.ap, z.exact)
+                assert state(again) == state(z)
             if z.exact is not None:
                 assert (type(z.exact[0]) is int) == (z.exact[0].denominator == 1)
 
@@ -841,6 +875,169 @@ class TestLadders:
         assert outcome(hensel_root, P, r) == outcome(division_hensel_root, ref, r)
 
 
+def reference_hensel_root(P, residue_enc):
+    """``hensel_root`` as it was before its Newton steps on W coordinates:
+    every step runs on tower elements.  Kept verbatim as the reference."""
+    tw = P.tw
+    Pd = P.deriv()
+    x = tw.lift_ff(residue_enc)
+    d = Pd.eval(x)
+    if d.is_zeroish() or d.pival() != 0:
+        raise ConstructionMismatch("residue root is not simple; Hensel fails")
+    fx = P.eval(x)
+    if not fx.is_zeroish() and fx.pival() <= 0:
+        raise ConstructionMismatch("%r is not a root of the residue polynomial"
+                                   % (residue_enc,))
+    z = tw.lift_ff(tw.ff.inv(d.residue()))
+    two = tw.from_int(2)
+    for _ in range(tw.prec.bit_length() + 2):
+        if fx.is_zeroish():
+            break
+        x = x - fx * z
+        fx = P.eval(x)
+        if not fx.is_zeroish():
+            z = z * (two - Pd.eval(x) * z)
+    if not fx.is_zeroish():
+        raise InsufficientPrecision("Newton lifting did not converge")
+    if x.is_zeroish() or fx.is_true_zero() or fx.ap >= x.ap:
+        return x
+    return tw._canon(x.s, x.U, fx.ap, x.exact)
+
+
+def reference_plane_product(tw, A, B):
+    """The f > 1 branch of ``Tower._unit_product`` before unit parts stopped
+    at their last nonzero slot: 2f - 1 planes, folded and padded to e
+    slots.  Kept as the reference for its single f x f product of two
+    W-constants."""
+    p, e, f = tw.p, tw.e, tw.f
+    A, B = padded(tw, A), padded(tw, B)
+
+    def used(U):
+        n = len(U)
+        while not any(U[n - f:n]):
+            n -= f
+        return n // f
+
+    def fold(conv, n):
+        if n <= e:
+            return conv + [0] * (e - n)
+        return [c - p * h for c, h in zip(conv, conv[e:])] + conv[n - e:e]
+
+    la, lb = used(A), used(B)
+    n = la + lb - 1
+    planes = [[0] * n for _ in range(2 * f - 1)]
+    Bt = [B[l:lb * f:f] for l in range(f)]
+    for i in range(f):
+        Ai = A[i:la * f:f]
+        for l, Bl in enumerate(Bt, i):
+            tower_module._convolve(planes[l], Ai, Bl)
+    for k in range(2 * f - 2, f - 1, -1):
+        top = [c % tw.pmod for c in planes[k]]
+        for i, m in enumerate(tw.modulus[:f]):
+            if m:
+                low = planes[k - f + i]
+                planes[k - f + i] = [c - m * t for c, t in zip(low, top)]
+    out = [0] * (e * f)
+    for i, P in enumerate(planes[:f]):
+        out[i::f] = fold(P, n)
+    return out
+
+
+@st.composite
+def w_elements(draw, tw, t_min=0):
+    """pi^(t e) u with u a W-constant and t >= t_min: an exact rational, a
+    unit with digits across the whole window, or one with a window of at
+    most four pi-digits; maybe negated."""
+    t = draw(st.integers(t_min, t_min + 3))
+    p = tw.p
+    kind = draw(st.sampled_from(["exact", "digits", "low-ap"]))
+    if kind == "exact":
+        num = draw(st.integers(1, 10 ** 6).filter(lambda n: n % p))
+        den = draw(st.integers(1, 10 ** 6).filter(lambda n: n % p))
+        x = tw.from_exact_pair(Fraction(num * p ** t, den), 0)
+    else:
+        coords = [draw(st.integers(0, tw.pmod - 1)) for _ in range(tw.f)]
+        if all(c % p == 0 for c in coords):
+            coords[0] += 1
+        window = tw.prec if kind == "digits" else draw(st.integers(1, 4))
+        x = tw._canon(t * tw.e, coords, t * tw.e + window, None)
+    return -x if draw(st.booleans()) else x
+
+
+@st.composite
+def w_lift_problems(draw):
+    """(P, r): P with every coefficient in W, over p in {3, 5, 7},
+    f in {1, 2} and e in {1, 2, 4, 6, 12}, and a nonzero residue root r,
+    simple unless P'(r) = 0 mod p.  c_i for i >= 1 is zero or drawn by
+    ``w_elements``; c_0 = w - sum c_i lift(r)^i with w in pW."""
+    e = draw(st.sampled_from([1, 2, 4, 6, 12]))
+    tw = make_tower(draw(st.sampled_from([3, 5, 7])), e,
+                    draw(st.sampled_from([1, 2])), draw(st.integers(1, 60 * e)))
+    r = draw(st.integers(1, tw.ff.q - 1))
+    coeffs = [tw.zero()] + [draw(st.one_of(st.just(tw.zero()), w_elements(tw)))
+                            for _ in range(draw(st.integers(1, 5)))]
+    if coeffs[-1].is_true_zero():
+        coeffs[-1] = tw.one()
+    coeffs[0] = draw(w_elements(tw, 1)) - Poly(tw, coeffs).eval(tw.lift_ff(r))
+    return Poly(tw, coeffs), r
+
+
+class TestWPath:
+    """Values in W: W-constant products, and roots of polynomials over W
+    lifted on W/p^nl coordinates, against the element paths they replace."""
+
+    @given(tower_units(2, shapes=("slot0", "exact", "one")))
+    @settings(max_examples=150, deadline=None)
+    def test_w_constant_product_matches_planes(self, xs):
+        x, y = xs
+        tw = x.tw
+        assert len(x.U) == len(y.U) == tw.f
+        ref = reference_plane_product(tw, x.U, y.U)
+        assert tw._unit_product(x.U, y.U) == ref[:tw.f] and not any(ref[tw.f:])
+
+    @given(w_lift_problems())
+    @settings(max_examples=200, deadline=None)
+    def test_w_lift_matches_element_loop(self, problem):
+        P, r = problem
+        assert outcome(hensel_root, P, r) == outcome(reference_hensel_root, P, r)
+
+    @pytest.mark.parametrize("p,e,f,prec", [(7, 12, 2, 600), (5, 4, 1, 800), (3, 2, 2, 100)])
+    def test_w_quadratic_evaluates_p_twice(self, p, e, f, prec, monkeypatch):
+        # P at the lift of the residue root, then once at the root the W
+        # steps reach; the element loop evaluates P once per step
+        t = make_tower(p, e, f, prec)
+        u = t.from_int(4) + t.from_int(p) * t.lift_ff(t.ff.q - 1)
+        P = Poly(t, [-u, 0, 1])
+        r = t.ff.sqrt(u.residue())
+        evals = []
+        original = Poly.eval
+
+        def counted_eval(poly, x):
+            if poly is P:
+                evals.append(x)
+            return original(poly, x)
+        monkeypatch.setattr(Poly, "eval", counted_eval)
+        y = hensel_root(P, r)
+        assert len(evals) == 2
+        del evals[:]
+        assert state(reference_hensel_root(P, r)) == state(y)
+        assert len(evals) > 2
+        assert (y * y - u).is_zeroish() and y.ap == prec
+
+    def test_other_polynomials_keep_the_element_loop(self, monkeypatch):
+        # a coefficient with a pi-slot above 0, or the residue root 0
+        t = make_tower(7, 12, 2, 600)
+        calls = counted(monkeypatch, tower_module, "_w_newton")
+        u = t.from_int(2) + t.pi() * t.lift_ff(9)
+        y = hensel_root(Poly(t, [-u, 0, 1]), t.ff.sqrt(u.residue()))
+        assert (y * y - u).is_zeroish()
+        P = Poly.from_ints(t, [14, -8, 1])   # x (x - 1) mod 7
+        assert P.eval(hensel_root(P, 0)).is_zeroish()
+        assert calls == []
+        assert P.eval(hensel_root(P, 1)).is_zeroish()
+        assert calls == ["_w_newton"]
+
+
 OPERATIONS = {
     "+": lambda a, b, n: a + b,
     "-": lambda a, b, n: a - b,
@@ -893,7 +1090,8 @@ class TestCanonicalForm:
         ones, zeros = [tw.one() for _ in range(3)], [tw.zero() for _ in range(3)]
         assert canon == []
         for one, zero in zip(ones, zeros):
-            assert state(one) == (0, (1,) + (0,) * (e * f - 1), prec, (Fraction(1), 0))
+            # 1 is a W-constant: f coordinates, slot 0 alone
+            assert state(one) == (0, (1,) + (0,) * (f - 1), prec, (Fraction(1), 0))
             assert state(one) == state(tw.from_exact_pair(Fraction(1), 0))
             assert state(zero) == (None, None, None, (Fraction(0), 0))
             assert one.tw is tw and zero.tw is tw
