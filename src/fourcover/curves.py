@@ -8,6 +8,8 @@ in the image of w -> w^p - w over the closure).  The reduction factors
 u's denominator once: subtracting w^p - w for a w whose only pole is the
 place P changes u only at P, so each place's pole order is lowered in
 place (Stichtenoth, *Algebraic Function Fields and Codes*, Lemma 3.7.7).
+That one factorization also gives the pole profile of the reduced u,
+from which ``ASCurve`` reads the genus and the p-rank.
 
 Purely inseparable covers T^p = t(x) of the line are rational curves:
 k(x, t^(1/p)) embeds in k(x^(1/p)) which is rational, and the degrees
@@ -121,31 +123,22 @@ class RatFunc:
 INF_PLACE = "inf"
 
 
-def pole_profile(u):
-    """Poles of u as a sorted list of (place, order, degree).
-
-    Places are monic irreducible polynomials (coefficient tuples) or the
-    marker "inf"; degree is the residue degree of the place.
-    """
-    ff = u.ff
-    out = []
-    for (poly, mult) in pfactor(ff, u.den):
-        out.append((tuple(poly), mult, pdeg(poly)))
-    deg_inf = pdeg(u.num) - pdeg(u.den)
-    if deg_inf > 0:
-        out.append((INF_PLACE, deg_inf, 1))
-    return out
-
-
 class ASReduction:
-    """Result of as_reduce: u = reduced + (witness^p - witness) + constant."""
+    """Result of as_reduce: u = reduced + (witness^p - witness) + constant.
 
-    __slots__ = ("reduced", "witness", "constant")
+    ``profile`` lists the poles of ``reduced`` as (place, order, degree):
+    places are monic irreducible polynomials (coefficient tuples) in the
+    order of ``pfactor``, then the marker "inf"; degree is the residue
+    degree of the place.
+    """
 
-    def __init__(self, reduced, witness, constant):
+    __slots__ = ("reduced", "witness", "constant", "profile")
+
+    def __init__(self, reduced, witness, constant, profile):
         self.reduced = reduced
         self.witness = witness
         self.constant = constant
+        self.profile = profile
 
 
 def as_reduce(u):
@@ -163,12 +156,15 @@ def as_reduce(u):
     every other place, the same polynomial part, and a lower pole order
     at P.  Each place is therefore finished in turn, its new order read
     off the degree of the new denominator, whose part prime to P is
-    unchanged.
+    unchanged.  The final orders, with the degree of the reduced
+    polynomial part at infinity, are the pole profile of the reduced
+    part: the one factorization serves both.
     """
     ff = u.ff
     p = ff.p
     witness = RatFunc(ff, [])
     cur = u
+    profile = []
     for P, order in pfactor(ff, u.den):
         # F_q[x]/(P) has n = q^deg(P) elements: 1/a = a^(n-2) and the
         # p-th root of a is a^(n/p)
@@ -180,6 +176,8 @@ def as_reduce(u):
             cur = cur - w.frobenius_shift()
             witness = witness + w
             order = (pdeg(cur.den) - pdeg(rest)) // pdeg(P)
+        if order:
+            profile.append((tuple(P), order, pdeg(P)))
     # polynomial part: lower a degree divisible by p, drop the constant
     poly_part, rem_num = pdivmod(ff, cur.num, cur.den)
     while pdeg(poly_part) > 0 and pdeg(poly_part) % p == 0:
@@ -187,8 +185,10 @@ def as_reduce(u):
         poly_part = psub(ff, poly_part, psub(ff, ppow(ff, w, p), w))
         witness = witness + RatFunc(ff, w)
     constant = poly_part[0] if poly_part else 0
+    if pdeg(poly_part) > 0:
+        profile.append((INF_PLACE, pdeg(poly_part), 1))
     reduced = RatFunc(ff, rem_num, cur.den) + RatFunc(ff, [0] + poly_part[1:])
-    return ASReduction(reduced, witness, constant)
+    return ASReduction(reduced, witness, constant, profile)
 
 
 def as_irreducible(u):
@@ -198,21 +198,20 @@ def as_irreducible(u):
 
 
 class ASCurve:
-    """The curve T^p - T + u = 0 for a reduced, nonzero u."""
+    """The curve T^p - T + u = 0, built from the reduction ``red`` of u:
+    NotReduced if u reduces to zero (the cover splits) or a pole order
+    of ``red.profile`` is divisible by p."""
 
     __slots__ = ("ff", "u", "profile")
 
-    def __init__(self, ff, u, *, already_reduced=False):
-        if not already_reduced:
-            red = as_reduce(u)
-            u = red.reduced
-        self.ff = ff
-        self.u = u
-        if u.is_zero():
+    def __init__(self, red):
+        self.u = red.reduced
+        self.ff = self.u.ff
+        if self.u.is_zero():
             raise NotReduced("u reduces to zero; the cover is split")
-        self.profile = pole_profile(u)
+        self.profile = red.profile
         for place, order, _ in self.profile:
-            if order % ff.p == 0:
+            if order % self.ff.p == 0:
                 raise NotReduced("pole order divisible by p at %r" % (place,))
 
     @property
@@ -270,7 +269,7 @@ def as_genus(c):
     must agree.
     """
     if isinstance(c, RatFunc):
-        c = ASCurve(c.ff, c)
+        c = ASCurve(as_reduce(c))
     p = c.ff.p
     total = sum(deg * (order + 1) for _, order, deg in c.profile)
     g = (p - 1) * (total - 2) // 2

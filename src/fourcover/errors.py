@@ -17,11 +17,10 @@ class NeedsExtension(FourCoverError):
     that would suffice, relative to the tower that raised.
     """
 
-    def __init__(self, message, e=None, f=None, token=None):
+    def __init__(self, message, e=None, f=None):
         super().__init__(message)
         self.e = e
         self.f = f
-        self.token = token
 
 
 class NegativeValuation(FourCoverError):

@@ -300,19 +300,32 @@ def pmul(ff, a, b):
     return pnormalize(out)
 
 
-def ppow(ff, a, n, m=None):
-    """a^n for n >= 0 by square-and-multiply, reduced modulo m if given."""
-    def mul(x, y):
-        xy = pmul(ff, x, y)
-        return xy if m is None else pmod(ff, xy, m)
-    out = [1]
-    base = a if m is None else pmod(ff, a, m)
-    while n:
-        if n & 1:
-            out = mul(out, base)
+def binary_power(base, n, mul):
+    """base ** n for n >= 1 by repeated squaring with the product mul,
+    lowest bit first: n.bit_length() - 1 squarings and popcount(n) - 1
+    products."""
+    while not n & 1:
         base = mul(base, base)
         n >>= 1
+    out = base
+    n >>= 1
+    while n:
+        base = mul(base, base)
+        if n & 1:
+            out = mul(out, base)
+        n >>= 1
     return out
+
+
+def ppow(ff, a, n, m=None):
+    """a^n for n >= 0 by square-and-multiply, reduced modulo m if given.
+    The result is a new list, never a itself."""
+    if n == 0:
+        return [1]
+    if m is None:
+        return binary_power(pnormalize(a), n, lambda x, y: pmul(ff, x, y))
+    return binary_power(pmod(ff, a, m), n,
+                        lambda x, y: pmod(ff, pmul(ff, x, y), m))
 
 
 def pdivmod(ff, a, b):

@@ -80,7 +80,7 @@ def _torsor_outcome(f, h):
         if red.reduced.is_zero():
             return TorsorOutcome(TorsorOutcome.UNDECIDED, w, h,
                                  detail={"reason": "equation (fi) splits"})
-        curve = ASCurve(tw.ff, red.reduced, already_reduced=True)
+        curve = ASCurve(red)
         return TorsorOutcome(TorsorOutcome.ARTIN_SCHREIER, w, h, curve)
     # w < v(tau): normalize by p^floor(w) pi^(e frac(w)) and test k[x]^p
     wpi = int(w * tw.e)

@@ -68,6 +68,7 @@ square.
 """
 
 import math
+import operator
 import re
 from fractions import Fraction
 
@@ -76,7 +77,7 @@ from .errors import (
     DivisionByIndistinguishableZero, InvalidInput, ConstructionMismatch,
     PrecisionTooLarge,
 )
-from .ffield import FF
+from .ffield import FF, binary_power
 
 INF = math.inf
 _EXACT_ZERO = (0, 0)
@@ -265,23 +266,26 @@ class Tower:
             e = 1
         elif len(U) < e * f:
             U = list(U) + [0] * (e * f - len(U))
-        if f == 1:
-            # row t: the coefficient of pi^t in u pi^k for k = 0..e-1
-            rows = [list(U[t::-1]) + [-p * c for c in U[:t:-1]]
-                    for t in range(e)]
-        else:
-            # ua[j][l]: coordinates of u_j a^l
-            ua = []
-            for j in range(0, e * f, f):
-                powers = [list(U[j:j + f])]
-                for _ in range(f - 1):
-                    prev = powers[-1]
-                    powers.append([c - prev[-1] * m for c, m in
-                                   zip([0] + prev[:-1], self.modulus)])
-                ua.append(powers)
-            rows = [[ua[t - k][l][i] if k <= t else -p * ua[t - k + e][l][i]
-                     for k in range(e) for l in range(f)]
-                    for t in range(e) for i in range(f)]
+        n = e * f
+        # ua[l]: the coordinates of u_j a^l, slot j at ua[l][j f : (j + 1) f]
+        ua = [U]
+        for _ in range(f - 1):
+            prev = ua[-1]
+            ua.append([c - prev[j + f - 1] * m for j in range(0, n, f)
+                       for c, m in zip([0, *prev[j:j + f - 1]], self.modulus)])
+        # Row (t, i) lists the coordinate on a^i pi^t of u a^l pi^k over k < e,
+        # l < f: that of u_(t-k) a^l for k <= t, of -p u_(t-k+e) a^l above.
+        # cols[i] holds coordinate i of u_j a^l at j f + f - 1 - l, so the
+        # row is cols[i] read backwards from s = t f + f - 1, then the rest
+        # of it backwards times -p.
+        cols = []
+        for i in range(f):
+            col = [0] * n
+            for l, v in enumerate(ua):
+                col[f - 1 - l::f] = v[i::f]
+            cols.append(col)
+        rows = [col[s::-1] + [-p * c for c in col[:s:-1]]
+                for s in range(f - 1, n, f) for col in cols]
         for row in rows:
             row.append(0)
         rows[0][-1] = 1  # the right-hand side: the coordinates of 1
@@ -289,7 +293,7 @@ class Tower:
         # column from the other rows and drops it; pivots[c] keeps row c of
         # the resulting unit upper triangular system, without its diagonal.
         pivots = []
-        for _ in range(e * f):
+        for _ in range(n):
             r = next((r for r, row in enumerate(rows) if row[0] % p), None)
             if r is None:
                 raise ConstructionMismatch(
@@ -423,7 +427,7 @@ class Tower:
         s = x.pival()
         if s % 2:
             raise NeedsExtension("sqrt needs even pi-valuation; double e",
-                                 e=2 * self.e, token="sqrt")
+                                 e=2 * self.e)
         exact = None
         if x.exact is not None:
             q, m = x.exact
@@ -436,7 +440,7 @@ class Tower:
         rr = self.ff.sqrt(u.residue())
         if rr is None:
             raise NeedsExtension("sqrt needs a quadratic residue extension",
-                                 f=2 * self.f, token="sqrt")
+                                 f=2 * self.f)
         y = hensel_root(Poly(self, [-u, 0, 1]), rr) * self.pi_power(s // 2)
         if exact is not None:
             if not (y - self.from_exact_pair(*exact)).is_zeroish():
@@ -596,22 +600,6 @@ def _exact_q(q):
     if q.__class__ is not Fraction:
         q = Fraction(q)
     return q.numerator if q.denominator == 1 else q
-
-
-def _binary_power(base, n):
-    """base ** n for n >= 1 by repeated squaring, lowest bit first:
-    n.bit_length() - 1 squarings and popcount(n) - 1 products."""
-    while not n & 1:
-        base = base * base
-        n >>= 1
-    out = base
-    n >>= 1
-    while n:
-        base = base * base
-        if n & 1:
-            out = out * base
-        n >>= 1
-    return out
 
 
 def _vp(q, p):
@@ -841,19 +829,21 @@ class El:
             return self.inverse() ** (-n)
         if n == 0:
             return self.tw.one()
-        return _binary_power(self, n)
+        return binary_power(self, n, operator.mul)
 
     # -- comparisons -------------------------------------------------------
 
     def same(self, other):
         """Indistinguishable at the shared precision."""
-        other = self._coerce(other)
-        return (self - other).is_zeroish()
+        coerced = self._coerce(other)
+        if coerced is NotImplemented:
+            raise InvalidInput("cannot compare an element with %r" % (other,))
+        return (self - coerced).is_zeroish()
 
     def __eq__(self, other):
         try:
             return self.same(other)
-        except (InvalidInput, TypeError):
+        except InvalidInput:
             return NotImplemented
 
     __hash__ = None
@@ -918,10 +908,7 @@ class Poly:
 
     def __init__(self, tw, coeffs):
         self.tw = tw
-        c = list(coeffs)
-        while c and isinstance(c[-1], El) and c[-1].is_true_zero():
-            c.pop()
-        self.c = [x if isinstance(x, El) else tw.from_rational(x) for x in c]
+        self.c = [x if isinstance(x, El) else tw.from_rational(x) for x in coeffs]
         while self.c and self.c[-1].is_true_zero():
             self.c.pop()
 
@@ -973,7 +960,7 @@ class Poly:
             raise InvalidInput("negative power of a polynomial")
         if n == 0:
             return Poly(self.tw, [self.tw.one()])
-        return _binary_power(self, n)
+        return binary_power(self, n, operator.mul)
 
     def scale(self, el):
         return Poly(self.tw, [x * el for x in self.c])

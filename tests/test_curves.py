@@ -7,10 +7,12 @@ from fourcover.errors import NotReduced, InvalidInput, ConstructionMismatch
 from fourcover.ffield import (
     FF, pmul, ppow, pnormalize, pdeg, pdivmod, pmod, psub, pscale, pfactor,
 )
+from fourcover import curves, torsor
 from fourcover.curves import (
     RatFunc, ASReduction, as_reduce, as_irreducible, as_genus, p_rank_DS,
-    is_pth_power, ASCurve, InsepCurve, pole_profile, INF_PLACE,
+    is_pth_power, ASCurve, InsepCurve, INF_PLACE,
 )
+from fourcover.tower import make_tower, Poly
 
 
 def rf(ff, num, den=None):
@@ -18,9 +20,26 @@ def rf(ff, num, den=None):
 
 
 # ---------------------------------------------------------------------------
-# reference: the reduction that re-factors the denominator after every
-# correction, with the inverse modulo P by extended Euclid
+# references: the pole profile from a second factorization of the
+# denominator, and the reduction that re-factors the denominator after
+# every correction, with the inverse modulo P by extended Euclid
 # ---------------------------------------------------------------------------
+
+def pole_profile(u):
+    """Poles of u as a sorted list of (place, order, degree).
+
+    Places are monic irreducible polynomials (coefficient tuples) or the
+    marker "inf"; degree is the residue degree of the place.
+    """
+    ff = u.ff
+    out = []
+    for (poly, mult) in pfactor(ff, u.den):
+        out.append((tuple(poly), mult, pdeg(poly)))
+    deg_inf = pdeg(u.num) - pdeg(u.den)
+    if deg_inf > 0:
+        out.append((INF_PLACE, deg_inf, 1))
+    return out
+
 
 def _inv_mod(ff, a, P):
     """Inverse of a modulo the irreducible P (extended Euclid)."""
@@ -79,7 +98,7 @@ def reference_as_reduce(u):
     if poly_part:
         poly_part = pnormalize(poly_part[:0] + [0] + poly_part[1:])
     reduced = frac + RatFunc(ff, poly_part)
-    return ASReduction(reduced, witness, constant)
+    return ASReduction(reduced, witness, constant, pole_profile(reduced))
 
 
 def _irreducible(ff, deg, code):
@@ -152,7 +171,7 @@ class TestAsReduce:
         # poles of order 2 at 0 and 1 lose their even part
         u = rf(ff, [1], ppow(ff, [0, 1, 1], 2))
         red = as_reduce(u)
-        assert [order for _, order, _ in pole_profile(red.reduced)] == [1, 1]
+        assert [order for _, order, _ in red.profile] == [1, 1]
         assert red.reduced + red.witness.frobenius_shift() + rf(ff, [red.constant]) == u
 
     def test_idempotent_random(self):
@@ -190,8 +209,7 @@ class TestAsReduce:
             den = pnormalize([rng.randrange(3) for _ in range(rng.randrange(1, 8))])
             if not den:
                 continue
-            red = as_reduce(rf(ff, num, den)).reduced
-            for _, order, _ in pole_profile(red):
+            for _, order, _ in as_reduce(rf(ff, num, den)).profile:
                 assert order % 3
 
 
@@ -199,8 +217,32 @@ class TestAsReduce:
     @given(as_inputs())
     def test_matches_the_restarting_reference(self, u):
         red, ref = as_reduce(u), reference_as_reduce(u)
-        assert (red.reduced, red.witness, red.constant) == \
-            (ref.reduced, ref.witness, ref.constant)
+        assert (red.reduced, red.witness, red.constant, red.profile) == \
+            (ref.reduced, ref.witness, ref.constant, ref.profile)
+
+    @settings(max_examples=100, deadline=None)
+    @given(as_inputs())
+    def test_profile_is_the_pole_profile_of_the_reduced_part(self, u):
+        red = as_reduce(u)
+        assert red.profile == pole_profile(red.reduced)
+
+    def test_artin_schreier_outcome_factors_once(self, monkeypatch):
+        # h = x, f = x^3 - tau x: r = h^3 - f = tau x, so w = v(tau) and
+        # u = x / x^3 reduces to 1/x^2, a pole of order 2 prime to p = 3
+        tw = make_tower(3, 2, 1, 30)
+        x = Poly(tw, [tw.zero(), tw.one()])
+        f = Poly(tw, [tw.zero(), -tw.tau(), tw.zero(), tw.one()])
+        calls = []
+        original = curves.pfactor
+
+        def counting(ff, a):
+            calls.append(a)
+            return original(ff, a)
+        monkeypatch.setattr(curves, "pfactor", counting)
+        out = torsor._torsor_outcome(f, x)
+        assert out.case == torsor.TorsorOutcome.ARTIN_SCHREIER
+        assert out.payload.profile == [((0, 1), 2, 1)]
+        assert len(calls) == 1
 
 
 class TestAsIrreducible:
@@ -239,7 +281,7 @@ class TestGenus:
             ff = FF(p, 1)
             with pytest.raises(NotReduced):
                 # u = x is reduced, genus 0; but u=x gives genus 0 fine
-                ASCurve(ff, rf(ff, [1]))  # constant reduces to zero
+                ASCurve(as_reduce(rf(ff, [1])))  # constant reduces to zero
             assert as_genus(rf(ff, [0, 1])) == 0
 
     def test_stich_vs_conductor_grid(self):
@@ -264,15 +306,18 @@ class TestGenus:
     def test_oracle_disagreement_raises(self):
         # the degree shortcut must hold without assert, which -O strips
         ff = FF(5, 1)
-        c = ASCurve(ff, rf(ff, [0, 0, 0, 1]))
+        c = ASCurve(as_reduce(rf(ff, [0, 0, 0, 1])))
         c.profile = [(INF_PLACE, 4, 1)]
         with pytest.raises(ConstructionMismatch):
             as_genus(c)
 
     def test_not_reduced_raises(self):
+        # a reduction that claims the pole of 1/x^3 at p = 3 as reduced
         ff = FF(3, 1)
+        red = ASReduction(rf(ff, [1], [0, 0, 0, 1]), rf(ff, []), 0,
+                          [((0, 1), 3, 1)])
         with pytest.raises(NotReduced):
-            ASCurve(ff, rf(ff, [1], [0, 0, 0, 1]), already_reduced=True).genus()
+            ASCurve(red)
 
 
 class TestPRank:
@@ -291,10 +336,10 @@ class TestPRank:
             num = pnormalize([rng.randrange(5) for _ in range(rng.randrange(2, 8))])
             den = ppow(ff, [rng.randrange(5), 1], rng.randrange(0, 3))
             u = rf(ff, num, den)
-            red = as_reduce(u).reduced
-            if red.is_zero():
+            red = as_reduce(u)
+            if red.reduced.is_zero():
                 continue
-            c = ASCurve(ff, red, already_reduced=True)
+            c = ASCurve(red)
             assert c.p_rank() <= c.genus()
 
     def test_p_rank_zeta_oracle(self):
@@ -308,7 +353,7 @@ class TestPRank:
         p = 3
         ff1 = FF(p, 1)
         u = rf(ff1, [1, 0, 1], [0, 1])
-        curve = ASCurve(ff1, u)
+        curve = ASCurve(as_reduce(u))
         g = curve.genus()
         assert g == 2
         counts = []
@@ -389,7 +434,7 @@ class TestRatFuncErrors:
 class TestRender:
     def test_curve_strings(self):
         ff = FF(5, 1)
-        c = ASCurve(ff, rf(ff, [ff.neg(1)], [0, 0, 0, 0, 1]))
+        c = ASCurve(as_reduce(rf(ff, [ff.neg(1)], [0, 0, 0, 0, 1])))
         assert c.render() == "T^5 - T + (4)/(x^4) = 0"
         ic = InsepCurve(ff, [0, 0, 4])
         assert ic.render() == "T^5 = 4*x^2"

@@ -2,11 +2,12 @@ import functools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fourcover.errors import InvalidInput
 from fourcover.ffield import (
     MAX_ORDER, FF, padd, pmul, pdivmod, pgcd, pfactor, proots, _is_irreducible_mod_p,
-    p_is_pth_power, p_pth_root, ppow, prender, pnormalize,
+    p_is_pth_power, p_pth_root, ppow, pmod, prender, pnormalize,
 )
 
 
@@ -323,6 +324,44 @@ def test_tables_match_coordinate_arithmetic(p, f):
             assert ff.add(x, y) == total and ff.sub(total, y) == x
             assert ff.mul(x, y) == product
             assert not y or ff.div(product, y) == x
+
+
+def reference_ppow(ff, a, n, m=None):
+    """The ladder ppow had before it shared binary_power: it starts from
+    [1] and squares once past the top bit of n."""
+    def mul(x, y):
+        xy = pmul(ff, x, y)
+        return xy if m is None else pmod(ff, xy, m)
+    out = [1]
+    base = a if m is None else pmod(ff, a, m)
+    while n:
+        if n & 1:
+            out = mul(out, base)
+        base = mul(base, base)
+        n >>= 1
+    return out
+
+
+@st.composite
+def ppow_inputs(draw):
+    """(ff, a, n, m) over F_(p^f), p in {2, 3, 5, 7}, f <= 2; a may carry
+    trailing zeros; m is None or a nonzero polynomial of degree <= 3."""
+    ff = FF(draw(st.sampled_from([2, 3, 5, 7])), draw(st.integers(1, 2)))
+    coeff = st.integers(0, ff.q - 1)
+    a = draw(st.lists(coeff, max_size=4))
+    m = draw(st.none() | st.lists(coeff, min_size=1, max_size=4))
+    if m is not None:
+        m = pnormalize(m) or [1]
+    return ff, a, draw(st.integers(0, 60)), m
+
+
+@settings(max_examples=150, deadline=None)
+@given(ppow_inputs())
+def test_ppow_matches_the_old_ladder(args):
+    ff, a, n, m = args
+    out = ppow(ff, a, n, m)
+    assert out == reference_ppow(ff, a, n, m)
+    assert out is not a
 
 
 def test_order_bound():

@@ -150,6 +150,16 @@ class TestRingOps:
         with pytest.raises(DivisionByIndistinguishableZero):
             t.one() / t.zero()
 
+    def test_same_rejects_a_non_element(self):
+        # a string, a float or None once leaked a TypeError from the
+        # subtraction; only an element, an int or a Fraction compares
+        x = make_tower(5, 4, 1, 40).from_int(3)
+        for other in ("abc", 3.0, None, make_tower(5, 4, 1, 40).from_int(3)):
+            with pytest.raises(InvalidInput):
+                x.same(other)
+            assert not x == other
+        assert x.same(3) and x.same(Fraction(6, 2)) and x == 3
+
     def test_inverse_full_width_high_ramification(self):
         # on a heavily ramified f = 2 tower the inverse is a 48 x 48 solve;
         # it must still be exact across the whole window
