@@ -303,7 +303,10 @@ def pmul(ff, a, b):
 def binary_power(base, n, mul):
     """base ** n for n >= 1 by repeated squaring with the product mul,
     lowest bit first: n.bit_length() - 1 squarings and popcount(n) - 1
-    products."""
+    products.  n < 1 is an InvalidInput: the ladder has no product to
+    start from, and shifting a negative n never reaches 0."""
+    if n < 1:
+        raise InvalidInput("binary_power needs an exponent >= 1, got %r" % (n,))
     while not n & 1:
         base = mul(base, base)
         n >>= 1
@@ -319,7 +322,9 @@ def binary_power(base, n, mul):
 
 def ppow(ff, a, n, m=None):
     """a^n for n >= 0 by square-and-multiply, reduced modulo m if given.
-    The result is a new list, never a itself."""
+    The result is a new list, never a itself.  n < 0 is an InvalidInput."""
+    if n < 0:
+        raise InvalidInput("ppow needs an exponent >= 0, got %r" % (n,))
     if n == 0:
         return [1]
     if m is None:

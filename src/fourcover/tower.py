@@ -55,12 +55,17 @@ simple residue root until the polynomial cannot be told from zero.  Square
 roots go through it too.  The lifter divides nowhere: it carries an
 approximate 1/P'(x), started from a residue-field inverse and refined by
 its own Newton step, so no step runs a tower inverse.  The root's
-precision is capped at that of the last residual P(x).  When every
-coefficient of P lies in W (pi^(t e) u with u a W-constant, t >= 0, so
-it has the coordinates of (-p)^t u) and the residue root is nonzero, the
-Newton steps run on W/p^N coordinates, plain integers at f = 1, and the
-root they reach enters the element loop, where one full-precision P(x)
-certifies it.
+precision is capped at that of the last residual P(x).  When P is
+integral (every coefficient pi^s u with s >= 0, a fuzzy zero O(pi^k) with
+k >= 1, or 0), its entry checks read the residue polynomial, and for a
+nonzero residue root the Newton steps run on O_K/p^k coordinates: each
+coefficient is its unit part shifted up by s, and products are
+``_unit_product``.  The digits of the root double per step, so k doubles
+too, and of the at most ceil(log2(e N)) steps only the last works on
+full-width integers mod p^N.  Over W at f = 1 the coordinates are plain
+integers.  The root the steps reach enters the element loop, where one
+full-precision P(x) certifies it; a coefficient with s < 0 and the
+residue root 0 take the element loop from the lift.
 
 Powers start from the base at the lowest set bit of the exponent and
 stop after the top bit, so they compute no product by one and no unused
@@ -77,7 +82,7 @@ from .errors import (
     DivisionByIndistinguishableZero, InvalidInput, ConstructionMismatch,
     PrecisionTooLarge,
 )
-from .ffield import FF, binary_power
+from .ffield import FF, binary_power, peval, pderiv
 
 INF = math.inf
 _EXACT_ZERO = (0, 0)
@@ -1069,29 +1074,48 @@ def hensel_root(P, residue_enc):
     x, so the result's ap is capped at the ap of the final P(x).  A root
     that is itself indistinguishable from zero is returned unchanged.
 
-    When every coefficient of P lies in W and the residue root is
-    nonzero, the same steps run first on W/p^nl coordinates
-    (``_w_newton``), and the loop below starts from the root they reach:
-    its first P(x) is then indistinguishable from zero and certifies the
-    root, with the same cap and the same errors as the loop from the lift.
+    When P is integral (every coefficient the true zero, O(pi^ap) with
+    ap >= 1, or pi^s u with s >= 0, dense or in W alike), the entry checks
+    read P'(r) and P(r) from the residue polynomial, with the errors the
+    element checks raise, and for a nonzero residue root the Newton steps
+    run first on O_K/p^k coordinates (``_newton``).  There k follows the
+    digits of the root: the step that makes it right to d pi-digits works
+    mod p^ceil(d/e), d runs through ceil(e nl / 2^j) upwards, and so at
+    most ceil(log2(e nl)) steps are taken, only the last at full width.
+    The loop below starts from the root they reach: its first P(x) is then
+    indistinguishable from zero and certifies the root, with the same cap
+    and the same errors as the loop from the lift.  A lift that is a root
+    mod p^nl is never moved by those steps.  Any other P (a coefficient with
+    s < 0 or a fuzzy zero below pi^1) checks on elements, and it and the
+    residue root 0 run the loop from the lift.
     """
     tw = P.tw
-    Pd = P.deriv()
-    x = tw.lift_ff(residue_enc)
-    d = Pd.eval(x)
-    if d.is_zeroish() or d.pival() != 0:
-        raise ConstructionMismatch("residue root is not simple; Hensel fails")
+    ff = tw.ff
+    Pd = None   # P', derived when an element step needs it
+    coeffs = _coordinates(P)
+    if coeffs is not None:
+        rbar = P.residue_poly()
+        dbar = peval(ff, pderiv(ff, rbar), residue_enc)
+        if not dbar:
+            raise ConstructionMismatch("residue root is not simple; Hensel fails")
+        if peval(ff, rbar, residue_enc):
+            raise ConstructionMismatch("%r is not a root of the residue polynomial"
+                                       % (residue_enc,))
+    else:
+        Pd = P.deriv()
+        d = Pd.eval(tw.lift_ff(residue_enc))
+        if d.is_zeroish() or d.pival() != 0:
+            raise ConstructionMismatch("residue root is not simple; Hensel fails")
+        dbar = d.residue()
+    zbar = ff.inv(dbar)
+    if coeffs is not None and residue_enc:
+        x, z = _newton(tw, coeffs, ff.coords(residue_enc), ff.coords(zbar))
+    else:
+        x, z = tw.lift_ff(residue_enc), tw.lift_ff(zbar)
     fx = P.eval(x)
-    if not fx.is_zeroish() and fx.pival() <= 0:
+    if coeffs is None and not fx.is_zeroish() and fx.pival() <= 0:
         raise ConstructionMismatch("%r is not a root of the residue polynomial"
                                    % (residue_enc,))
-    zbar = tw.ff.inv(d.residue())
-    coeffs = _w_coordinates(P) if residue_enc and not fx.is_zeroish() else None
-    if coeffs is not None:
-        x, z = _w_newton(tw, coeffs, tw.ff.coords(residue_enc), tw.ff.coords(zbar))
-        fx = P.eval(x)
-    else:
-        z = tw.lift_ff(zbar)
     two = tw.from_int(2)
     for _ in range(tw.prec.bit_length() + 2):
         if fx.is_zeroish():
@@ -1099,6 +1123,8 @@ def hensel_root(P, residue_enc):
         x = x - fx * z
         fx = P.eval(x)
         if not fx.is_zeroish():
+            if Pd is None:
+                Pd = P.deriv()
             z = z * (two - Pd.eval(x) * z)
     if not fx.is_zeroish():
         raise InsufficientPrecision("Newton lifting did not converge")
@@ -1107,63 +1133,87 @@ def hensel_root(P, residue_enc):
     return tw._canon(x.s, x.U, fx.ap, x.exact)
 
 
-def _w_coordinates(P):
-    """The coefficients of P as lists of f coordinates in W/p^nl, or None
-    unless each is the true zero or pi^(t e) u with t >= 0 and u a
-    W-constant, which has the coordinates of (-p)^t u."""
+def _coordinates(P):
+    """The coefficients of P as unit parts in O_K/p^nl, ready for
+    ``Tower._unit_product``, or None unless P is integral: pi^s u with
+    s >= 0 has the coordinates of u shifted up by s, and the true zero
+    and O(pi^ap) with ap >= 1 have those of 0."""
     tw = P.tw
     out = []
     for c in P.c:
-        if c.ap is None:
+        if c.s is None:
+            if c.ap is not None and c.ap < 1:
+                return None
             out.append([0] * tw.f)
-        elif c.s is None or c.s < 0 or c.s % tw.e or len(c.U) != tw.f:
+        elif c.s < 0:
             return None
         else:
-            scale = (-tw.p) ** (c.s // tw.e)
-            out.append([u * scale % tw.pmod for u in c.U])
+            out.append([u % tw.pmod for u in tw._shift_up(c.U, c.s)])
     return out
 
 
-def _w_newton(tw, coeffs, x, z):
-    """The Newton steps of ``hensel_root`` on W/p^nl coordinates: x, the
-    lift of the residue root, and z, that of 1/P'(x), are refined until
-    P(x) = 0 mod p^nl.  Returns both as elements at full precision.
+def _newton(tw, coeffs, x, z):
+    """The Newton steps of ``hensel_root`` on O_K/p^k coordinates: x, the
+    lift of a nonzero residue root, and z, that of 1/P'(x), are refined
+    until P(x) = 0 mod p^nl.  Returns both as elements at full precision.
 
-    The coordinates are exact mod p^nl, so each step doubles the p-digits
-    of x and z; the step count is bounded as in ``hensel_root``.
+    x and z start right to one pi-digit (e of them when P lies over W, as
+    its root then does), and each step doubles that.  The steps make them
+    right to ceil(e nl / 2^j) pi-digits for j down to 0, at most
+    ceil(log2(e nl)) steps, and the step that reaches d digits works on
+    the coordinates below pi^d: mod p^ceil(d / e), and on the first d
+    pi-slots while d < e.  So only the last step pays for full-width
+    integers, and the one before it for half of them.  Over W at f = 1
+    every coordinate list is one integer, and the steps run on plain ints.
     """
-    pm, f = tw.pmod, tw.f
+    e, f = tw.e, tw.f
     derivs = [[a * i for a in c] for i, c in enumerate(coeffs[1:], 1)]
-    steps = tw.prec.bit_length() + 2
-    if f == 1:   # plain ints
-        cs, ds = [c for c, in coeffs], [c for c, in derivs]
-        (x,), (z,) = x, z
-        for _ in range(steps):
-            fx = 0
-            for c in reversed(cs):
-                fx = (fx * x + c) % pm
-            if not fx:
-                break
-            x = (x - fx * z) % pm
-            dx = 0
-            for c in reversed(ds):
-                dx = (dx * x + c) % pm
-            z = z * (2 - dx * z) % pm
+    one = [1] + [0] * (f - 1)
+    mul, add, neg = tw._unit_product, _sum_mod, _negated
+    known = 1
+    if all(len(c) == f for c in coeffs):
+        # over W the root lies in W, so the lift is right mod p: e pi-digits
+        known = e
+        if f == 1:
+            coeffs, derivs = [c for c, in coeffs], [c for c, in derivs]
+            (x,), (z,), one = x, z, 1
+            mul, add, neg = operator.mul, _int_sum_mod, operator.neg
+
+    def value(cs, x, m, n):
+        out = cs[-1]
+        for c in reversed(cs[:-1]):
+            out = add(mul(out, x), c, m, n)
+        return out
+
+    targets = []
+    digits = e * tw.nl
+    while digits > known:
+        targets.append(digits)
+        digits = -(-digits // 2)
+    for digits in reversed(targets):
+        m, n = tw._ppow[-(-digits // e)], min(digits, e) * f
+        x = add(x, neg(mul(value(coeffs, x, m, n), z)), m, n)
+        if digits < targets[0]:   # the last step needs no better z
+            t = mul(value(derivs, x, m, n), z)   # P'(x) z, 1 mod pi^(digits/2)
+            z = add(z, mul(z, add(one, neg(t), m, n)), m, n)
+    if isinstance(x, int):
         x, z = [x], [z]
-    else:
-        mul = tw._w_product
-
-        def value(cs, x):
-            out = [0] * f
-            for c in reversed(cs):
-                out = [(a + b) % pm for a, b in zip(mul(out, x), c)]
-            return out
-
-        for _ in range(steps):
-            fx = value(coeffs, x)
-            if not any(fx):
-                break
-            x = [(a - b) % pm for a, b in zip(x, mul(fx, z))]
-            t = mul(value(derivs, x), z)
-            z = [c % pm for c in mul(z, [2 - t[0]] + [-c for c in t[1:]])]
     return tw._canon(0, x, tw.prec, None), tw._canon(0, z, tw.prec, None)
+
+
+def _sum_mod(A, B, m, n):
+    """The first n coordinates of A + B, reduced mod m; the shorter of A
+    and B is padded with zeros."""
+    if len(A) < len(B):
+        A, B = B, A
+    A = A[:n]
+    return [(a + b) % m for a, b in zip(A, B)] + [a % m for a in A[len(B):]]
+
+
+def _int_sum_mod(a, b, m, n):
+    """``_sum_mod`` for one coordinate held as a plain int."""
+    return (a + b) % m
+
+
+def _negated(A):
+    return [-c for c in A]

@@ -1,5 +1,6 @@
 import functools
 import random
+import signal
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from fourcover.errors import InvalidInput
 from fourcover.ffield import (
     MAX_ORDER, FF, padd, pmul, pdivmod, pgcd, pfactor, proots, _is_irreducible_mod_p,
-    p_is_pth_power, p_pth_root, ppow, pmod, prender, pnormalize,
+    p_is_pth_power, p_pth_root, ppow, pmod, prender, pnormalize, binary_power,
 )
 
 
@@ -362,6 +363,35 @@ def test_ppow_matches_the_old_ladder(args):
     out = ppow(ff, a, n, m)
     assert out == reference_ppow(ff, a, n, m)
     assert out is not a
+
+
+def test_power_ladders_reject_exponents_they_cannot_reach():
+    # the ladder shifts n right past its lowest set bit and then until it
+    # is 0, which n = 0 and a negative n never reach; each call is bounded
+    # by a 5 s timer, so a loop that spins fails the test instead of
+    # hanging the suite
+    def expire(signum, frame):
+        raise TimeoutError("power ladder did not return")
+    ff = FF(5, 1)
+    calls = [lambda: ppow(ff, [1, 1], -1), lambda: ppow(ff, [1, 1], -3, [1, 0, 1]),
+             lambda: binary_power(3, -1, lambda x, y: x * y),
+             lambda: binary_power(3, 0, lambda x, y: x * y)]
+    outcomes = []
+    previous = signal.signal(signal.SIGALRM, expire)
+    try:
+        for call in calls:
+            signal.setitimer(signal.ITIMER_REAL, 5.0)
+            try:
+                outcomes.append(call())
+            except (InvalidInput, TimeoutError) as exc:
+                outcomes.append(type(exc))
+            finally:
+                signal.setitimer(signal.ITIMER_REAL, 0)
+    finally:
+        signal.signal(signal.SIGALRM, previous)
+    assert outcomes == [InvalidInput] * len(calls)
+    assert ppow(ff, [1, 1], 0) == [1]
+    assert binary_power(3, 5, lambda x, y: x * y) == 243
 
 
 def test_order_bound():

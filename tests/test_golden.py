@@ -2,7 +2,8 @@
 
 One request per reduction type and type-3 subroute (p = 3 and f = 2
 cases included), requests whose centers lift on polynomials over the
-unramified ring W, plus one each of ``classify``, ``qwerty``,
+unramified ring W, two at 4x precision whose centers lift on polynomials
+with dense coefficients, plus one each of ``classify``, ``qwerty``,
 ``deuring`` and ``sweep``.  A refactor must leave every byte of these reports
 unchanged; ``golden/freeze.py`` wrote them.
 """
@@ -43,6 +44,10 @@ CASES = {
     "model_via-2b3-ii_w_lift_flipped": _model(7, 6, 6, "7^2"),
     "model_via-1b_w_f2": _model(7, 1, 1, "2"),
     "model_via-2b3-ii_deep": _model(5, 2, 4, "25", "--precision", "800"),
+    # centers lifted from polynomials with dense coefficients (pi-slots
+    # above 0) at 4x the default precision: f = 2, and e = 16
+    "model_via-2b3-i_f2_deep": _model(7, 1, 6, "7", "--precision", "1200"),
+    "model_via-2b3-ii_e16_deep": _model(5, 1, 4, "tau^2*pi^-1", "--precision", "800"),
     "classify_1b": ["classify", "--p", "5", "--beta", "1", "--gamma", "4",
                     "--lambda", "tau^2", "--json"],
     "qwerty": ["qwerty", "--p", "5", "--c1", "1", "--c2", "tau^2", "--json"],

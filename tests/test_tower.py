@@ -886,8 +886,9 @@ class TestLadders:
 
 
 def reference_hensel_root(P, residue_enc):
-    """``hensel_root`` as it was before its Newton steps on W coordinates:
-    every step runs on tower elements.  Kept verbatim as the reference."""
+    """``hensel_root`` as it was before its Newton steps on coordinates:
+    the entry checks and every step run on tower elements.  Kept verbatim
+    as the reference for the W and the dense coordinate paths."""
     tw = P.tw
     Pd = P.deriv()
     x = tw.lift_ff(residue_enc)
@@ -992,9 +993,54 @@ def w_lift_problems(draw):
     return Poly(tw, coeffs), r
 
 
+@st.composite
+def dense_elements(draw, tw, s_min=0):
+    """pi^s u with s >= s_min and u dense (random coordinates in every
+    pi-slot), with a window of the whole precision or of at most four
+    pi-digits; an exact token pi^s q; or a fuzzy zero O(pi^k), k >= 1
+    and k >= s_min.  Maybe negated."""
+    p, e = tw.p, tw.e
+    s = draw(st.one_of(st.just(s_min), st.integers(s_min, s_min + 2 * e)))
+    kind = draw(st.sampled_from(["digits", "digits", "low-ap", "exact", "fuzzy"]))
+    if kind == "fuzzy":
+        return El(tw, None, None, draw(st.integers(max(1, s_min), s_min + tw.prec)), None)
+    if kind == "exact":
+        num = draw(st.integers(1, 10 ** 6).filter(lambda n: n % p))
+        den = draw(st.integers(1, 10 ** 3).filter(lambda n: n % p))
+        return tw.from_exact_pair(Fraction(num, den), s)
+    coords = [draw(st.integers(0, tw.pmod - 1)) for _ in range(e * tw.f)]
+    if all(c % p == 0 for c in coords[:tw.f]):
+        coords[0] += 1
+    window = tw.prec if kind == "digits" else draw(st.integers(1, 4))
+    x = tw._canon(s, coords, s + window, None)
+    return -x if draw(st.booleans()) else x
+
+
+@st.composite
+def dense_lift_problems(draw):
+    """(P, r): P over p in {3, 5, 7}, e in {1, 2, 4, 6, 12, 16} and
+    f in {1, 2}, with coefficients drawn by ``dense_elements`` (so with
+    pi-slots above 0, windows below the precision and fuzzy zeros) or
+    zero, and any residue root r, simple unless P'(r) = 0 mod pi.
+    c_0 = w - sum c_i lift(r)^i with w of valuation >= 1.  About one
+    draw in eight gives c_1 a term pi^-1, which is not integral."""
+    e = draw(st.sampled_from([1, 2, 4, 6, 12, 16]))
+    tw = make_tower(draw(st.sampled_from([3, 5, 7])), e,
+                    draw(st.sampled_from([1, 2])), draw(st.integers(1, 60 * e)))
+    r = draw(st.integers(0, tw.ff.q - 1))
+    coeffs = [tw.zero()] + [draw(st.one_of(st.just(tw.zero()), dense_elements(tw)))
+                            for _ in range(draw(st.integers(1, 5)))]
+    if coeffs[-1].is_true_zero():
+        coeffs[-1] = tw.one()
+    if all(draw(st.booleans()) for _ in range(3)):
+        coeffs[1] = coeffs[1] + tw.pi_power(-1)
+    coeffs[0] = draw(dense_elements(tw, 1)) - Poly(tw, coeffs).eval(tw.lift_ff(r))
+    return Poly(tw, coeffs), r
+
+
 class TestWPath:
-    """Values in W: W-constant products, and roots of polynomials over W
-    lifted on W/p^nl coordinates, against the element paths they replace."""
+    """Values in W: W-constant products, and roots of integral polynomials
+    lifted on O_K/p^k coordinates, against the element paths they replace."""
 
     @given(tower_units(2, shapes=("slot0", "exact", "one")))
     @settings(max_examples=150, deadline=None)
@@ -1011,10 +1057,17 @@ class TestWPath:
         P, r = problem
         assert outcome(hensel_root, P, r) == outcome(reference_hensel_root, P, r)
 
+    @given(dense_lift_problems())
+    @settings(max_examples=150, deadline=None)
+    def test_dense_lift_matches_element_loop(self, problem):
+        P, r = problem
+        assert outcome(hensel_root, P, r) == outcome(reference_hensel_root, P, r)
+
     @pytest.mark.parametrize("p,e,f,prec", [(7, 12, 2, 600), (5, 4, 1, 800), (3, 2, 2, 100)])
-    def test_w_quadratic_evaluates_p_twice(self, p, e, f, prec, monkeypatch):
-        # P at the lift of the residue root, then once at the root the W
-        # steps reach; the element loop evaluates P once per step
+    def test_w_quadratic_evaluates_p_once(self, p, e, f, prec, monkeypatch):
+        # the entry checks read residues, so the only element evaluation
+        # is P at the root the coordinate steps reach; the element loop
+        # evaluates P at the lift and once per step
         t = make_tower(p, e, f, prec)
         u = t.from_int(4) + t.from_int(p) * t.lift_ff(t.ff.q - 1)
         P = Poly(t, [-u, 0, 1])
@@ -1023,29 +1076,54 @@ class TestWPath:
         original = Poly.eval
 
         def counted_eval(poly, x):
-            if poly is P:
-                evals.append(x)
+            evals.append(poly is P)
             return original(poly, x)
         monkeypatch.setattr(Poly, "eval", counted_eval)
         y = hensel_root(P, r)
-        assert len(evals) == 2
+        assert evals == [True]
         del evals[:]
         assert state(reference_hensel_root(P, r)) == state(y)
-        assert len(evals) > 2
+        assert evals.count(True) > 2
         assert (y * y - u).is_zeroish() and y.ap == prec
 
     def test_other_polynomials_keep_the_element_loop(self, monkeypatch):
-        # a coefficient with a pi-slot above 0, or the residue root 0
+        # every integral polynomial with a nonzero residue root, dense
+        # coefficients included, takes the coordinate steps; a coefficient
+        # with s < 0, or the residue root 0, keeps the element loop
         t = make_tower(7, 12, 2, 600)
-        calls = counted(monkeypatch, tower_module, "_w_newton")
+        calls = counted(monkeypatch, tower_module, "_newton")
         u = t.from_int(2) + t.pi() * t.lift_ff(9)
         y = hensel_root(Poly(t, [-u, 0, 1]), t.ff.sqrt(u.residue()))
         assert (y * y - u).is_zeroish()
+        assert calls == ["_newton"]
         P = Poly.from_ints(t, [14, -8, 1])   # x (x - 1) mod 7
         assert P.eval(hensel_root(P, 0)).is_zeroish()
-        assert calls == []
+        assert calls == ["_newton"]
         assert P.eval(hensel_root(P, 1)).is_zeroish()
-        assert calls == ["_w_newton"]
+        assert calls == ["_newton"] * 2
+        # (x^3 - 1)/pi + x - 1 + pi at p = 3, e = 2: P' = 1 - pi x^2 is a
+        # unit at 1, but c_3 = 1/pi is not integral
+        t3 = make_tower(3, 2, 1, 60)
+        Q = Poly(t3, [t3.pi() - 1 - t3.pi_power(-1), t3.one(), 0, t3.pi_power(-1)])
+        y = hensel_root(Q, 1)
+        assert calls == ["_newton"] * 2
+        assert state(y) == state(reference_hensel_root(Q, 1))
+        assert Q.eval(y).is_zeroish()
+
+    def test_entry_checks_keep_their_errors(self):
+        # read from residues, a double or missing residue root is still a
+        # ConstructionMismatch; with a coefficient of negative valuation
+        # the element checks run, and give no NegativeValuation
+        t = make_tower(5, 4, 2, 80)
+        double = Poly(t, [t.one(), t.from_int(-2) + t.pi(), t.one()])  # (x - 1)^2 mod pi
+        low = Poly(t, [t.one(), t.one() + t.pi_power(-1), t.one()])
+        for P in (double, low):
+            for r in range(t.ff.q):
+                out = outcome(hensel_root, P, r)
+                assert out == outcome(reference_hensel_root, P, r)
+                assert out is ConstructionMismatch or isinstance(out, tuple)
+        assert outcome(hensel_root, double, 1) is ConstructionMismatch
+        assert outcome(hensel_root, double, 2) is ConstructionMismatch
 
 
 OPERATIONS = {
