@@ -35,7 +35,7 @@ from .errors import (
     FourCoverError, InsufficientPrecision, UnsupportedPrime, InvalidInput,
     ConstructionMismatch,
 )
-from .tower import Tower, El, Poly, INF, hensel_root
+from .tower import Tower, El, Poly, INF, hensel_root, _times_int
 from .normalizer import (
     CoverDatum, FactoredCover, Moebius, normalize, j_numerator,
 )
@@ -266,14 +266,25 @@ def _chart_poly(cover, moebius=None):
         cover, _ = cover.moebius_pullback(moebius)
     C, const = _cover_to_poly(cover)
     tw = C.tw
-    notes = {}
     if const.same(tw.one()):
-        return C, notes
-    m = const.pival()
+        return C, {}
+    return C.scale(const * tw.pi_power(-const.pival())), _chart_notes(cover)
+
+
+def _chart_notes(cover):
+    """The notes of ``_chart_poly(cover)``, read without building C: the
+    chart constant const * prod_{v(q) < 0} (-q)^a of ``_cover_to_poly``
+    has pi-power v(const) + sum_{v(q) < 0} a v(q)."""
+    tw = cover.tw
+    m = cover.const.pival()
+    for q, a in cover.items:
+        v = q.valuation()
+        if v is not INF and v < 0:
+            m += a * q.pival()
     if m % tw.p:
-        notes["constant"] = ("pi-power %d of the chart constant is not a "
-                             "p-th power; root adjoined implicitly" % m)
-    return C.scale(const * tw.pi_power(-m)), notes
+        return {"constant": "pi-power %d of the chart constant is not a "
+                            "p-th power; root adjoined implicitly" % m}
+    return {}
 
 
 def _xp_witness(C, what):
@@ -362,26 +373,33 @@ def _artin_schreier(out, chart, expect_genus, label, notes=None):
     )
 
 
-def _trichotomy(C, h, d=None, b=None, N=None):
+def _trichotomy(C, h, d=None, b=None, N=None, cover=None):
     """(chart, outcome): the trichotomy of z^p = C with the witness h,
     on the chart of the blow-up at (x - d, b) when a center d is given,
     else on C itself with chart None.  On the chart the witness is h
     carried through the blow-up, x2^(N/p) h(d + b/x2)/h(d); h None is 1
-    there, which carries to x2^(N/p).
+    there, which carries to x2^(N/p).  ``cover`` is a FactoredCover
+    whose polynomial is C up to a constant, which no chart sees; with a
+    cover, C may be None, and it is then built only if rung 2 runs.
 
     It runs in two rungs.  The trichotomy compares w = v(h^p - C) with
-    v(tau), so it reads a chart to about e v(tau) + 1 pi-digits.  Rung 1
-    adds O(pi^K0), K0 = 2 (floor(e v(tau)) + 1), to d and to every
-    coefficient of C and h that is not the true zero (a true zero stays
-    one, so products still skip it).  El tracks precision soundly, so
-    every valuation and residue rung 1 reads is a true digit: a case it
-    decides has the full-precision w and equation.  Its chart keeps the
-    full-precision center d; its poly is the K0 chart.  A FourCoverError
-    or an undecided outcome at K0 runs rung 2, the same calls on the
-    full-precision C, d and h, whose result or error stands.
+    v(tau), so it reads a chart only in its rows of valuation up to
+    K = floor(e v(tau)) + 1 pi-digits.  Rung 1 adds O(pi^K0), K0 = 2K,
+    to d and to every coefficient of h that is not the true zero (a true
+    zero stays one, so products still skip it).  A blow-up with a cover
+    reads its chart from the cover's linear factors (``_factored_chart``),
+    to the rows of valuation below K; any other chart is read from C
+    with the same cut.  El tracks precision soundly, so every valuation
+    and residue rung 1 reads is a true digit: a case it decides has the
+    full-precision w and equation.  Its chart keeps the full-precision
+    center d; its poly is the rung-1 chart.  A FourCoverError or an
+    undecided outcome at rung 1 runs rung 2, ``torsor.blowup_chart`` and
+    the trichotomy on the full-precision C, d and h, whose result or
+    error stands.
     """
-    tw = C.tw
-    big_oh = El(tw, None, None, 2 * (math.floor(tw.e * tw.tau_valuation()) + 1), None)
+    tw = C.tw if C is not None else cover.tw
+    K = math.floor(tw.e * tw.tau_valuation()) + 1
+    big_oh = El(tw, None, None, 2 * K, None)
 
     def coarse(x):
         return x if x is None or x.is_true_zero() else x + big_oh
@@ -390,36 +408,105 @@ def _trichotomy(C, h, d=None, b=None, N=None):
         return None if P is None else Poly(tw, [coarse(c) for c in P.c])
 
     try:
-        chart, out = _trichotomy_at(coarse_poly(C), coarse_poly(h), coarse(d), b, N)
+        if d is None or cover is None:
+            chart, out = _trichotomy_at(coarse_poly(C), coarse_poly(h), coarse(d), b, N)
+        else:
+            dc = coarse(d)
+            chart, out = _chart_outcome(_factored_chart(cover, dc, b, N, K),
+                                        coarse_poly(h), dc, b)
         if out.case != TorsorOutcome.UNDECIDED:
             if chart is not None:
                 chart.center = d
             return chart, out
     except FourCoverError:
         pass
+    if C is None:
+        C, _ = _cover_to_poly(cover)
     return _trichotomy_at(C, h, d, b, N)
 
 
 def _trichotomy_at(C, h, d, b, N):
-    """One rung of ``_trichotomy``, at the precision of C, h and d."""
+    """One rung of ``_trichotomy`` on C, at the precision of C, h and d."""
     if d is None:
         return None, torsor._torsor_outcome(C, h)
-    chart = torsor.blowup_chart(C, d, b, N=N)
-    n = chart.N // C.tw.p
+    return _chart_outcome(torsor.blowup_chart(C, d, b, N=N), h, d, b)
+
+
+def _chart_outcome(chart, h, d, b):
+    """(chart, outcome): the trichotomy on the blow-up chart at (x - d, b),
+    with the witness h carried through the blow-up."""
+    tw = chart.poly.tw
+    n = chart.N // tw.p
     if h is None:
-        h = Poly.x_power(C.tw, n)
+        h = Poly.x_power(tw, n)
     else:
         h = torsor.blowup_chart(h, d, b, N=n).poly
     return chart, torsor.torsor_case(chart.poly, h)
 
 
-def _blowup_component(C, d, b, expect_genus, label, h=None, N=None, notes=None):
-    """Blow up (x - d, b), certify the chart with ``_trichotomy`` (the
-    witness h of C carried through the blow-up, x^(N/p) when h is None)
-    and package its Artin-Schreier component.  The chart records the
-    full-precision center; its poly, which no report renders, may be the
-    K0 chart."""
-    chart, out = _trichotomy(C, h, d, b, N)
+def _factored_chart(cover, d, b, N, K):
+    """The blow-up chart of ``cover`` at (x - d, b), x2^N C(d + b/x2)/C(d),
+    in its rows of valuation below K pi-digits; row i is the coefficient
+    of x2^(N - i), and N defaults to p ceil(deg C / p).
+
+    C(d + b t)/C(d) = prod_q (1 + (b/(d - q)) t)^a over the cover's
+    factors, whether v(q) >= 0 or not, since the constants that
+    ``_cover_to_poly`` moves out cancel.  So [t^i] has valuation at least
+    i mu, mu = min_q v_pi(b/(d - q)), and the rows i with i mu >= K are
+    O(pi^(i mu)).  The rows below, prod_q (d - q + T)^a mod T^k with
+    T = b t, come from the binomial theorem and are divided by their row
+    0, C(d), the chart's one inverse.
+    """
+    tw = cover.tw
+    D = sum(a for _, a in cover.items)
+    if N is None:
+        N = tw.p * (-(-D // tw.p))
+    if N < D:
+        raise InvalidInput("chart degree below deg C")
+    alphas = [(d - q, a) for q, a in cover.items]
+    mu = min(b.pival() - alpha.pival() for alpha, _ in alphas)
+    k = D + 1 if mu <= 0 else min(D + 1, -(-K // mu))
+    rows = None
+    for alpha, a in alphas:
+        # (alpha + T)^a = sum_j C(a, j) alpha^(a - j) T^j, for j < k;
+        # pw holds alpha^(a - top), ..., alpha^a
+        top = min(a, k - 1)
+        pw = [alpha ** (a - top)] if a > top else [tw.one(), alpha]
+        while len(pw) <= top:
+            pw.append(pw[-1] * alpha)
+        factor = [pw[top]] + [_times_int(pw[top - j], math.comb(a, j))
+                              for j in range(1, top + 1)]
+        rows = factor if rows is None else _truncated_product(rows, factor, k)
+    coeffs = [tw.zero()] * (N + 1)
+    coeffs[N] = tw.one()
+    scale = rows[0].inverse()
+    for i in range(1, len(rows)):
+        scale = scale * b
+        coeffs[N - i] = rows[i] * scale
+    for i in range(k, D + 1):
+        coeffs[N - i] = El(tw, None, None, i * mu, None)
+    return BlowupChart(d, b, N, Poly(tw, coeffs))
+
+
+def _truncated_product(A, B, k):
+    """The product of the coefficient lists A and B mod T^k."""
+    tw = A[0].tw
+    out = [tw.zero()] * min(k, len(A) + len(B) - 1)
+    for i, x in enumerate(A):
+        for j, y in enumerate(B[:len(out) - i]):
+            out[i + j] = out[i + j] + x * y
+    return out
+
+
+def _blowup_component(cover, d, b, expect_genus, label, h=None, N=None,
+                      notes=None, C=None):
+    """Blow up ``cover`` at (x - d, b), certify the chart with
+    ``_trichotomy`` (the witness h of C carried through the blow-up,
+    x^(N/p) when h is None; C is the cover's polynomial when the builder
+    has it already) and package its Artin-Schreier component.  The chart
+    records the full-precision center; its poly, which no report renders,
+    may be the rung-1 chart."""
+    chart, out = _trichotomy(C, h, d, b, N, cover=cover)
     return _artin_schreier(out, chart, expect_genus, label, notes)
 
 
@@ -462,7 +549,7 @@ def _build_good_1a(n, cover, lam, checks):
                          and (vd2.is_zeroish() or vd2.valuation() >= vb2),
                          "v(f'(d))=%s, v(f''(d))=%s, v(b^2)=%s"
                          % (_vstr(vd1), _vstr(vd2), vb2)))
-    comp = _blowup_component(C, d, b, p - 1, "good-1a chart")
+    comp = _blowup_component(cover, d, b, p - 1, "good-1a chart", C=C)
     checks.append(_check("good-1a-lemma-hh", lemma_hh_check(comp.chart.poly),
                          "v(x^N - chart) = v(tau)"))
     if comp.p_rank != 0:
@@ -479,7 +566,6 @@ def _build_good_1a(n, cover, lam, checks):
 def _build_via_1b(n, cover, lam, checks):
     tw = cover.tw
     p = tw.p
-    C, _ = _chart_poly(cover)
     # the centers solve g/g2 = x^2 + Bc x + Cc by the quadratic formula:
     # the two critical disks may share a residue, where Hensel fails
     g0, g1, g2 = _critical_quadratic(n, lam).c
@@ -505,8 +591,10 @@ def _build_via_1b(n, cover, lam, checks):
         b = _radius(tw, vb)
         if not v_sep < vb:
             raise ConstructionMismatch("critical disks are not separated")
-        comps.append(_blowup_component(C, d, b, (p - 1) // 2,
+        comps.append(_blowup_component(cover, d, b, (p - 1) // 2,
                                        "type-3 chart %d (v(lam)=0)" % i))
+    # a record, not a test: the loop above raised unless the centers lie
+    # farther apart than each disk's radius, v_sep < v(b)
     checks.append(_check("via-1b-distinct-disks", True,
                          "two separated critical disks"))
     return comps, [(0, 1, 1)]
@@ -524,11 +612,12 @@ def _build_via_2a(n, cover, lam, checks):
     comps = []
     for cvr, S, tag in ((cover, g, "unit disk"),
                         (inner, g_inner, "disk of radius lam")):
-        C, notes = _chart_poly(cvr)
         [d] = _lift_centers(S, _integral_branch_residues(cvr), 1, tag)
-        comps.append(_blowup_component(C, d, b, (p - 1) // 2,
+        comps.append(_blowup_component(cvr, d, b, (p - 1) // 2,
                                        "type-3 chart on the %s" % tag,
-                                       notes=notes))
+                                       notes=_chart_notes(cvr)))
+    # a record, not a test: _lift_centers raised unless each disk has
+    # exactly one simple critical residue root
     checks.append(_check("via-2a-centers", True,
                          "one critical point per separated disk"))
     return comps, [(0, 1, 1)]
@@ -546,6 +635,7 @@ def _build_good_1b(n, cover, lam, checks):
         raise ConstructionMismatch(
             "type 1b must have 2 branch points and p-rank p-1, got %d/%d"
             % (comp.branch_points, comp.p_rank))
+    # a record, not a test: the raise above enforced two branch points
     checks.append(_check("good-1b-two-branch-points", True,
                          "special fiber branched at exactly two points"))
     return [comp], []
@@ -563,6 +653,7 @@ def _build_mumford_2(n, cover, lam, checks):
     C, _ = _chart_poly(cover, Moebius(tw.sqrt(lam), tw.zero(), tw.zero(), tw.one()))
     out = _expect(_trichotomy(C, _xp_witness(C, "annulus model"))[1],
                   TorsorOutcome.SPLIT, "annulus model")
+    # a record, not a test: _expect raised unless the annulus chart split
     checks.append(_check("mumford-annulus-splits", True,
                          "v(h^p - annulus equation) = %s > v(tau) = %s"
                          % (out.w, tw.tau_valuation())))
@@ -590,23 +681,26 @@ def _build_via_2b3(n, cover, lam, checks, subcase):
     centers = _lift_centers(S, _integral_branch_residues(moved), want,
                             "symmetrized line")
     if want == 2:
-        charts = [(F, h, d, "x1 chart %d" % i) for i, d in enumerate(centers)]
+        charts = [(moved, F, h, d, "x1 chart %d" % i) for i, d in enumerate(centers)]
     else:
         # the second singular point is at infinity: flip y = 1/x1 and
         # lift its residue root 0, which hensel_root requires to be simple
         Fs, hs = F.reverse(2 * p), h.reverse(2)
         _, Ss = _critical_2b3(Fs, hs, mu, subcase)
-        charts = [(F, h, centers[0], "x1 finite chart"),
-                  (Fs, hs, hensel_root(Ss, 0), "1/x1 chart")]
+        flipped, _ = moved.moebius_pullback(
+            Moebius(tw.zero(), tw.one(), tw.one(), tw.zero()))
+        charts = [(moved, F, h, centers[0], "x1 finite chart"),
+                  (flipped, Fs, hs, hensel_root(Ss, 0), "1/x1 chart")]
     comps = []
-    for C, hc, d, coord in charts:
+    for cvr, C, hc, d, coord in charts:
         # sub-case i certifies with x2^2; sub-case ii carries h through
         # the blow-up: x2^2 h(d + b/x2)/h(d), which for the quadratic h is
         # x2^2 + b h'(d)/h(d) x2 + b^2/h(d), while the flipped (degree-1)
         # h correctly loses the constant
         comps.append(_blowup_component(
-            C, d, b, (p - 1) // 2, "2b3 %s chart at %s" % (subcase, coord),
-            h=None if subcase == VIA_2B3_I else hc, N=2 * p, notes={"coord": coord}))
+            cvr, d, b, (p - 1) // 2, "2b3 %s chart at %s" % (subcase, coord),
+            h=None if subcase == VIA_2B3_I else hc, N=2 * p, notes={"coord": coord},
+            C=C))
     return comps, [(0, 1, 1)]
 
 

@@ -14,9 +14,11 @@ The trichotomy reads f and h only to about e v(tau) + 1 pi-digits: it
 needs w where w <= v(tau), and the residue of (h^p - f)/tau or of
 (h^p - f)/pi^(e w).  ``blowup_chart`` and ``torsor_case`` work at the
 precision their inputs carry, and every valuation and residue they read
-is a true digit, so the classifier certifies each chart first with its
-inputs cut to 2 (floor(e v(tau)) + 1) pi-digits, and at full precision
-only when that does not decide (``classifier._trichotomy``).
+is a true digit, so the classifier certifies each chart first at about
+that precision, and at full precision only when that does not decide
+(``classifier._trichotomy``): a blow-up of a cover from the rows of
+valuation below floor(e v(tau)) + 1 that its linear factors give, any
+other chart with its inputs cut to 2 (floor(e v(tau)) + 1) pi-digits.
 """
 
 from .errors import (

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from fourcover.errors import UnsupportedPrime, FourCoverError
 from fourcover.ffield import peval, pderiv, pnormalize, proots
-from fourcover.tower import make_tower, hensel_root, Poly
+from fourcover.tower import make_tower, hensel_root, El, Poly
 from fourcover.normalizer import (
     CoverDatum, FactoredCover, INFPT, Moebius, normalize,
 )
@@ -18,9 +18,9 @@ from fourcover.classifier import (
     Classification, TYPE_1A, TYPE_1B, TYPE_2, TYPE_3,
     VIA_1B, VIA_2A, VIA_2B3_I, VIA_2B3_II,
     _chart_poly, _cover_to_poly, _critical_2b3, _critical_quadratic,
-    _integral_branch_residues, _trichotomy,
+    _factored_chart, _integral_branch_residues, _trichotomy,
 )
-from fourcover import torsor
+from fourcover import classifier, torsor
 from fourcover.torsor import TorsorOutcome
 from fourcover.normalizer import cross_ratio_orbit
 
@@ -652,6 +652,194 @@ def rung_charts(draw):
     return C, draw(st.sampled_from([None, pulled_back(h0, d, b, unit())])), d, b, N
 
 
+def count_charts(monkeypatch):
+    """The charts that ``torsor.blowup_chart`` returns from now on; None
+    for a call that raised."""
+    calls = []
+    original = torsor.blowup_chart
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        calls[-1] = original(*args, **kwargs)
+        return calls[-1]
+    monkeypatch.setattr(torsor, "blowup_chart", counted)
+    return calls
+
+
+def count_cover_polys(monkeypatch):
+    """The covers that ``classifier._cover_to_poly`` expands from now on."""
+    calls = []
+    original = classifier._cover_to_poly
+
+    def counted(cover):
+        calls.append(cover)
+        return original(cover)
+    monkeypatch.setattr(classifier, "_cover_to_poly", counted)
+    return calls
+
+
+@st.composite
+def factored_charts(draw):
+    """(cover, h, d, b, N): a FactoredCover of one to four points, each
+    integral or of negative valuation, with exponents in 1..p-1, over
+    p in {3, 5, 7}, f <= 2; a center d whose residue is off the integral
+    points' residues; b = pi^j and N = p ceil(deg / p), or p more.  h is
+    None (x^(N/p) on the chart) or a monic witness of degree N/p."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    e = (p - 1) * draw(st.sampled_from([1, 2]))
+    tw = make_tower(p, e, draw(st.sampled_from([1, 2])),
+                    e * draw(st.sampled_from([8, 20, 50])))
+    q = tw.ff.q
+
+    def lift(lo=0):
+        return tw.lift_ff(draw(st.integers(lo, q - 1)))
+
+    r = draw(st.integers(0, q - 1))
+    d = tw.lift_ff(r) + tw.pi() * lift() + tw.pi_power(e - 1) * lift()
+    items = []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            other = tw.lift_ff(draw(st.integers(0, q - 1).filter(lambda c: c != r)))
+            point = other + tw.pi_power(draw(st.integers(1, 3))) * lift()
+        else:
+            point = tw.pi_power(-draw(st.integers(1, 2 * e))) * lift(1) + lift()
+        items.append((point, draw(st.integers(1, p - 1))))
+    cover = FactoredCover(tw, tw.pi_power(draw(st.integers(0, 3))) * lift(1), items)
+    D = sum(a for _, a in items)
+    N = p * (-(-D // p) + draw(st.integers(0, 1)))
+    s = N // p
+    h = None
+    if draw(st.booleans()):
+        h = Poly(tw, [lift() + tw.pi() * lift() for _ in range(s)] + [tw.one()])
+    return cover, h, d, tw.pi_power(draw(st.integers(0, 3))), N
+
+
+def full_chart_result(C, h, d, b, N):
+    """The full-precision trichotomy of the blow-up of C at (x - d, b)."""
+    tw = C.tw
+    s = N // tw.p
+
+    def run():
+        chart = torsor.blowup_chart(C, d, b, N=N)
+        return torsor.torsor_case(chart.poly, Poly.x_power(tw, s) if h is None
+                                  else torsor.blowup_chart(h, d, b, N=s).poly)
+    return trichotomy_result(run)
+
+
+class TestFactoredRung:
+    """Rung 1 of a blow-up with a cover reads the chart from the cover's
+    linear factors, in the rows the trichotomy reads."""
+
+    @given(factored_charts())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_full_precision(self, problem):
+        cover, h, d, b, N = problem
+        C, _ = _cover_to_poly(cover)
+        want = full_chart_result(C, h, d, b, N)
+        got = trichotomy_result(lambda: _trichotomy(None, h, d, b, N, cover=cover))
+        assert got == want
+        if not isinstance(got, type):
+            chart, _ = _trichotomy(None, h, d, b, N, cover=cover)
+            assert chart.N == N and chart.radius is b
+            assert state(chart.center) == state(d)
+
+    @given(factored_charts())
+    @settings(max_examples=100, deadline=None)
+    def test_rows_agree_with_the_full_chart(self, problem):
+        # every row of the rung-1 chart is the full chart's row up to its
+        # precision, and a row i with i mu >= K is O(pi^(i mu)), which the
+        # full chart's row i has valuation at least i mu to bear out
+        cover, _, d, b, N = problem
+        tw = d.tw
+        K = rung_digits(tw) // 2
+        try:
+            full = torsor.blowup_chart(_cover_to_poly(cover)[0], d, b, N=N).poly
+            dc = d + El(tw, None, None, 2 * K, None)
+            rung = _factored_chart(cover, dc, b, N, K).poly
+        except FourCoverError:
+            return
+        assert rung.degree == full.degree == N and rung.c[N].same(tw.one())
+        for c, f in zip(rung.c, full.c):
+            assert c.same(f)
+        mu = min(b.pival() - (d - q).pival() for q, _ in cover.items)
+        D = sum(a for _, a in cover.items)
+        left = [i for i in range(D + 1) if mu > 0 and i * mu >= K]
+        for i in left:
+            row, f = rung.coeff(N - i), full.coeff(N - i)
+            assert row.is_zeroish() and row.ap == i * mu
+            assert f.is_zeroish() or f.pival() >= i * mu
+        for i in range(D + 1, N + 1):
+            assert rung.coeff(N - i).is_true_zero()
+
+    def test_undecided_rung_one_builds_c_once(self, monkeypatch):
+        # the point pi^10 and the center pi^12 agree to K0 = 8 pi-digits
+        # at p = 3, e = 2, so rung 1 cannot tell d - q from 0; rung 2 builds
+        # C once and certifies the full-precision chart, whose row 1 has
+        # valuation v(pi) = 1/2 < v(tau): inseparable
+        tw = make_tower(3, 2, 1, 100)
+        assert rung_digits(tw) == 8
+        cover = FactoredCover(tw, tw.one(), [(tw.pi_power(10), 1), (tw.one(), 1),
+                                             (-tw.one(), 1)])
+        d, b = tw.pi_power(12), tw.pi_power(11)
+        polys = count_cover_polys(monkeypatch)
+        charts = count_charts(monkeypatch)
+        chart, out = _trichotomy(None, None, d, b, 3, cover=cover)
+        assert len(polys) == 1 and polys[0] is cover
+        assert len(charts) == 1 and charts[0] is chart
+        assert out.case == TorsorOutcome.INSEPARABLE and out.w == Fraction(1, 2)
+        monkeypatch.undo()
+        assert trichotomy_result(lambda: (chart, out)) == full_chart_result(
+            _cover_to_poly(cover)[0], None, d, b, 3)
+
+
+# one certified chart per (route, e, f) shape of the p = 3 models at 24
+# pi-digits, as (beta, gamma, lambda token, route, e, f): every f = 1 shape
+# of the lambdas 2, 3, 9, tau^2, 27, pi^3, tau, tau^3, 4, 1/3, and the two
+# cheapest f = 2 shapes (the digit search sweeps q^3 = 729 witnesses a digit
+# there, 1.5-2 s a chart; the f = 2 shapes of 2b3-ii and 2b3-i at e = 6 take
+# 2.2-4.6 s and are left out)
+ORACLE_SHAPES = [
+    (2, 1, "3", VIA_2A, 4, 1),
+    (1, 2, "1/3", VIA_2A, 12, 1),
+    (2, 2, "9", VIA_2B3_II, 4, 1),
+    (2, 2, "tau", VIA_2B3_II, 8, 1),
+    (2, 1, "4", VIA_2B3_I, 2, 1),
+    (1, 2, "3", VIA_2B3_I, 2, 2),
+    (1, 2, "2", VIA_1B, 4, 2),
+]
+
+
+class TestTrichotomyOracle:
+    """The case of a chart that ``build_stable_model`` certified is the case
+    that the digit-search oracle induces on the chart blown up again at full
+    precision from its recorded center, radius and N."""
+
+    @pytest.mark.parametrize("beta,gamma,token,route,e,f", ORACLE_SHAPES)
+    def test_certified_chart_matches_the_oracle(self, monkeypatch, beta, gamma,
+                                                token, route, e, f):
+        certified = []
+        original = classifier._trichotomy
+
+        def recorded(C, h, d=None, b=None, N=None, cover=None):
+            chart, out = original(C, h, d, b, N, cover=cover)
+            if d is not None:
+                certified.append((C, cover, chart, out))
+            return chart, out
+        monkeypatch.setattr(classifier, "_trichotomy", recorded)
+        tw = tower_for(3, 12)
+        m = build_stable_model(norm(tw, beta, gamma, tw.parse(token)))
+        monkeypatch.undo()
+        C, cover, chart, out = certified[0]
+        big = chart.center.tw
+        assert (m.classification.subroute, big.e, big.f) == (route, e, f)
+        assert chart is m.components[0].chart
+        if C is None:
+            C, _ = _cover_to_poly(cover)
+        full = torsor.blowup_chart(C, chart.center, chart.radius, N=chart.N).poly
+        _, w = torsor.maximize_h_bruteforce(full, digit_budget=6)
+        assert torsor.induced_case(w, big) == out.case == TorsorOutcome.ARTIN_SCHREIER
+
+
 class TestTwoRungCertifier:
     """``_trichotomy`` decides at K0 pi-digits, and only falls back to the
     full-precision run when that does not decide."""
@@ -680,17 +868,6 @@ class TestTwoRungCertifier:
             assert chart.N == N and chart.radius is b
             assert state(chart.center) == state(d)
 
-    def count_charts(self, monkeypatch):
-        calls = []
-        original = torsor.blowup_chart
-
-        def counted(*args, **kwargs):
-            calls.append(None)
-            calls[-1] = original(*args, **kwargs)
-            return calls[-1]
-        monkeypatch.setattr(torsor, "blowup_chart", counted)
-        return calls
-
     def test_rung_one_makes_one_chart(self, monkeypatch):
         # x^5 + tau x + tau at p = 5, e = 4 is Artin-Schreier with h = x,
         # and its pulled-back C(d) is a unit: rung 1 decides on the K0 chart
@@ -698,7 +875,7 @@ class TestTwoRungCertifier:
         F = Poly(tw, [tw.tau(), tw.tau(), 0, 0, 0, 1])
         d = tw.from_int(2) + tw.pi() * tw.from_int(3)
         C = pulled_back(F, d, tw.pi(), tw.from_int(7))
-        charts = self.count_charts(monkeypatch)
+        charts = count_charts(monkeypatch)
         chart, out = _trichotomy(C, None, d, tw.pi(), 5)
         assert len(charts) == 1 and charts[0] is chart
         assert out.case == TorsorOutcome.ARTIN_SCHREIER
@@ -708,15 +885,18 @@ class TestTwoRungCertifier:
         assert trichotomy_result(lambda: (chart, out)) == trichotomy_result(
             lambda: torsor.torsor_case(torsor.blowup_chart(C, d, tw.pi(), N=5).poly,
                                        Poly.x_power(tw, 1)))
-        # a whole via-2a model blows up its two charts once each, and a
-        # 2b3-ii model each of its two charts and witnesses once
-        charts = self.count_charts(monkeypatch)
+        # a whole via-2a model reads both charts from its covers' factors,
+        # with no polynomial of a cover and no blow-up; a 2b3-ii model blows
+        # up only the witness of each of its two charts (degree N/p = 2)
+        charts = count_charts(monkeypatch)
+        polys = count_cover_polys(monkeypatch)
         t5 = tower_for(5)
-        build_stable_model(norm(t5, 2, 1, t5.from_int(5)))
-        assert len(charts) == 2
-        del charts[:]
+        m = build_stable_model(norm(t5, 2, 1, t5.from_int(5)))
+        assert m.classification.subroute == VIA_2A
+        assert charts == [] and polys == []
         m = build_stable_model(norm(t5, 1, 4, t5.from_int(25)))
-        assert m.classification.subroute == VIA_2B3_II and len(charts) == 4
+        assert m.classification.subroute == VIA_2B3_II
+        assert [c.N for c in charts] == [2, 2]
 
     def test_deep_chart_value_takes_rung_two(self, monkeypatch):
         # C(d) = pi^10 at p = 3, e = 2: v(C(d)) = 5 lies above K0 = 8 pi-digits
@@ -727,7 +907,7 @@ class TestTwoRungCertifier:
         F = Poly(tw, [tw.tau(), tw.tau(), 0, 1])
         d, b = tw.zero(), tw.one()
         C = pulled_back(F, d, b, tw.pi_power(10))
-        charts = self.count_charts(monkeypatch)
+        charts = count_charts(monkeypatch)
         chart, out = _trichotomy(C, None, d, b, 3)
         # the K0 chart raised DegenerateModel
         assert len(charts) == 2 and charts[0] is None and charts[1] is chart
