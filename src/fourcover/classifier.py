@@ -12,9 +12,20 @@ The decision tree (p > 3):
 
 For p = 3 the v(lam) = 0 branch is always type 3 and the v(lam) > 0
 branch is identical.  Every constructed chart is certified through the
-torsor trichotomy and re-measured by the conductor genus oracle; a chart
-that fails certification raises ConstructionMismatch rather than being
-trusted.
+torsor trichotomy, and each Artin-Schreier component's conductor genus
+must be the genus its route predicts; a chart that fails either raises
+ConstructionMismatch rather than being trusted.  ``verify_model`` then
+checks the assembled model: the genera and the Betti number add up to
+p - 1, each p-rank is the Deuring-Shafarevich count of its branch points,
+each positive genus is a multiple of (p-1)/2, the other components are
+rational, and the dual graph has the shape of the type.  Its
+``component-i-genus-oracle`` check reruns ``as_genus`` on the stored
+curve, so it guards the stored genus, not the conductor formula.
+
+Every blow-up chart is read from the cover's linear factors
+(``_factored_chart``), first in the rows the trichotomy reads, at the
+precision it reads them, and in every row at full precision only when
+that does not decide (``_two_rungs``).
 
 Chart centers.  Off the branch points, the critical points of
 C = x(x-1)^beta(x-lam)^gamma are the roots of the critical quadratic g
@@ -33,7 +44,7 @@ from functools import partial
 
 from .errors import (
     FourCoverError, InsufficientPrecision, UnsupportedPrime, InvalidInput,
-    ConstructionMismatch,
+    ConstructionMismatch, DegenerateModel,
 )
 from .tower import Tower, El, Poly, INF, hensel_root, _times_int
 from .normalizer import (
@@ -373,81 +384,76 @@ def _artin_schreier(out, chart, expect_genus, label, notes=None):
     )
 
 
-def _trichotomy(C, h, d=None, b=None, N=None, cover=None):
-    """(chart, outcome): the trichotomy of z^p = C with the witness h,
-    on the chart of the blow-up at (x - d, b) when a center d is given,
-    else on C itself with chart None.  On the chart the witness is h
-    carried through the blow-up, x2^(N/p) h(d + b/x2)/h(d); h None is 1
-    there, which carries to x2^(N/p).  ``cover`` is a FactoredCover
-    whose polynomial is C up to a constant, which no chart sees; with a
-    cover, C may be None, and it is then built only if rung 2 runs.
+def _two_rungs(tw, rung):
+    """The (chart, outcome) of ``rung`` certified in two rungs.
 
-    It runs in two rungs.  The trichotomy compares w = v(h^p - C) with
-    v(tau), so it reads a chart only in its rows of valuation up to
-    K = floor(e v(tau)) + 1 pi-digits.  Rung 1 adds O(pi^K0), K0 = 2K,
-    to d and to every coefficient of h that is not the true zero (a true
-    zero stays one, so products still skip it).  A blow-up with a cover
-    reads its chart from the cover's linear factors (``_factored_chart``),
-    to the rows of valuation below K; any other chart is read from C
-    with the same cut.  El tracks precision soundly, so every valuation
-    and residue rung 1 reads is a true digit: a case it decides has the
-    full-precision w and equation.  Its chart keeps the full-precision
-    center d; its poly is the rung-1 chart.  A FourCoverError or an
-    undecided outcome at rung 1 runs rung 2, ``torsor.blowup_chart`` and
-    the trichotomy on the full-precision C, d and h, whose result or
-    error stands.
+    The trichotomy compares w = v(h^p - C) with v(tau), so it reads a
+    chart only in its rows of valuation up to K = floor(e v(tau)) + 1
+    pi-digits.  Rung 1 is rung(cut, K), where cut adds O(pi^K0), K0 = 2K,
+    to an element, or to every coefficient of a polynomial, that is not
+    the true zero (a true zero stays one, so products still skip it).  El
+    tracks precision soundly, so every valuation and residue rung 1 reads
+    is a true digit: a case it decides has the full-precision w and
+    equation.  A FourCoverError or an undecided outcome at rung 1 runs
+    rung 2, rung(identity, None) at full precision, whose result or error
+    stands.
     """
-    tw = C.tw if C is not None else cover.tw
     K = math.floor(tw.e * tw.tau_valuation()) + 1
     big_oh = El(tw, None, None, 2 * K, None)
 
-    def coarse(x):
+    def cut_el(x):
         return x if x is None or x.is_true_zero() else x + big_oh
 
-    def coarse_poly(P):
-        return None if P is None else Poly(tw, [coarse(c) for c in P.c])
+    def cut(x):
+        # not recursive: a closure that calls itself is a reference cycle,
+        # which would keep the tower alive until the cyclic collector runs
+        return Poly(tw, [cut_el(c) for c in x.c]) if isinstance(x, Poly) else cut_el(x)
 
     try:
-        if d is None or cover is None:
-            chart, out = _trichotomy_at(coarse_poly(C), coarse_poly(h), coarse(d), b, N)
-        else:
-            dc = coarse(d)
-            chart, out = _chart_outcome(_factored_chart(cover, dc, b, N, K),
-                                        coarse_poly(h), dc, b)
+        chart, out = rung(cut, K)
         if out.case != TorsorOutcome.UNDECIDED:
-            if chart is not None:
-                chart.center = d
             return chart, out
     except FourCoverError:
         pass
-    if C is None:
-        C, _ = _cover_to_poly(cover)
-    return _trichotomy_at(C, h, d, b, N)
+    return rung(lambda x: x, None)
 
 
-def _trichotomy_at(C, h, d, b, N):
-    """One rung of ``_trichotomy`` on C, at the precision of C, h and d."""
-    if d is None:
-        return None, torsor._torsor_outcome(C, h)
-    return _chart_outcome(torsor.blowup_chart(C, d, b, N=N), h, d, b)
+def _trichotomy(C, h):
+    """The trichotomy of the unblown chart z^p = C with the witness h:
+    rung 1 on C and h cut to K0 pi-digits, rung 2 at full precision."""
+    def rung(cut, K):
+        return None, torsor._torsor_outcome(cut(C), cut(h))
+    return _two_rungs(C.tw, rung)[1]
 
 
-def _chart_outcome(chart, h, d, b):
-    """(chart, outcome): the trichotomy on the blow-up chart at (x - d, b),
-    with the witness h carried through the blow-up."""
-    tw = chart.poly.tw
-    n = chart.N // tw.p
-    if h is None:
-        h = Poly.x_power(tw, n)
-    else:
-        h = torsor.blowup_chart(h, d, b, N=n).poly
-    return chart, torsor.torsor_case(chart.poly, h)
+def _blowup_trichotomy(cover, h, d, b, N):
+    """(chart, outcome): the trichotomy on the blow-up of ``cover`` at
+    (x - d, b), with the witness h carried through the blow-up,
+    x2^(N/p) h(d + b/x2)/h(d); h None is 1 there, which carries to
+    x2^(N/p).  Both rungs read the chart from the cover's linear factors
+    (``_factored_chart``): rung 1 from d cut to K0 pi-digits, in the rows
+    of valuation below K, and rung 2 in every row from the full-precision
+    d.  The chart keeps the full-precision center d; its poly is the chart
+    of the rung that decided."""
+    tw = cover.tw
+
+    def rung(cut, K):
+        dc = cut(d)
+        chart = _factored_chart(cover, dc, b, N, K)
+        n = chart.N // tw.p
+        hc = (Poly.x_power(tw, n) if h is None
+              else torsor.blowup_chart(cut(h), dc, b, N=n).poly)
+        out = torsor.torsor_case(chart.poly, hc)
+        chart.center = d
+        return chart, out
+    return _two_rungs(tw, rung)
 
 
-def _factored_chart(cover, d, b, N, K):
+def _factored_chart(cover, d, b, N, K=None):
     """The blow-up chart of ``cover`` at (x - d, b), x2^N C(d + b/x2)/C(d),
-    in its rows of valuation below K pi-digits; row i is the coefficient
-    of x2^(N - i), and N defaults to p ceil(deg C / p).
+    in its rows of valuation below K pi-digits, or in every row when K is
+    None; row i is the coefficient of x2^(N - i), and N defaults to
+    p ceil(deg C / p).  DegenerateModel when C(d) cannot be told from 0.
 
     C(d + b t)/C(d) = prod_q (1 + (b/(d - q)) t)^a over the cover's
     factors, whether v(q) >= 0 or not, since the constants that
@@ -464,8 +470,10 @@ def _factored_chart(cover, d, b, N, K):
     if N < D:
         raise InvalidInput("chart degree below deg C")
     alphas = [(d - q, a) for q, a in cover.items]
+    if any(alpha.is_zeroish() for alpha, _ in alphas):
+        raise DegenerateModel("C(d) is indistinguishable from 0")
     mu = min(b.pival() - alpha.pival() for alpha, _ in alphas)
-    k = D + 1 if mu <= 0 else min(D + 1, -(-K // mu))
+    k = D + 1 if K is None or mu <= 0 else min(D + 1, -(-K // mu))
     rows = None
     for alpha, a in alphas:
         # (alpha + T)^a = sum_j C(a, j) alpha^(a - j) T^j, for j < k;
@@ -499,14 +507,13 @@ def _truncated_product(A, B, k):
 
 
 def _blowup_component(cover, d, b, expect_genus, label, h=None, N=None,
-                      notes=None, C=None):
+                      notes=None):
     """Blow up ``cover`` at (x - d, b), certify the chart with
-    ``_trichotomy`` (the witness h of C carried through the blow-up,
-    x^(N/p) when h is None; C is the cover's polynomial when the builder
-    has it already) and package its Artin-Schreier component.  The chart
-    records the full-precision center; its poly, which no report renders,
-    may be the rung-1 chart."""
-    chart, out = _trichotomy(C, h, d, b, N, cover=cover)
+    ``_blowup_trichotomy`` (the witness h carried through the blow-up,
+    x^(N/p) when h is None) and package its Artin-Schreier component.  The
+    chart records the full-precision center; its poly, which no report
+    renders, may be the rung-1 chart."""
+    chart, out = _blowup_trichotomy(cover, h, d, b, N)
     return _artin_schreier(out, chart, expect_genus, label, notes)
 
 
@@ -514,8 +521,7 @@ def _line_component(cover, moebius, coord, label):
     """A rational component of the Mumford model: the chart of ``cover``
     along ``moebius`` must be purely inseparable."""
     C, notes = _chart_poly(cover, moebius)
-    out = _expect(_trichotomy(C, Poly(C.tw, []))[1],
-                  TorsorOutcome.INSEPARABLE, label)
+    out = _expect(_trichotomy(C, Poly(C.tw, [])), TorsorOutcome.INSEPARABLE, label)
     return Component(
         kind="inseparable",
         equation=out.payload.render(),
@@ -549,7 +555,7 @@ def _build_good_1a(n, cover, lam, checks):
                          and (vd2.is_zeroish() or vd2.valuation() >= vb2),
                          "v(f'(d))=%s, v(f''(d))=%s, v(b^2)=%s"
                          % (_vstr(vd1), _vstr(vd2), vb2)))
-    comp = _blowup_component(cover, d, b, p - 1, "good-1a chart", C=C)
+    comp = _blowup_component(cover, d, b, p - 1, "good-1a chart")
     checks.append(_check("good-1a-lemma-hh", lemma_hh_check(comp.chart.poly),
                          "v(x^N - chart) = v(tau)"))
     if comp.p_rank != 0:
@@ -628,7 +634,7 @@ def _build_good_1b(n, cover, lam, checks):
     p = tw.p
     C, notes = _chart_poly(cover, Moebius(tw.tau(), tw.zero(), tw.zero(), tw.one()))
     # C is not monic, so the trichotomy runs without the chart checks
-    _, out = _trichotomy(C, _xp_witness(C, "smooth 1b model"))
+    out = _trichotomy(C, _xp_witness(C, "smooth 1b model"))
     chart = BlowupChart(None, None, C.degree, C, coord="x0/tau", notes=notes)
     comp = _artin_schreier(out, chart, p - 1, "smooth model at x0/tau")
     if comp.branch_points != 2 or comp.p_rank != p - 1:
@@ -651,7 +657,7 @@ def _build_mumford_2(n, cover, lam, checks):
     ]
     # the annulus between them splits into p sheets: certify w > v(tau)
     C, _ = _chart_poly(cover, Moebius(tw.sqrt(lam), tw.zero(), tw.zero(), tw.one()))
-    out = _expect(_trichotomy(C, _xp_witness(C, "annulus model"))[1],
+    out = _expect(_trichotomy(C, _xp_witness(C, "annulus model")),
                   TorsorOutcome.SPLIT, "annulus model")
     # a record, not a test: _expect raised unless the annulus chart split
     checks.append(_check("mumford-annulus-splits", True,
@@ -681,7 +687,7 @@ def _build_via_2b3(n, cover, lam, checks, subcase):
     centers = _lift_centers(S, _integral_branch_residues(moved), want,
                             "symmetrized line")
     if want == 2:
-        charts = [(moved, F, h, d, "x1 chart %d" % i) for i, d in enumerate(centers)]
+        charts = [(moved, h, d, "x1 chart %d" % i) for i, d in enumerate(centers)]
     else:
         # the second singular point is at infinity: flip y = 1/x1 and
         # lift its residue root 0, which hensel_root requires to be simple
@@ -689,18 +695,17 @@ def _build_via_2b3(n, cover, lam, checks, subcase):
         _, Ss = _critical_2b3(Fs, hs, mu, subcase)
         flipped, _ = moved.moebius_pullback(
             Moebius(tw.zero(), tw.one(), tw.one(), tw.zero()))
-        charts = [(moved, F, h, centers[0], "x1 finite chart"),
-                  (flipped, Fs, hs, hensel_root(Ss, 0), "1/x1 chart")]
+        charts = [(moved, h, centers[0], "x1 finite chart"),
+                  (flipped, hs, hensel_root(Ss, 0), "1/x1 chart")]
     comps = []
-    for cvr, C, hc, d, coord in charts:
+    for cvr, hc, d, coord in charts:
         # sub-case i certifies with x2^2; sub-case ii carries h through
         # the blow-up: x2^2 h(d + b/x2)/h(d), which for the quadratic h is
         # x2^2 + b h'(d)/h(d) x2 + b^2/h(d), while the flipped (degree-1)
         # h correctly loses the constant
         comps.append(_blowup_component(
             cvr, d, b, (p - 1) // 2, "2b3 %s chart at %s" % (subcase, coord),
-            h=None if subcase == VIA_2B3_I else hc, N=2 * p, notes={"coord": coord},
-            C=C))
+            h=None if subcase == VIA_2B3_I else hc, N=2 * p, notes={"coord": coord}))
     return comps, [(0, 1, 1)]
 
 

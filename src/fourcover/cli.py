@@ -1,8 +1,8 @@
 """Command-line interface: classify covers, build models, run sweeps.
 
 Exit codes: 0 success, 1 a sweep with failed rows or a failing selftest,
-2 insufficient precision (after one retry at 4x), 3 invalid input,
-4 failed chart certification.  JSON reports carry the
+2 insufficient precision (after one retry at 4x), 3 invalid input or
+any other typed error, 4 failed chart certification.  JSON reports carry the
 fixed keys {input, normalization, type, subroute, extension, components,
 edges, checks, ms}; output is byte-identical across runs unless --timing
 is given (ms is null by default for that reason).
@@ -18,8 +18,7 @@ from fractions import Fraction
 
 from .errors import (
     FourCoverError, InsufficientPrecision, ConstructionMismatch, InvalidInput,
-    NeedsExtension, DegenerateModel, CoalescingBranchPoints, NonCyclicExponent,
-    UnsupportedPrime, NotReduced, PrecisionTooLarge,
+    NeedsExtension, DegenerateModel, PrecisionTooLarge,
 )
 from .tower import make_tower, Poly, INF
 from .normalizer import CoverDatum, INFPT, normalize, cross_ratio_orbit
@@ -32,10 +31,6 @@ from .torsor import (
 )
 from .curves import as_genus, RatFunc
 from .ffield import FF
-
-_INVALID = (InvalidInput, NeedsExtension, DegenerateModel, UnsupportedPrime,
-            CoalescingBranchPoints, NonCyclicExponent, NotReduced)
-
 
 def _base_tower(p, precision, boost):
     # e = p - 1 makes every tau^k token a pure pi-power
@@ -355,7 +350,7 @@ def run(args):
         return {"error": "InsufficientPrecision", "detail": str(ex)}, 2
     except ConstructionMismatch as ex:
         return {"error": "ConstructionMismatch", "detail": str(ex)}, 4
-    except _INVALID as ex:
+    except FourCoverError as ex:   # every other typed error is invalid input
         return {"error": type(ex).__name__, "detail": str(ex)}, 3
 
 

@@ -12,13 +12,15 @@ is the independent digit-search oracle used to cross-check it at p = 3.
 
 The trichotomy reads f and h only to about e v(tau) + 1 pi-digits: it
 needs w where w <= v(tau), and the residue of (h^p - f)/tau or of
-(h^p - f)/pi^(e w).  ``blowup_chart`` and ``torsor_case`` work at the
-precision their inputs carry, and every valuation and residue they read
-is a true digit, so the classifier certifies each chart first at about
-that precision, and at full precision only when that does not decide
-(``classifier._trichotomy``): a blow-up of a cover from the rows of
-valuation below floor(e v(tau)) + 1 that its linear factors give, any
-other chart with its inputs cut to 2 (floor(e v(tau)) + 1) pi-digits.
+(h^p - f)/pi^(e w).  ``torsor_case`` works at the precision its inputs
+carry, and every valuation and residue it reads is a true digit, so the
+classifier certifies each chart first at about that precision, and at
+full precision only when that does not decide (``classifier._two_rungs``).
+The classifier reads its blow-up charts from the cover's linear factors
+(``classifier._factored_chart``).  ``blowup_chart`` blows up any
+polynomial by a Taylor shift: the classifier carries the witness h
+through the blow-up with it, and the tests take it as the reference for
+the factored charts.
 """
 
 from .errors import (

@@ -50,22 +50,18 @@ of the inverse in one pass.  A W-constant maps each pi-slot to itself,
 so its matrix is e copies of one f x f block, and the solve runs on that
 block alone: at f = 1 it is one modular inverse.
 
-Roots are lifted in one place, ``hensel_root``: Newton steps from a
-simple residue root until the polynomial cannot be told from zero.  Square
-roots go through it too.  The lifter divides nowhere: it carries an
-approximate 1/P'(x), started from a residue-field inverse and refined by
-its own Newton step, so no step runs a tower inverse.  The root's
-precision is capped at that of the last residual P(x).  When P is
-integral (every coefficient pi^s u with s >= 0, a fuzzy zero O(pi^k) with
-k >= 1, or 0), its entry checks read the residue polynomial, and for a
-nonzero residue root the Newton steps run on O_K/p^k coordinates: each
-coefficient is its unit part shifted up by s, and products are
-``_unit_product``.  The digits of the root double per step, so k doubles
-too, and of the at most ceil(log2(e N)) steps only the last works on
-full-width integers mod p^N.  Over W at f = 1 the coordinates are plain
-integers.  The root the steps reach enters the element loop, where one
-full-precision P(x) certifies it; a coefficient with s < 0 and the
-residue root 0 take the element loop from the lift.
+Roots are lifted in one place, ``hensel_root``, and in one way: Newton
+steps on O_K/p^k coordinates from a simple residue root of an integral
+polynomial.  Square roots go through it too.  Each coefficient pi^s u is
+its unit part shifted up by s, products are ``_unit_product``, and the
+lifter divides nowhere: it carries an approximate 1/P'(x), started from
+a residue-field inverse and refined by its own Newton step.  The digits
+of the root double per step, so k doubles too, and of the at most
+ceil(log2(e N)) steps only the last works on full-width integers mod
+p^N.  Over W at f = 1 the coordinates are plain integers.  The residue
+root 0 is lifted as c_0 times the root of P(c_0 t)/c_0, whose residue
+root is nonzero.  One full-precision P(x) certifies the root, and the
+root's precision is capped at that of P(x).
 
 Powers start from the base at the lowest set bit of the exponent and
 stop after the top bit, so they compute no product by one and no unused
@@ -935,12 +931,17 @@ class Poly:
             return self.c[i]
         return self.tw.zero()
 
+    def _checked(self, other):
+        if not isinstance(other, Poly):
+            raise InvalidInput("polynomial arithmetic with %r" % (other,))
+        return other
+
     def __add__(self, other):
-        n = max(len(self.c), len(other.c))
+        n = max(len(self.c), len(self._checked(other).c))
         return Poly(self.tw, [self.coeff(i) + other.coeff(i) for i in range(n)])
 
     def __sub__(self, other):
-        n = max(len(self.c), len(other.c))
+        n = max(len(self.c), len(self._checked(other).c))
         return Poly(self.tw, [self.coeff(i) - other.coeff(i) for i in range(n)])
 
     def __neg__(self):
@@ -949,7 +950,7 @@ class Poly:
     def __mul__(self, other):
         if isinstance(other, El):
             return self.scale(other)
-        if not self.c or not other.c:
+        if not self._checked(other).c or not self.c:
             return Poly(self.tw, [])
         out = [self.tw.zero()] * (len(self.c) + len(other.c) - 1)
         for i, a in enumerate(self.c):
@@ -961,6 +962,8 @@ class Poly:
         return Poly(self.tw, out)
 
     def __pow__(self, n):
+        if not isinstance(n, int):
+            raise InvalidInput("polynomial power with the exponent %r" % (n,))
         if n < 0:
             raise InvalidInput("negative power of a polynomial")
         if n == 0:
@@ -1062,101 +1065,68 @@ class Poly:
 def hensel_root(P, residue_enc):
     """Lift a simple residue root (P' a unit there) to a root of P.
 
-    This is the tower's one root lifter, and it divides nowhere.  Newton
-    steps x <- x - P(x) z start from the lift of the residue root, where
-    z approximates 1/P'(x) and starts as the lift of the residue-field
-    inverse of P'(x0).  While P(x) can still be told from zero, z is
-    refined by its own Newton step z <- z (2 - P'(x) z).  The number of
-    correct pi-digits of both x and z doubles per step, so at most
-    prec.bit_length() + 2 steps are taken.
+    This is the tower's one root lifter, and it divides nowhere.  P must
+    be integral: its residue polynomial, read first, raises
+    NegativeValuation for a coefficient with a pole and
+    InsufficientPrecision for one that is O(pi^k) with k < 1.  The entry
+    checks read P'(r) and P(r) from it, and raise ConstructionMismatch
+    unless r is a simple root.
 
-    Precision rule: since P'(x) is a unit, the root lies within |P(x)| of
-    x, so the result's ap is capped at the ap of the final P(x).  A root
-    that is itself indistinguishable from zero is returned unchanged.
+    A nonzero residue root is lifted by Newton steps on O_K/p^k
+    coordinates (``_newton``).  At the residue root 0, P(0) = c_0 is
+    returned as the exact zero when it cannot be told from zero; else
+    the root is c_0 t, with t the ``_newton`` root of
+    Q(t) = P(c_0 t)/c_0 = 1 + c_1 t + c_2 c_0 t^2 + ..., whose residue
+    root -1/c_1 is simple and nonzero.
 
-    When P is integral (every coefficient the true zero, O(pi^ap) with
-    ap >= 1, or pi^s u with s >= 0, dense or in W alike), the entry checks
-    read P'(r) and P(r) from the residue polynomial, with the errors the
-    element checks raise, and for a nonzero residue root the Newton steps
-    run first on O_K/p^k coordinates (``_newton``).  There k follows the
-    digits of the root: the step that makes it right to d pi-digits works
-    mod p^ceil(d/e), d runs through ceil(e nl / 2^j) upwards, and so at
-    most ceil(log2(e nl)) steps are taken, only the last at full width.
-    The loop below starts from the root they reach: its first P(x) is then
-    indistinguishable from zero and certifies the root, with the same cap
-    and the same errors as the loop from the lift.  Over W, a lift that
-    is already a root inside the precision window (x^2 + 1 over F_9) is
-    found after two evaluations and takes no step.  Any other P (a
-    coefficient with s < 0 or a fuzzy zero below pi^1) checks on
-    elements, and it and the residue root 0 run the loop from the lift.
+    One full-precision P(x) certifies the root: it must be
+    indistinguishable from zero, else InsufficientPrecision.  Since P'(x)
+    is a unit, the root lies within |P(x)| of x, so the result's ap is
+    capped at the ap of that P(x).
     """
     tw = P.tw
     ff = tw.ff
-    Pd = None   # P', derived when an element step needs it
-    coeffs = _coordinates(P)
-    if coeffs is not None:
-        rbar = P.residue_poly()
-        dbar = peval(ff, pderiv(ff, rbar), residue_enc)
-        if not dbar:
-            raise ConstructionMismatch("residue root is not simple; Hensel fails")
-        if peval(ff, rbar, residue_enc):
-            raise ConstructionMismatch("%r is not a root of the residue polynomial"
-                                       % (residue_enc,))
-    else:
-        Pd = P.deriv()
-        d = Pd.eval(tw.lift_ff(residue_enc))
-        if d.is_zeroish() or d.pival() != 0:
-            raise ConstructionMismatch("residue root is not simple; Hensel fails")
-        dbar = d.residue()
-    zbar = ff.inv(dbar)
-    if coeffs is not None and residue_enc:
-        x, z = _newton(tw, coeffs, ff.coords(residue_enc), ff.coords(zbar))
-    else:
-        x, z = tw.lift_ff(residue_enc), tw.lift_ff(zbar)
-    fx = P.eval(x)
-    if coeffs is None and not fx.is_zeroish() and fx.pival() <= 0:
+    rbar = P.residue_poly()
+    dbar = peval(ff, pderiv(ff, rbar), residue_enc)
+    if not dbar:
+        raise ConstructionMismatch("residue root is not simple; Hensel fails")
+    if peval(ff, rbar, residue_enc):
         raise ConstructionMismatch("%r is not a root of the residue polynomial"
                                    % (residue_enc,))
-    two = tw.from_int(2)
-    for _ in range(tw.prec.bit_length() + 2):
-        if fx.is_zeroish():
-            break
-        x = x - fx * z
-        fx = P.eval(x)
-        if not fx.is_zeroish():
-            if Pd is None:
-                Pd = P.deriv()
-            z = z * (two - Pd.eval(x) * z)
+    zbar = ff.inv(dbar)
+    if residue_enc:
+        x = _newton(tw, _coordinates(tw, P.c), ff.coords(residue_enc), ff.coords(zbar))
+    else:
+        c0 = P.coeff(0)
+        if c0.is_zeroish():
+            return tw.zero()
+        # here P'(0) = c_1, so Q'(t) = c_1 mod pi as well
+        Q, power = [tw.one()], tw.one()
+        for c in P.c[1:]:
+            Q.append(c * power)
+            power = power * c0
+        t = _newton(tw, _coordinates(tw, Q), ff.coords(ff.neg(zbar)), ff.coords(zbar))
+        x = c0 * t
+    fx = P.eval(x)
     if not fx.is_zeroish():
         raise InsufficientPrecision("Newton lifting did not converge")
-    if x.is_zeroish() or fx.is_true_zero() or fx.ap >= x.ap:
+    if fx.is_true_zero() or fx.ap >= x.ap:
         return x
     return tw._canon(x.s, x.U, fx.ap, x.exact)
 
 
-def _coordinates(P):
-    """The coefficients of P as unit parts in O_K/p^nl, ready for
-    ``Tower._unit_product``, or None unless P is integral: pi^s u with
-    s >= 0 has the coordinates of u shifted up by s, and the true zero
-    and O(pi^ap) with ap >= 1 have those of 0."""
-    tw = P.tw
-    out = []
-    for c in P.c:
-        if c.s is None:
-            if c.ap is not None and c.ap < 1:
-                return None
-            out.append([0] * tw.f)
-        elif c.s < 0:
-            return None
-        else:
-            out.append([u % tw.pmod for u in tw._shift_up(c.U, c.s)])
-    return out
+def _coordinates(tw, coeffs):
+    """The integral coefficients of a polynomial as unit parts in O_K/p^nl,
+    ready for ``Tower._unit_product``: pi^s u has the coordinates of u
+    shifted up by s, and the true zero and O(pi^ap) those of 0."""
+    return [[0] * tw.f if c.s is None else
+            [u % tw.pmod for u in tw._shift_up(c.U, c.s)] for c in coeffs]
 
 
 def _newton(tw, coeffs, x, z):
     """The Newton steps of ``hensel_root`` on O_K/p^k coordinates: x, the
     lift of a nonzero residue root, and z, that of 1/P'(x), are refined
-    until P(x) = 0 mod p^nl.  Returns both as elements at full precision.
+    until P(x) = 0 mod p^nl.  Returns x as an element at full precision.
 
     x and z start right to one pi-digit (e of them when P lies over W, as
     its root then does), and each step doubles that.  The steps make them
@@ -1202,9 +1172,7 @@ def _newton(tw, coeffs, x, z):
         if digits < targets[0]:   # the last step needs no better z
             t = mul(_horner(derivs, x, m, n, mul, add), z)   # P'(x) z, 1 mod pi^(digits/2)
             z = add(z, mul(z, add(one, neg(t), m, n)), m, n)
-    if isinstance(x, int):
-        x, z = [x], [z]
-    return tw._canon(0, x, tw.prec, None), tw._canon(0, z, tw.prec, None)
+    return tw._canon(0, [x] if isinstance(x, int) else x, tw.prec, None)
 
 
 def _horner(cs, x, m, n, mul, add):

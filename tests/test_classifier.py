@@ -1,5 +1,7 @@
+import gc
 import math
 import random
+import weakref
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -18,7 +20,7 @@ from fourcover.classifier import (
     Classification, TYPE_1A, TYPE_1B, TYPE_2, TYPE_3,
     VIA_1B, VIA_2A, VIA_2B3_I, VIA_2B3_II,
     _chart_poly, _cover_to_poly, _critical_2b3, _critical_quadratic,
-    _factored_chart, _integral_branch_residues, _trichotomy,
+    _blowup_trichotomy, _factored_chart, _integral_branch_residues, _trichotomy,
 )
 from fourcover import classifier, torsor
 from fourcover.torsor import TorsorOutcome
@@ -597,13 +599,6 @@ def rung_digits(tw):
     return 2 * (math.floor(tw.e * tw.tau_valuation()) + 1)
 
 
-def pulled_back(F, d, b, c):
-    """The C whose blow-up at (x - d, b) is the monic F of degree N, with
-    C(d) = c: C(x) = c R((x - d)/b) for R(y) = y^N F(1/y)."""
-    binv = b.inverse()
-    return F.reverse().taylor(-d * binv, binv).scale(c)
-
-
 def trichotomy_result(fn):
     """(case, w, rendered payload) of a trichotomy run, or its error type."""
     try:
@@ -616,53 +611,55 @@ def trichotomy_result(fn):
 
 
 @st.composite
-def rung_charts(draw):
-    """(C, h, d, b, N): a chart F = h0^p + pi^k G of degree N = p s, with
-    k within two pi-digits of e v(tau), pulled back along the blow-up at
-    (x - d, b), b = pi^j, so that the chart of C there is F; d is 0, an
-    integer or a dense unit, and C(d) = pi^t u with t up to past K0.  h0
-    is x^s or has random low coefficients; h is None (x^s on the chart)
-    or h0 pulled back likewise, which the blow-up carries back to h0; with
-    d None, C is F and h is h0."""
+def unblown_charts(draw):
+    """(C, h): C = h^p + pi^k G of degree N = p s, with k within two
+    pi-digits of e v(tau); h is x^s or has random low coefficients."""
     p = draw(st.sampled_from([3, 5, 7]))
     e = (p - 1) * draw(st.sampled_from([1, 2]))
     tw = make_tower(p, e, draw(st.sampled_from([1, 2])),
                     e * draw(st.sampled_from([8, 20, 50])))
     q = tw.ff.q
 
-    def unit():
-        return tw.lift_ff(draw(st.integers(1, q - 1)))
-
     def digits(n):
         return [tw.lift_ff(draw(st.integers(0, q - 1)))
                 + tw.pi() * tw.lift_ff(draw(st.integers(0, q - 1))) for _ in range(n)]
 
     s = draw(st.integers(1, 2))
-    N = p * s
-    h0 = Poly(tw, (digits(s) if draw(st.booleans()) else [0] * s) + [tw.one()])
+    h = Poly(tw, (digits(s) if draw(st.booleans()) else [0] * s) + [tw.one()])
     k = draw(st.integers(-2, 2)) + e * p // (p - 1)
-    F = h0 ** p + Poly(tw, digits(N)).scale(tw.pi_power(k))
-    if draw(st.booleans()):
-        return F, h0, None, None, None
-    d = draw(st.sampled_from([tw.zero(), tw.from_int(draw(st.integers(-30, 30))),
-                              unit() + tw.pi() * unit() + tw.pi_power(e - 1) * unit()]))
-    b = tw.pi_power(draw(st.integers(0, 1)))
-    t = draw(st.sampled_from([0, 1, rung_digits(tw) + 1]))
-    C = pulled_back(F, d, b, tw.pi_power(t) * unit())
-    return C, draw(st.sampled_from([None, pulled_back(h0, d, b, unit())])), d, b, N
+    return h ** p + Poly(tw, digits(p * s)).scale(tw.pi_power(k)), h
 
 
-def count_charts(monkeypatch):
-    """The charts that ``torsor.blowup_chart`` returns from now on; None
-    for a call that raised."""
+def recorded_results(monkeypatch, module, name):
+    """The results that module.name returns from now on; None for a call
+    that raised."""
     calls = []
-    original = torsor.blowup_chart
+    original = getattr(module, name)
 
-    def counted(*args, **kwargs):
+    def recorded(*args, **kwargs):
         calls.append(None)
         calls[-1] = original(*args, **kwargs)
         return calls[-1]
-    monkeypatch.setattr(torsor, "blowup_chart", counted)
+    monkeypatch.setattr(module, name, recorded)
+    return calls
+
+
+def count_charts(monkeypatch):
+    """The charts that ``torsor.blowup_chart`` returns from now on."""
+    return recorded_results(monkeypatch, torsor, "blowup_chart")
+
+
+def recorded_blowups(monkeypatch):
+    """(cover, h, chart, outcome) of each ``_blowup_trichotomy`` call from
+    now on."""
+    calls = []
+    original = classifier._blowup_trichotomy
+
+    def recorded(cover, h, d, b, N):
+        chart, out = original(cover, h, d, b, N)
+        calls.append((cover, h, chart, out))
+        return chart, out
+    monkeypatch.setattr(classifier, "_blowup_trichotomy", recorded)
     return calls
 
 
@@ -727,8 +724,8 @@ def full_chart_result(C, h, d, b, N):
 
 
 class TestFactoredRung:
-    """Rung 1 of a blow-up with a cover reads the chart from the cover's
-    linear factors, in the rows the trichotomy reads."""
+    """Both rungs of a blow-up read the chart from the cover's linear
+    factors: rung 1 in the rows the trichotomy reads, rung 2 in every row."""
 
     @given(factored_charts())
     @settings(max_examples=150, deadline=None)
@@ -736,19 +733,21 @@ class TestFactoredRung:
         cover, h, d, b, N = problem
         C, _ = _cover_to_poly(cover)
         want = full_chart_result(C, h, d, b, N)
-        got = trichotomy_result(lambda: _trichotomy(None, h, d, b, N, cover=cover))
+        got = trichotomy_result(lambda: _blowup_trichotomy(cover, h, d, b, N))
         assert got == want
         if not isinstance(got, type):
-            chart, _ = _trichotomy(None, h, d, b, N, cover=cover)
+            chart, _ = _blowup_trichotomy(cover, h, d, b, N)
             assert chart.N == N and chart.radius is b
             assert state(chart.center) == state(d)
 
     @given(factored_charts())
     @settings(max_examples=100, deadline=None)
     def test_rows_agree_with_the_full_chart(self, problem):
-        # every row of the rung-1 chart is the full chart's row up to its
+        # every row of the rung-1 chart is the Taylor chart's row up to its
         # precision, and a row i with i mu >= K is O(pi^(i mu)), which the
-        # full chart's row i has valuation at least i mu to bear out
+        # Taylor chart's row i has valuation at least i mu to bear out;
+        # the rung-2 chart, every row from the full-precision center, is
+        # the Taylor chart row for row
         cover, _, d, b, N = problem
         tw = d.tw
         K = rung_digits(tw) // 2
@@ -756,11 +755,13 @@ class TestFactoredRung:
             full = torsor.blowup_chart(_cover_to_poly(cover)[0], d, b, N=N).poly
             dc = d + El(tw, None, None, 2 * K, None)
             rung = _factored_chart(cover, dc, b, N, K).poly
+            every = _factored_chart(cover, d, b, N).poly
         except FourCoverError:
             return
-        assert rung.degree == full.degree == N and rung.c[N].same(tw.one())
-        for c, f in zip(rung.c, full.c):
-            assert c.same(f)
+        assert rung.degree == full.degree == every.degree == N
+        assert rung.c[N].same(tw.one()) and every.c[N].same(tw.one())
+        for c, f, g in zip(rung.c, full.c, every.c):
+            assert c.same(f) and g.same(f)
         mu = min(b.pival() - (d - q).pival() for q, _ in cover.items)
         D = sum(a for _, a in cover.items)
         left = [i for i in range(D + 1) if mu > 0 and i * mu >= K]
@@ -771,10 +772,11 @@ class TestFactoredRung:
         for i in range(D + 1, N + 1):
             assert rung.coeff(N - i).is_true_zero()
 
-    def test_undecided_rung_one_builds_c_once(self, monkeypatch):
+    def test_rung_two_builds_no_c_and_no_taylor_chart(self, monkeypatch):
         # the point pi^10 and the center pi^12 agree to K0 = 8 pi-digits
-        # at p = 3, e = 2, so rung 1 cannot tell d - q from 0; rung 2 builds
-        # C once and certifies the full-precision chart, whose row 1 has
+        # at p = 3, e = 2, so rung 1 cannot tell d - q from 0; rung 2 reads
+        # every row of the full-precision chart from the factors, with no
+        # polynomial of the cover and no Taylor shift, and its row 1 has
         # valuation v(pi) = 1/2 < v(tau): inseparable
         tw = make_tower(3, 2, 1, 100)
         assert rung_digits(tw) == 8
@@ -783,10 +785,10 @@ class TestFactoredRung:
         d, b = tw.pi_power(12), tw.pi_power(11)
         polys = count_cover_polys(monkeypatch)
         charts = count_charts(monkeypatch)
-        chart, out = _trichotomy(None, None, d, b, 3, cover=cover)
-        assert len(polys) == 1 and polys[0] is cover
-        assert len(charts) == 1 and charts[0] is chart
+        chart, out = _blowup_trichotomy(cover, None, d, b, 3)
+        assert polys == [] and charts == []
         assert out.case == TorsorOutcome.INSEPARABLE and out.w == Fraction(1, 2)
+        assert chart.poly.c[0].ap > rung_digits(tw)
         monkeypatch.undo()
         assert trichotomy_result(lambda: (chart, out)) == full_chart_result(
             _cover_to_poly(cover)[0], None, d, b, 3)
@@ -817,103 +819,100 @@ class TestTrichotomyOracle:
     @pytest.mark.parametrize("beta,gamma,token,route,e,f", ORACLE_SHAPES)
     def test_certified_chart_matches_the_oracle(self, monkeypatch, beta, gamma,
                                                 token, route, e, f):
-        certified = []
-        original = classifier._trichotomy
-
-        def recorded(C, h, d=None, b=None, N=None, cover=None):
-            chart, out = original(C, h, d, b, N, cover=cover)
-            if d is not None:
-                certified.append((C, cover, chart, out))
-            return chart, out
-        monkeypatch.setattr(classifier, "_trichotomy", recorded)
+        certified = recorded_blowups(monkeypatch)
         tw = tower_for(3, 12)
         m = build_stable_model(norm(tw, beta, gamma, tw.parse(token)))
         monkeypatch.undo()
-        C, cover, chart, out = certified[0]
+        cover, _, chart, out = certified[0]
         big = chart.center.tw
         assert (m.classification.subroute, big.e, big.f) == (route, e, f)
         assert chart is m.components[0].chart
-        if C is None:
-            C, _ = _cover_to_poly(cover)
+        C, _ = _cover_to_poly(cover)
         full = torsor.blowup_chart(C, chart.center, chart.radius, N=chart.N).poly
         _, w = torsor.maximize_h_bruteforce(full, digit_budget=6)
         assert torsor.induced_case(w, big) == out.case == TorsorOutcome.ARTIN_SCHREIER
 
 
 class TestTwoRungCertifier:
-    """``_trichotomy`` decides at K0 pi-digits, and only falls back to the
+    """Both trichotomies decide at K0 pi-digits, and only fall back to the
     full-precision run when that does not decide."""
 
-    @given(rung_charts())
+    @given(unblown_charts())
     @settings(max_examples=120, deadline=None)
     def test_matches_full_precision(self, problem):
-        C, h, d, b, N = problem
-        tw = C.tw
-
-        def full():
-            if d is None:
-                return torsor._torsor_outcome(C, h)
-            chart = torsor.blowup_chart(C, d, b, N=N)
-            s = N // tw.p
-            return torsor.torsor_case(chart.poly, Poly.x_power(tw, s) if h is None
-                                      else torsor.blowup_chart(h, d, b, N=s).poly)
-        try:
-            chart, out = _trichotomy(C, h, d, b, N)
-        except FourCoverError as exc:
-            assert type(exc) is trichotomy_result(full)
-            return
-        assert trichotomy_result(lambda: out) == trichotomy_result(full)
-        if d is not None:
-            # the chart records the full-precision center
-            assert chart.N == N and chart.radius is b
-            assert state(chart.center) == state(d)
+        # the unblown charts; TestFactoredRung draws the blow-ups
+        C, h = problem
+        assert trichotomy_result(lambda: _trichotomy(C, h)) == trichotomy_result(
+            lambda: torsor._torsor_outcome(C, h))
 
     def test_rung_one_makes_one_chart(self, monkeypatch):
-        # x^5 + tau x + tau at p = 5, e = 4 is Artin-Schreier with h = x,
-        # and its pulled-back C(d) is a unit: rung 1 decides on the K0 chart
-        tw = make_tower(5, 4, 1, 200)
-        F = Poly(tw, [tw.tau(), tw.tau(), 0, 0, 0, 1])
-        d = tw.from_int(2) + tw.pi() * tw.from_int(3)
-        C = pulled_back(F, d, tw.pi(), tw.from_int(7))
-        charts = count_charts(monkeypatch)
-        chart, out = _trichotomy(C, None, d, tw.pi(), 5)
-        assert len(charts) == 1 and charts[0] is chart
-        assert out.case == TorsorOutcome.ARTIN_SCHREIER
-        assert max(c.ap for c in chart.poly.c) < tw.prec
-        assert state(chart.center) == state(d)
-        monkeypatch.undo()
-        assert trichotomy_result(lambda: (chart, out)) == trichotomy_result(
-            lambda: torsor.torsor_case(torsor.blowup_chart(C, d, tw.pi(), N=5).poly,
-                                       Poly.x_power(tw, 1)))
-        # a whole via-2a model reads both charts from its covers' factors,
-        # with no polynomial of a cover and no blow-up; a 2b3-ii model blows
-        # up only the witness of each of its two charts (degree N/p = 2)
+        # a whole via-2a model certifies both charts at rung 1, read from
+        # its covers' factors, with no polynomial of a cover and no blow-up,
+        # and each is the Taylor chart's case; a 2b3-ii model blows up only
+        # the witness of each of its two charts (degree N/p = 2)
+        certified = recorded_blowups(monkeypatch)
         charts = count_charts(monkeypatch)
         polys = count_cover_polys(monkeypatch)
         t5 = tower_for(5)
         m = build_stable_model(norm(t5, 2, 1, t5.from_int(5)))
         assert m.classification.subroute == VIA_2A
         assert charts == [] and polys == []
+        assert len(certified) == 2
+        for cover, h, chart, out in certified:
+            tw = cover.tw
+            assert out.case == TorsorOutcome.ARTIN_SCHREIER
+            assert max(c.ap for c in chart.poly.c[:-1] if c.ap is not None) < tw.prec
+            assert trichotomy_result(lambda: out) == full_chart_result(
+                _cover_to_poly(cover)[0], h, chart.center, chart.radius, chart.N)
+        del charts[:]
         m = build_stable_model(norm(t5, 1, 4, t5.from_int(25)))
         assert m.classification.subroute == VIA_2B3_II
         assert [c.N for c in charts] == [2, 2]
 
+    def test_rungs_leave_no_reference_cycle(self):
+        # with the cyclic collector off, a tower is freed as soon as its last
+        # reference goes: the rungs' helpers hold it in no cycle, whether
+        # rung 1 decides (x^5 + tau x + tau) or rung 2 runs (the deep cover)
+        gc.disable()
+        try:
+            tw = make_tower(5, 4, 1, 200)
+            F = Poly(tw, [tw.tau(), tw.tau(), 0, 0, 0, 1])
+            out = _trichotomy(F, Poly.x_power(tw, 1))
+            assert out.case == TorsorOutcome.ARTIN_SCHREIER
+            ref = weakref.ref(tw)
+            del tw, F, out
+            assert ref() is None
+            tw = make_tower(3, 2, 1, 100)
+            d = tw.one()
+            cover = FactoredCover(tw, tw.one(), [(d - tw.pi_power(10), 1),
+                                                 (d + tw.pi_power(10), 1),
+                                                 (tw.zero(), 1)])
+            chart, out = _blowup_trichotomy(cover, None, d, tw.pi_power(11), 3)
+            ref = weakref.ref(tw)
+            del tw, d, cover, chart, out
+            assert ref() is None
+        finally:
+            gc.enable()
+
     def test_deep_chart_value_takes_rung_two(self, monkeypatch):
-        # C(d) = pi^10 at p = 3, e = 2: v(C(d)) = 5 lies above K0 = 8 pi-digits
-        # and below the precision, so the K0 chart is degenerate and the
-        # full-precision run certifies it
+        # three points at d - q = pi^10/u, u = 1, 1 + pi, 1 + 2pi + pi^2,
+        # around d = 1 at p = 3, e = 2: v(d - q) = 5 lies above K0 = 8
+        # pi-digits and below the precision, so rung 1 cannot tell C(d) from
+        # 0, and rung 2 certifies the chart prod (x2 + pi u) read from the
+        # factors at full precision
         tw = make_tower(3, 2, 1, 100)
         assert rung_digits(tw) == 8
-        F = Poly(tw, [tw.tau(), tw.tau(), 0, 1])
-        d, b = tw.zero(), tw.one()
-        C = pulled_back(F, d, b, tw.pi_power(10))
-        charts = count_charts(monkeypatch)
-        chart, out = _trichotomy(C, None, d, b, 3)
-        # the K0 chart raised DegenerateModel
+        pi = tw.pi()
+        d, b = tw.one(), tw.pi_power(11)
+        units = [tw.one(), tw.one() + pi, tw.one() + pi * 2 + pi * pi]
+        cover = FactoredCover(tw, tw.one(),
+                              [(d - tw.pi_power(10) * u.inverse(), 1) for u in units])
+        charts = recorded_results(monkeypatch, classifier, "_factored_chart")
+        chart, out = _blowup_trichotomy(cover, None, d, b, 3)
+        # the rung-1 chart raised DegenerateModel
         assert len(charts) == 2 and charts[0] is None and charts[1] is chart
         assert out.case == TorsorOutcome.ARTIN_SCHREIER
         assert chart.poly.c[0].ap > rung_digits(tw)
         monkeypatch.undo()
-        assert trichotomy_result(lambda: (chart, out)) == trichotomy_result(
-            lambda: torsor.torsor_case(torsor.blowup_chart(C, d, b, N=3).poly,
-                                       Poly.x_power(tw, 1)))
+        assert trichotomy_result(lambda: (chart, out)) == full_chart_result(
+            _cover_to_poly(cover)[0], None, d, b, 3)

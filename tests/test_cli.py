@@ -8,7 +8,10 @@ import pytest
 
 import fourcover.cli as cli
 from fourcover.cli import build_parser, run, main
-from fourcover.errors import InsufficientPrecision
+from fourcover.errors import (
+    InsufficientPrecision, NegativeValuation, DivisionByIndistinguishableZero,
+    BudgetExceeded,
+)
 
 SCHEMA_KEYS = ["input", "normalization", "type", "subroute", "extension",
                "components", "edges", "checks", "ms"]
@@ -192,6 +195,21 @@ class TestRun:
                             "--gamma", "4", "--lambda", "3"])
         assert code == 2
         assert rep["error"] == "InsufficientPrecision"
+
+    @pytest.mark.parametrize("error", [NegativeValuation,
+                                       DivisionByIndistinguishableZero,
+                                       BudgetExceeded])
+    def test_other_typed_errors_exit_3(self, monkeypatch, error):
+        # a typed error outside the precision and certification classes is
+        # reported as invalid input, not raised out of run
+        def failing(args, precision, boost):
+            raise error("no answer")
+
+        monkeypatch.setitem(cli._RUNNERS, "classify", failing)
+        rep, code = invoke(["classify", "--p", "5", "--beta", "1",
+                            "--gamma", "4", "--lambda", "3"])
+        assert code == 3
+        assert rep == {"error": error.__name__, "detail": "no answer"}
 
     def test_retry_past_the_precision_bound_reports_the_first_run(self, monkeypatch):
         # 20000 pi-digits at p = 5 fit the bound on p^N; 4x of them do not,

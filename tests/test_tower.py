@@ -753,6 +753,18 @@ def reference_deriv(P):
     return Poly(P.tw, [P.c[i] * i for i in range(1, len(P.c))])
 
 
+def integrality_error(P):
+    """The typed error ``hensel_root`` raises for P that is not integral,
+    from the residue of its first coefficient with a pole (s < 0) or of a
+    fuzzy zero O(pi^k) with k < 1; None for an integral P."""
+    for c in P.c:
+        if c.s is not None and c.s < 0:
+            return NegativeValuation
+        if c.s is None and c.ap is not None and c.ap < 1:
+            return InsufficientPrecision
+    return None
+
+
 def division_hensel_root(P, residue_enc):
     """The Newton loop x <- x - P(x)/P'(x) that ``hensel_root`` replaced,
     with a full tower inverse in every step."""
@@ -871,6 +883,9 @@ class TestLadders:
     @settings(max_examples=150, deadline=None)
     def test_hensel_matches_division_loop(self, problem):
         P, r = problem
+        if integrality_error(P):
+            assert outcome(hensel_root, P, r) is integrality_error(P)
+            return
         ref = P
         if r == 0 and P.coeff(0).exact is not None and P.coeff(1).exact is not None:
             # From the exact lift 0 the division loop's first iterate
@@ -1061,6 +1076,9 @@ class TestWPath:
     @settings(max_examples=150, deadline=None)
     def test_dense_lift_matches_element_loop(self, problem):
         P, r = problem
+        if integrality_error(P):
+            assert outcome(hensel_root, P, r) is integrality_error(P)
+            return
         assert outcome(hensel_root, P, r) == outcome(reference_hensel_root, P, r)
 
     @pytest.mark.parametrize("p,e,f,prec", [(7, 12, 2, 600), (5, 4, 1, 800), (3, 2, 2, 100)])
@@ -1109,10 +1127,10 @@ class TestWPath:
         assert state(y) == state(reference_hensel_root(Q, r))
         assert Q.eval(y).is_zeroish() and not P.eval(y).is_zeroish()
 
-    def test_other_polynomials_keep_the_element_loop(self, monkeypatch):
-        # every integral polynomial with a nonzero residue root, dense
-        # coefficients included, takes the coordinate steps; a coefficient
-        # with s < 0, or the residue root 0, keeps the element loop
+    def test_every_residue_root_takes_the_coordinate_steps(self, monkeypatch):
+        # every root is lifted by _newton, dense coefficients and the residue
+        # root 0 included: there x = c_0 t, with t the root of
+        # P(c_0 t)/c_0 = 1 + c_1 t + c_2 c_0 t^2 at the residue -1/c_1
         t = make_tower(7, 12, 2, 600)
         calls = counted(monkeypatch, tower_module, "_newton")
         u = t.from_int(2) + t.pi() * t.lift_ff(9)
@@ -1120,33 +1138,43 @@ class TestWPath:
         assert (y * y - u).is_zeroish()
         assert calls == ["_newton"]
         P = Poly.from_ints(t, [14, -8, 1])   # x (x - 1) mod 7
-        assert P.eval(hensel_root(P, 0)).is_zeroish()
-        assert calls == ["_newton"]
-        assert P.eval(hensel_root(P, 1)).is_zeroish()
-        assert calls == ["_newton"] * 2
-        # (x^3 - 1)/pi + x - 1 + pi at p = 3, e = 2: P' = 1 - pi x^2 is a
-        # unit at 1, but c_3 = 1/pi is not integral
+        for r, n in ((0, 2), (1, 3)):
+            y = hensel_root(P, r)
+            assert P.eval(y).is_zeroish() and y.residue() == r
+            assert calls == ["_newton"] * n
+            assert state(y) == state(reference_hensel_root(P, r))
+        # a root of positive valuation in a ramified tower:
+        # pi + (1 + 2 pi) x + x^2 has a root -pi (1 + ...) at residue 0
         t3 = make_tower(3, 2, 1, 60)
-        Q = Poly(t3, [t3.pi() - 1 - t3.pi_power(-1), t3.one(), 0, t3.pi_power(-1)])
-        y = hensel_root(Q, 1)
-        assert calls == ["_newton"] * 2
-        assert state(y) == state(reference_hensel_root(Q, 1))
-        assert Q.eval(y).is_zeroish()
+        Q = Poly(t3, [t3.pi(), t3.one() + t3.pi() * t3.from_int(2), t3.one()])
+        y = hensel_root(Q, 0)
+        assert calls == ["_newton"] * 4
+        assert y.s == 1 and Q.eval(y).is_zeroish()
+        assert state(y) == state(reference_hensel_root(Q, 0))
+        # a P(0) that cannot be told from zero gives the exact root 0 and
+        # takes no step
+        Z = Poly(t3, [El(t3, None, None, 5, None), t3.one(), t3.one()])
+        assert hensel_root(Z, 0).is_true_zero()
+        assert calls == ["_newton"] * 4
 
     def test_entry_checks_keep_their_errors(self):
         # read from residues, a double or missing residue root is still a
-        # ConstructionMismatch; with a coefficient of negative valuation
-        # the element checks run, and give no NegativeValuation
+        # ConstructionMismatch; a coefficient of negative valuation makes P
+        # non-integral, and its residue raises NegativeValuation at every r
         t = make_tower(5, 4, 2, 80)
         double = Poly(t, [t.one(), t.from_int(-2) + t.pi(), t.one()])  # (x - 1)^2 mod pi
-        low = Poly(t, [t.one(), t.one() + t.pi_power(-1), t.one()])
-        for P in (double, low):
-            for r in range(t.ff.q):
-                out = outcome(hensel_root, P, r)
-                assert out == outcome(reference_hensel_root, P, r)
-                assert out is ConstructionMismatch or isinstance(out, tuple)
+        for r in range(t.ff.q):
+            out = outcome(hensel_root, double, r)
+            assert out == outcome(reference_hensel_root, double, r)
+            assert out is ConstructionMismatch or isinstance(out, tuple)
         assert outcome(hensel_root, double, 1) is ConstructionMismatch
         assert outcome(hensel_root, double, 2) is ConstructionMismatch
+        low = Poly(t, [t.one(), t.one() + t.pi_power(-1), t.one()])
+        outcomes = {outcome(hensel_root, low, r) for r in range(t.ff.q)}
+        assert outcomes == {NegativeValuation}
+        # a fuzzy coefficient O(pi^0) has no residue: InsufficientPrecision
+        fuzzy = Poly(t, [El(t, None, None, 0, None), t.one(), t.one()])
+        assert outcome(hensel_root, fuzzy, 0) is InsufficientPrecision
 
 
 OPERATIONS = {
@@ -1286,6 +1314,17 @@ class TestOperationCounts:
         t = T()
         with pytest.raises(InvalidInput):
             Poly.from_ints(t, [1, 1]) ** -1
+
+    @pytest.mark.parametrize("operation", [
+        lambda P: P + 2, lambda P: P - 2, lambda P: P * 2, lambda P: P ** 1.5,
+    ], ids=["add", "sub", "mul", "pow"])
+    def test_foreign_poly_operands_are_typed(self, operation):
+        # an operand that is not a Poly (nor an El, for *) and an exponent
+        # that is not an int raise InvalidInput, not a host error
+        t = T()
+        for P in (Poly.from_ints(t, [1, 1]), Poly(t, [])):
+            with pytest.raises(InvalidInput):
+                operation(P)
 
 
 def reference_parse(tw, text):
