@@ -25,7 +25,9 @@ curve, so it guards the stored genus, not the conductor formula.
 Every blow-up chart is read from the cover's linear factors
 (``_factored_chart``), first in the rows the trichotomy reads, at the
 precision it reads them, and in every row at full precision only when
-that does not decide (``_two_rungs``).
+that does not decide (``_blowup_trichotomy``).  The unblown charts, type
+1b at x0/tau and the two lines and the annulus of the Mumford model, are
+decided once, at full precision.
 
 Chart centers.  Off the branch points, the critical points of
 C = x(x-1)^beta(x-lam)^gamma are the roots of the critical quadratic g
@@ -364,7 +366,6 @@ def _expect(out, case, label):
 def _artin_schreier(out, chart, expect_genus, label, notes=None):
     """Package a certified Artin-Schreier outcome as a component."""
     curve = _expect(out, TorsorOutcome.ARTIN_SCHREIER, label).payload
-    chart.h = out.h
     chart.notes.update(w=str(out.w), label=label)
     chart.notes.update(notes or {})
     g = as_genus(curve)
@@ -384,69 +385,43 @@ def _artin_schreier(out, chart, expect_genus, label, notes=None):
     )
 
 
-def _two_rungs(tw, rung):
-    """The (chart, outcome) of ``rung`` certified in two rungs.
-
-    The trichotomy compares w = v(h^p - C) with v(tau), so it reads a
-    chart only in its rows of valuation up to K = floor(e v(tau)) + 1
-    pi-digits.  Rung 1 is rung(cut, K), where cut adds O(pi^K0), K0 = 2K,
-    to an element, or to every coefficient of a polynomial, that is not
-    the true zero (a true zero stays one, so products still skip it).  El
-    tracks precision soundly, so every valuation and residue rung 1 reads
-    is a true digit: a case it decides has the full-precision w and
-    equation.  A FourCoverError or an undecided outcome at rung 1 runs
-    rung 2, rung(identity, None) at full precision, whose result or error
-    stands.
-    """
-    K = math.floor(tw.e * tw.tau_valuation()) + 1
-    big_oh = El(tw, None, None, 2 * K, None)
-
-    def cut_el(x):
-        return x if x is None or x.is_true_zero() else x + big_oh
-
-    def cut(x):
-        # not recursive: a closure that calls itself is a reference cycle,
-        # which would keep the tower alive until the cyclic collector runs
-        return Poly(tw, [cut_el(c) for c in x.c]) if isinstance(x, Poly) else cut_el(x)
-
-    try:
-        chart, out = rung(cut, K)
-        if out.case != TorsorOutcome.UNDECIDED:
-            return chart, out
-    except FourCoverError:
-        pass
-    return rung(lambda x: x, None)
-
-
-def _trichotomy(C, h):
-    """The trichotomy of the unblown chart z^p = C with the witness h:
-    rung 1 on C and h cut to K0 pi-digits, rung 2 at full precision."""
-    def rung(cut, K):
-        return None, torsor._torsor_outcome(cut(C), cut(h))
-    return _two_rungs(C.tw, rung)[1]
-
-
 def _blowup_trichotomy(cover, h, d, b, N):
     """(chart, outcome): the trichotomy on the blow-up of ``cover`` at
     (x - d, b), with the witness h carried through the blow-up,
     x2^(N/p) h(d + b/x2)/h(d); h None is 1 there, which carries to
-    x2^(N/p).  Both rungs read the chart from the cover's linear factors
-    (``_factored_chart``): rung 1 from d cut to K0 pi-digits, in the rows
+    x2^(N/p).  The chart keeps the full-precision center d; its poly is
+    the chart of the rung that decided.
+
+    The trichotomy compares w = v(h^p - C) with v(tau), so it reads a
+    chart only in its rows of valuation up to K = floor(e v(tau)) + 1
+    pi-digits.  Both rungs read the chart from the cover's linear factors
+    (``_factored_chart``): rung 1 from d + O(pi^K0), K0 = 2K, in the rows
     of valuation below K, and rung 2 in every row from the full-precision
-    d.  The chart keeps the full-precision center d; its poly is the chart
-    of the rung that decided."""
+    d.  The witness is blown up as given, at the rung's center.  El
+    tracks precision soundly, so every valuation and residue rung 1 reads
+    is a true digit: a case it decides has the full-precision w and
+    equation.  A FourCoverError or an undecided outcome at rung 1 runs
+    rung 2, whose result or error stands.
+    """
     tw = cover.tw
 
-    def rung(cut, K):
-        dc = cut(d)
+    def rung(dc, K):
         chart = _factored_chart(cover, dc, b, N, K)
         n = chart.N // tw.p
         hc = (Poly.x_power(tw, n) if h is None
-              else torsor.blowup_chart(cut(h), dc, b, N=n).poly)
+              else torsor.blowup_chart(h, dc, b, N=n).poly)
         out = torsor.torsor_case(chart.poly, hc)
         chart.center = d
         return chart, out
-    return _two_rungs(tw, rung)
+
+    K = math.floor(tw.e * tw.tau_valuation()) + 1
+    try:
+        chart, out = rung(d + El(tw, None, None, 2 * K, None), K)
+        if out.case != TorsorOutcome.UNDECIDED:
+            return chart, out
+    except FourCoverError:
+        pass
+    return rung(d, None)
 
 
 def _factored_chart(cover, d, b, N, K=None):
@@ -521,7 +496,8 @@ def _line_component(cover, moebius, coord, label):
     """A rational component of the Mumford model: the chart of ``cover``
     along ``moebius`` must be purely inseparable."""
     C, notes = _chart_poly(cover, moebius)
-    out = _expect(_trichotomy(C, Poly(C.tw, [])), TorsorOutcome.INSEPARABLE, label)
+    out = _expect(torsor._torsor_outcome(C, Poly(C.tw, [])),
+                  TorsorOutcome.INSEPARABLE, label)
     return Component(
         kind="inseparable",
         equation=out.payload.render(),
@@ -634,7 +610,7 @@ def _build_good_1b(n, cover, lam, checks):
     p = tw.p
     C, notes = _chart_poly(cover, Moebius(tw.tau(), tw.zero(), tw.zero(), tw.one()))
     # C is not monic, so the trichotomy runs without the chart checks
-    out = _trichotomy(C, _xp_witness(C, "smooth 1b model"))
+    out = torsor._torsor_outcome(C, _xp_witness(C, "smooth 1b model"))
     chart = BlowupChart(None, None, C.degree, C, coord="x0/tau", notes=notes)
     comp = _artin_schreier(out, chart, p - 1, "smooth model at x0/tau")
     if comp.branch_points != 2 or comp.p_rank != p - 1:
@@ -657,7 +633,7 @@ def _build_mumford_2(n, cover, lam, checks):
     ]
     # the annulus between them splits into p sheets: certify w > v(tau)
     C, _ = _chart_poly(cover, Moebius(tw.sqrt(lam), tw.zero(), tw.zero(), tw.one()))
-    out = _expect(_trichotomy(C, _xp_witness(C, "annulus model")),
+    out = _expect(torsor._torsor_outcome(C, _xp_witness(C, "annulus model")),
                   TorsorOutcome.SPLIT, "annulus model")
     # a record, not a test: _expect raised unless the annulus chart split
     checks.append(_check("mumford-annulus-splits", True,

@@ -381,20 +381,21 @@ def _int_nth_root(n, p):
 
 def _check_witness_identity(datum, n):
     """Raise InvalidInput unless rhs_old^u = const * witness^p * rhs_new(m(x))
-    as factored rational functions: their quotient, points merged by
-    pt_same, must be the constant 1 with no zero or pole."""
+    as factored rational functions: the two sides' points, merged by
+    pt_same, must cancel with no zero or pole left, and their constants
+    must be the same element."""
     p = datum.p
     old = FactoredCover.from_datum(datum)
     new = n.cover().pullback(n.moebius)
     quot = FactoredRat(datum.tower)
-    quot.const = old.const ** n.u / (n.const * n.witness.const ** p * new.const)
     for q, k in old.items:
         quot.mul_point(q, n.u * k)
     for q, k in n.witness.items:
         quot.mul_point(q, -p * k)
     for q, k in new.items:
         quot.mul_point(q, -k)
-    if not quot.is_one():
+    if quot.items or not (old.const ** n.u).same(
+            n.const * n.witness.const ** p * new.const):
         raise InvalidInput("witness identity failed")
 
 

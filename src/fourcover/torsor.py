@@ -14,13 +14,14 @@ The trichotomy reads f and h only to about e v(tau) + 1 pi-digits: it
 needs w where w <= v(tau), and the residue of (h^p - f)/tau or of
 (h^p - f)/pi^(e w).  ``torsor_case`` works at the precision its inputs
 carry, and every valuation and residue it reads is a true digit, so the
-classifier certifies each chart first at about that precision, and at
-full precision only when that does not decide (``classifier._two_rungs``).
-The classifier reads its blow-up charts from the cover's linear factors
-(``classifier._factored_chart``).  ``blowup_chart`` blows up any
-polynomial by a Taylor shift: the classifier carries the witness h
-through the blow-up with it, and the tests take it as the reference for
-the factored charts.
+classifier certifies each blow-up chart first at about that precision,
+and at full precision only when that does not decide
+(``classifier._blowup_trichotomy``); it decides each unblown chart once,
+at full precision.  The classifier reads its blow-up charts from the
+cover's linear factors (``classifier._factored_chart``).
+``blowup_chart`` blows up any polynomial by a Taylor shift: the
+classifier carries the witness h through the blow-up with it, and the
+tests take it as the reference for the factored charts.
 """
 
 from .errors import (
@@ -186,15 +187,14 @@ def induced_case(w, tw):
 class BlowupChart:
     """The model chart z2^p = sum_i b^i C^(i)(d)/(i! C(d)) x2^(N-i)."""
 
-    __slots__ = ("center", "radius", "N", "poly", "coord", "h", "notes")
+    __slots__ = ("center", "radius", "N", "poly", "coord", "notes")
 
-    def __init__(self, center, radius, N, poly, coord="x2", h=None, notes=None):
+    def __init__(self, center, radius, N, poly, coord="x2", notes=None):
         self.center = center
         self.radius = radius
         self.N = N
         self.poly = poly
         self.coord = coord
-        self.h = h
         self.notes = notes or {}
 
     def __repr__(self):

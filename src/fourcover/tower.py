@@ -703,13 +703,11 @@ class El:
             return other
         if isinstance(other, (int, Fraction)):
             return self.tw.from_rational(other)
-        return NotImplemented
+        raise InvalidInput("element arithmetic with %r" % (other,))
 
     def __add__(self, other):
         if other.__class__ is not El or other.tw is not self.tw:
             other = self._coerce(other)
-            if other is NotImplemented:
-                return NotImplemented
         tw = self.tw
         if self.ap is None:
             return other
@@ -762,10 +760,7 @@ class El:
         return El(tw, self.s, tuple(U), self.ap, exact)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        return self + (-self._coerce(other))
 
     def __rsub__(self, other):
         return (-self) + other
@@ -773,8 +768,6 @@ class El:
     def __mul__(self, other):
         if other.__class__ is not El or other.tw is not self.tw:
             other = self._coerce(other)
-            if other is NotImplemented:
-                return NotImplemented
         tw = self.tw
         if self.ap is None or other.ap is None:
             return tw.zero()
@@ -815,17 +808,14 @@ class El:
                          self.ap - 2 * self.s, exact)
 
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
+        return self * self._coerce(other).inverse()
 
     def __rtruediv__(self, other):
         return self.inverse() * other
 
     def __pow__(self, n):
         if not isinstance(n, int):
-            return NotImplemented
+            raise InvalidInput("element power with the exponent %r" % (n,))
         if n < 0:
             return self.inverse() ** (-n)
         if n == 0:
@@ -836,10 +826,7 @@ class El:
 
     def same(self, other):
         """Indistinguishable at the shared precision."""
-        coerced = self._coerce(other)
-        if coerced is NotImplemented:
-            raise InvalidInput("cannot compare an element with %r" % (other,))
-        return (self - coerced).is_zeroish()
+        return (self - self._coerce(other)).is_zeroish()
 
     def __eq__(self, other):
         try:
@@ -940,9 +927,14 @@ class Poly:
         n = max(len(self.c), len(self._checked(other).c))
         return Poly(self.tw, [self.coeff(i) + other.coeff(i) for i in range(n)])
 
+    __radd__ = __add__
+
     def __sub__(self, other):
         n = max(len(self.c), len(self._checked(other).c))
         return Poly(self.tw, [self.coeff(i) - other.coeff(i) for i in range(n)])
+
+    def __rsub__(self, other):
+        return self._checked(other) - self
 
     def __neg__(self):
         return Poly(self.tw, [-x for x in self.c])
@@ -960,6 +952,8 @@ class Poly:
                 if not b.is_true_zero():
                     out[i + j] = out[i + j] + a * b
         return Poly(self.tw, out)
+
+    __rmul__ = __mul__
 
     def __pow__(self, n):
         if not isinstance(n, int):

@@ -28,9 +28,9 @@ CASES = {
     "model_1a": _model(7, 1, 1, "3"),
     "model_1b": _model(5, 1, 4, "tau^2"),
     "model_2": _model(5, 1, 4, "5^3"),
-    # the annulus chart of a deep lambda has w = 3, so w e = 12 sits on the
-    # last pi-digit the trichotomy's cheap first rung reads, and the chart
-    # is certified by the full-precision rung
+    # the annulus chart of a deep lambda has w = 3, so w e = 12 lies past
+    # the pi-digits the trichotomy needs, and the report renders the exact
+    # w that only the full-precision chart gives
     "model_2_deep_lambda": _model(5, 1, 4, "5^6"),
     "model_via-1b_p3_f2": _model(3, 1, 2, "2"),
     "model_via-1b_e12_f2": _model(7, 1, 1, "3/5"),

@@ -154,7 +154,8 @@ class TestRingOps:
         # a string, a float or None once leaked a TypeError from the
         # subtraction; only an element, an int or a Fraction compares
         x = make_tower(5, 4, 1, 40).from_int(3)
-        for other in ("abc", 3.0, None, make_tower(5, 4, 1, 40).from_int(3)):
+        for other in ("abc", 3.0, None, make_tower(5, 4, 1, 40).from_int(3),
+                      Poly.from_ints(x.tw, [3])):
             with pytest.raises(InvalidInput):
                 x.same(other)
             assert not x == other
@@ -1317,14 +1318,29 @@ class TestOperationCounts:
 
     @pytest.mark.parametrize("operation", [
         lambda P: P + 2, lambda P: P - 2, lambda P: P * 2, lambda P: P ** 1.5,
-    ], ids=["add", "sub", "mul", "pow"])
+        lambda P: 2 + P, lambda P: 2 - P, lambda P: 2 * P,
+    ], ids=["add", "sub", "mul", "pow", "radd", "rsub", "rmul"])
     def test_foreign_poly_operands_are_typed(self, operation):
-        # an operand that is not a Poly (nor an El, for *) and an exponent
-        # that is not an int raise InvalidInput, not a host error
+        # an operand that is not a Poly (nor an El, for *), on either side,
+        # and an exponent that is not an int raise InvalidInput, not a host
+        # error
         t = T()
         for P in (Poly.from_ints(t, [1, 1]), Poly(t, [])):
             with pytest.raises(InvalidInput):
                 operation(P)
+
+    @pytest.mark.parametrize("operation", [
+        lambda x, P: x + "a", lambda x, P: "a" * x, lambda x, P: x ** 1.5,
+        lambda x, P: x * P,
+    ], ids=["add", "rmul", "pow", "mul-poly"])
+    def test_foreign_element_operands_are_typed(self, operation):
+        # an operand that is not an El, an int or a Fraction, on either
+        # side, and an exponent that is not an int raise InvalidInput, not
+        # Python's TypeError
+        t = T()
+        x = t.from_int(3) + t.pi()
+        with pytest.raises(InvalidInput):
+            operation(x, Poly.from_ints(t, [1, 1]))
 
 
 def reference_parse(tw, text):
