@@ -36,7 +36,13 @@ at the two roots of g by the quadratic formula, and via-2a at the roots
 of g on the unit disk and of g(lam x)/lam on the disk of radius lam.
 Every center that lifts a residue root goes through ``_lift_centers``
 (via-2a, and the finite centers of 2b3), except the flipped 2b3 center,
-whose residue root is 0 and which ``hensel_root`` lifts directly.
+whose residue root is 0 and which ``hensel_root`` lifts directly.  Both
+lift a center only to the digits that rung 1 and the report read: rung
+1 reads it to K0 pi-digits, and the report renders four nonzero digits
+and the ap that ``hensel_root`` certifies by the precision lemma.  The
+lifted center (a ``LiftedRoot``) runs the full-window lift only when
+rung 2 asks for it.  A 1a or via-1b center is an El, which serves rung
+1, rung 2 and the report as it is.
 """
 
 import math
@@ -352,7 +358,7 @@ def _lift_centers(S, exclude, want, where):
         raise ConstructionMismatch(
             "expected %d critical residue root(s) on the %s, found %d"
             % (want, where, len(roots)))
-    return [hensel_root(S, r) for r in roots]
+    return [hensel_root(S, r, _rung_one_digits(S.tw)) for r in roots]
 
 
 def _expect(out, case, label):
@@ -389,19 +395,20 @@ def _blowup_trichotomy(cover, h, d, b, N):
     """(chart, outcome): the trichotomy on the blow-up of ``cover`` at
     (x - d, b), with the witness h carried through the blow-up,
     x2^(N/p) h(d + b/x2)/h(d); h None is 1 there, which carries to
-    x2^(N/p).  The chart keeps the full-precision center d; its poly is
-    the chart of the rung that decided.
+    x2^(N/p).  The chart keeps the center d, an El or a LiftedRoot; its
+    poly is the chart of the rung that decided.
 
     The trichotomy compares w = v(h^p - C) with v(tau), so it reads a
     chart only in its rows of valuation up to K = floor(e v(tau)) + 1
     pi-digits.  Both rungs read the chart from the cover's linear factors
-    (``_factored_chart``): rung 1 from d + O(pi^K0), K0 = 2K, in the rows
-    of valuation below K, and rung 2 in every row from the full-precision
-    d.  The witness is blown up as given, at the rung's center.  El
-    tracks precision soundly, so every valuation and residue rung 1 reads
-    is a true digit: a case it decides has the full-precision w and
-    equation.  A FourCoverError or an undecided outcome at rung 1 runs
-    rung 2, whose result or error stands.
+    (``_factored_chart``): rung 1 from the head of d cut to O(pi^K0),
+    K0 = 2K, in the rows of valuation below K, and rung 2 in every row
+    from d.full(), the full-precision center, which only rung 2 asks a
+    lifted center for.  The witness is blown up as given, at the rung's
+    center.  El tracks precision soundly, so every valuation and residue
+    rung 1 reads is a true digit: a case it decides has the
+    full-precision w and equation.  A FourCoverError or an undecided
+    outcome at rung 1 runs rung 2, whose result or error stands.
     """
     tw = cover.tw
 
@@ -414,14 +421,20 @@ def _blowup_trichotomy(cover, h, d, b, N):
         chart.center = d
         return chart, out
 
-    K = math.floor(tw.e * tw.tau_valuation()) + 1
+    K0 = _rung_one_digits(tw)
     try:
-        chart, out = rung(d + El(tw, None, None, 2 * K, None), K)
+        chart, out = rung(d.head + El(tw, None, None, K0, None), K0 // 2)
         if out.case != TorsorOutcome.UNDECIDED:
             return chart, out
     except FourCoverError:
         pass
-    return rung(d, None)
+    return rung(d.full(), None)
+
+
+def _rung_one_digits(tw):
+    """K0 = 2K, the pi-digits of a center that rung 1 reads, where
+    K = floor(e v(tau)) + 1 bounds the chart rows the trichotomy reads."""
+    return 2 * (math.floor(tw.e * tw.tau_valuation()) + 1)
 
 
 def _factored_chart(cover, d, b, N, K=None):
@@ -486,7 +499,7 @@ def _blowup_component(cover, d, b, expect_genus, label, h=None, N=None,
     """Blow up ``cover`` at (x - d, b), certify the chart with
     ``_blowup_trichotomy`` (the witness h carried through the blow-up,
     x^(N/p) when h is None) and package its Artin-Schreier component.  The
-    chart records the full-precision center; its poly, which no report
+    chart records the center d as given; its poly, which no report
     renders, may be the rung-1 chart."""
     chart, out = _blowup_trichotomy(cover, h, d, b, N)
     return _artin_schreier(out, chart, expect_genus, label, notes)
@@ -672,7 +685,8 @@ def _build_via_2b3(n, cover, lam, checks, subcase):
         flipped, _ = moved.moebius_pullback(
             Moebius(tw.zero(), tw.one(), tw.one(), tw.zero()))
         charts = [(moved, h, centers[0], "x1 finite chart"),
-                  (flipped, hs, hensel_root(Ss, 0), "1/x1 chart")]
+                  (flipped, hs, hensel_root(Ss, 0, _rung_one_digits(tw)),
+                   "1/x1 chart")]
     comps = []
     for cvr, hc, d, coord in charts:
         # sub-case i certifies with x2^2; sub-case ii carries h through

@@ -96,10 +96,6 @@ def moebius_to_01inf(tw, A, B, C):
     return Moebius(B - C, -A * (B - C), B - A, -C * (B - A))
 
 
-def cross_ratio(tw, A, B, C, D):
-    return moebius_to_01inf(tw, A, B, C).apply(D)
-
-
 def cross_ratio_orbit(lam):
     """The six relabeling values of lam, duplicates collapsed."""
     tw = lam.tw
@@ -198,9 +194,6 @@ class FactoredRat:
             out.items.append((-d / c, -D))
         out.const = const * c ** (-D)
         return out
-
-    def is_one(self):
-        return self.const.same(self.tw.one()) and not self.items
 
 
 class FactoredCover(FactoredRat):

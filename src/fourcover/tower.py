@@ -60,8 +60,11 @@ of the root double per step, so k doubles too, and of the at most
 ceil(log2(e N)) steps only the last works on full-width integers mod
 p^N.  Over W at f = 1 the coordinates are plain integers.  The residue
 root 0 is lifted as c_0 times the root of P(c_0 t)/c_0, whose residue
-root is nonzero.  One full-precision P(x) certifies the root, and the
-root's precision is capped at that of P(x).
+root is nonzero.  One full-precision P(x) certifies the full root, and
+the root's precision is capped at that of P(x).  A chart center is read
+only to a few digits, so with a cut the schedule stops at the first step
+that holds what its readers read; the LiftedRoot it returns resumes the
+same schedule for the full root only when that is asked for.
 
 Powers start from the base at the lowest set bit of the exponent and
 stop after the top bit, so they compute no product by one and no unused
@@ -846,43 +849,123 @@ class El:
         return list(self._digits(window if count is None else min(count, window)))
 
     def _digits(self, levels):
-        """Yield the nonzero digits of the lowest ``levels`` pi-levels."""
+        """Yield the nonzero digits of the lowest ``levels`` pi-levels.
+
+        p-digit i of u_j sits at pi-level j + e i, so the walk reads digit
+        i of every slot before digit i + 1 of any.  Each slot keeps its
+        coordinates above the digits read so far, one division by p a
+        digit, and leaves the walk once they are 0: the walk ends at the
+        last nonzero digit, not at the end of the window.
+        """
         tw = self.tw
-        f = tw.f
-        n = len(self.U)
-        for lev in range(levels):
-            j, i = lev % tw.e, lev // tw.e
-            if j * f >= n:   # above the last nonzero slot
-                continue
-            if f == 1:
-                d = (self.U[j] // tw._ppow[i]) % tw.p
-            else:
-                d = tw.ff.encode([c // tw._ppow[i] for c in self.U[j * f:(j + 1) * f]])
-            if d:
-                yield (self.s + lev, d)
+        p, e, f = tw.p, tw.e, tw.f
+        U = self.U
+        if f == 1:
+            rest, nonzero = list(U), bool
+        else:
+            rest, nonzero = [U[j:j + f] for j in range(0, len(U), f)], any
+        live = [j for j, c in enumerate(rest) if nonzero(c)]
+        base = 0
+        while live:
+            for j in live:
+                if base + j >= levels:
+                    return
+                c = rest[j]
+                if f == 1:
+                    d, rest[j] = c % p, c // p
+                else:
+                    d, rest[j] = tw.ff.encode(c), [x // p for x in c]
+                if d:
+                    yield (self.s + base + j, d)
+            live = [j for j in live if nonzero(rest[j])]
+            base += e
 
     def __repr__(self):
         return self.str(max_terms=6)
 
     def str(self, max_terms=8):
-        if self.is_true_zero():
-            return "0"
-        if self.s is None:
-            return "O(pi^%d)" % self.ap
-        tw = self.tw
-        parts = []
-        # the digits are extracted lazily: at most max_terms + 1 of them
-        for lev, d in self._digits(self.ap - self.s):
-            if len(parts) >= max_terms:
-                parts.append("...")
-                break
-            ds = tw.ff.render(d)
-            if lev == 0:
-                parts.append(ds)
-            else:
-                head = "" if ds == "1" else ds + "*"
-                parts.append("%spi^%d" % (head, lev) if lev != 1 else "%spi" % head)
-        return " + ".join(parts) + " + O(pi^%d)" % self.ap
+        return _render(self, max_terms, self.ap)
+
+    # -- as a chart center: an element holds every digit it has, so it is
+    # its own head and its own full lift (see LiftedRoot) ------------------
+
+    @property
+    def head(self):
+        return self
+
+    def full(self):
+        return self
+
+
+def _render(x, max_terms, ap):
+    """x's nonzero digits, at most max_terms of them and then "...",
+    followed by O(pi^ap)."""
+    if x.is_true_zero():
+        return "0"
+    if x.s is None:
+        return "O(pi^%d)" % ap
+    tw = x.tw
+    parts = []
+    # the digits are extracted lazily: at most max_terms + 1 of them
+    for lev, d in x._digits(x.ap - x.s):
+        if len(parts) >= max_terms:
+            parts.append("...")
+            break
+        ds = tw.ff.render(d)
+        if lev == 0:
+            parts.append(ds)
+        else:
+            head = "" if ds == "1" else ds + "*"
+            parts.append("%spi^%d" % (head, lev) if lev != 1 else "%spi" % head)
+    return " + ".join(parts) + " + O(pi^%d)" % ap
+
+
+def _shows(x, n):
+    """Whether x holds n nonzero digits in its window."""
+    if x.s is None:
+        return False
+    return sum(1 for _ in zip(range(n), x._digits(x.ap - x.s))) == n
+
+
+# the nonzero digits that the head of a LiftedRoot holds: the four that
+# a report renders of a chart center (str(4)) and one that decides its "..."
+_HEAD_DIGITS = 5
+
+
+class LiftedRoot:
+    """A root of an integral polynomial that ``hensel_root`` lifted only as
+    far as its readers read it: a chart center.
+
+    ``head`` is an element honest to the pi-digits it holds: at least the
+    cut ``hensel_root`` was given, or the root's whole precision if that
+    is less, and five nonzero digits, the four that ``str(4)`` renders and
+    the one that decides its "...".  ``ap`` is the root's certified
+    absolute precision, which the head may not reach.  ``full()`` is the
+    root at ap, lifted on the first call by running the rest of the
+    head's Newton schedule; the head is then the full root.  An El is a
+    center with the same parts, each of them itself.
+    """
+
+    __slots__ = ("head", "ap", "_lift")
+
+    def __init__(self, head, ap, lift):
+        self.head = head
+        self.ap = ap
+        self._lift = lift   # None once the head is the full root
+
+    def full(self):
+        if self._lift is not None:
+            self.head, self._lift = self._lift(), None
+        return self.head
+
+    def str(self, max_terms=8):
+        """The full root as El.str renders it: the head's digits and
+        O(pi^ap), or the full root's when the head stops short of ap
+        and shows too few."""
+        head = self.head
+        if head.ap < self.ap and not _shows(head, max_terms + 1):
+            head = self.full()
+        return _render(head, max_terms, self.ap)
 
 
 # ---------------------------------------------------------------------------
@@ -899,10 +982,6 @@ class Poly:
         self.c = [x if isinstance(x, El) else tw.from_rational(x) for x in coeffs]
         while self.c and self.c[-1].is_true_zero():
             self.c.pop()
-
-    @classmethod
-    def from_ints(cls, tw, ints):
-        return cls(tw, [tw.from_int(n) for n in ints])
 
     @classmethod
     def x_power(cls, tw, n, coeff=None):
@@ -1056,7 +1135,7 @@ class Poly:
 # root lifting
 # ---------------------------------------------------------------------------
 
-def hensel_root(P, residue_enc):
+def hensel_root(P, residue_enc, cut=None):
     """Lift a simple residue root (P' a unit there) to a root of P.
 
     This is the tower's one root lifter, and it divides nowhere.  P must
@@ -1073,10 +1152,22 @@ def hensel_root(P, residue_enc):
     Q(t) = P(c_0 t)/c_0 = 1 + c_1 t + c_2 c_0 t^2 + ..., whose residue
     root -1/c_1 is simple and nonzero.
 
-    One full-precision P(x) certifies the root: it must be
-    indistinguishable from zero, else InsufficientPrecision.  Since P'(x)
-    is a unit, the root lies within |P(x)| of x, so the result's ap is
-    capped at the ap of that P(x).
+    The full lift runs the whole schedule, and one full-precision P(x)
+    certifies the root: it must be indistinguishable from zero, else
+    InsufficientPrecision.  Since P'(x) is a unit, the root lies within
+    |P(x)| of x, so the result's ap is capped at the ap of that P(x).
+
+    With a ``cut`` of pi-digits, the schedule stops at its first step
+    whose x gives a head of the root that holds the cut, or the root's
+    whole precision if that is less, and five nonzero digits (see
+    LiftedRoot), once P(x) = 0 mod pi^digits is checked on that step's
+    coordinates.  The root's ap then comes from the precision lemma
+    (Caruso, Roe and Vaccon, Tracking p-adic precision): with P'(x) a
+    unit, the root is determined to min_i (ap(c_i) + i v(x)) pi-digits,
+    capped by the window v(x) + prec, which is the ap of P(x) at the full
+    lift.  The result is a LiftedRoot whose ``full()`` runs the rest of
+    the schedule and the full lift's certification, or the full root
+    itself when no step before the last gives such a head.
     """
     tw = P.tw
     ff = tw.ff
@@ -1088,8 +1179,9 @@ def hensel_root(P, residue_enc):
         raise ConstructionMismatch("%r is not a root of the residue polynomial"
                                    % (residue_enc,))
     zbar = ff.inv(dbar)
+    c0 = None
     if residue_enc:
-        x = _newton(tw, _coordinates(tw, P.c), ff.coords(residue_enc), ff.coords(zbar))
+        coords, start = _coordinates(tw, P.c), residue_enc
     else:
         c0 = P.coeff(0)
         if c0.is_zeroish():
@@ -1099,14 +1191,45 @@ def hensel_root(P, residue_enc):
         for c in P.c[1:]:
             Q.append(c * power)
             power = power * c0
-        t = _newton(tw, _coordinates(tw, Q), ff.coords(ff.neg(zbar)), ff.coords(zbar))
-        x = c0 * t
-    fx = P.eval(x)
-    if not fx.is_zeroish():
-        raise InsufficientPrecision("Newton lifting did not converge")
-    if fx.is_true_zero() or fx.ap >= x.ap:
-        return x
-    return tw._canon(x.s, x.U, fx.ap, x.exact)
+        coords, start = _coordinates(tw, Q), ff.neg(zbar)
+    steps = _newton(tw, coords, ff.coords(start), ff.coords(zbar))
+
+    def lifted(X, digits):
+        """The root that the coordinates X, right to digits pi-digits, give."""
+        t = tw._canon(0, X, digits, None)
+        return t if c0 is None else c0 * t
+
+    def full(X=None):
+        for _, X in steps:   # the rest of the schedule
+            pass
+        x = lifted(X, tw.prec)
+        fx = P.eval(x)
+        if not fx.is_zeroish():
+            raise InsufficientPrecision("Newton lifting did not converge")
+        if fx.is_true_zero() or fx.ap >= x.ap:
+            return x
+        return tw._canon(x.s, x.U, fx.ap, x.exact)
+
+    if cut is None:
+        return full()
+    v = 0 if c0 is None else c0.s
+    ap = min([v + tw.prec] + [c.ap + i * v for i, c in enumerate(P.c)
+                              if c.ap is not None])
+    for digits, X in steps:
+        if digits is None:
+            return full(X)
+        head = lifted(X, min(digits, ap - v))
+        if ((head.ap == ap or head.ap >= cut and _shows(head, _HEAD_DIGITS))
+                and _certified(tw, coords, X, digits)):
+            return LiftedRoot(head, ap, full)
+
+
+def _certified(tw, coeffs, X, digits):
+    """Whether the coordinate polynomial vanishes at X mod pi^digits,
+    evaluated on the coordinates of the Newton step that reached digits."""
+    m, n = tw._ppow[-(-digits // tw.e)], min(digits, tw.e) * tw.f
+    fx = _horner(coeffs, X, m, n, tw._unit_product, _sum_mod)
+    return tw._canon(0, fx, digits, None).is_zeroish()
 
 
 def _coordinates(tw, coeffs):
@@ -1120,7 +1243,13 @@ def _coordinates(tw, coeffs):
 def _newton(tw, coeffs, x, z):
     """The Newton steps of ``hensel_root`` on O_K/p^k coordinates: x, the
     lift of a nonzero residue root, and z, that of 1/P'(x), are refined
-    until P(x) = 0 mod p^nl.  Returns x as an element at full precision.
+    until P(x) = 0 mod p^nl.
+
+    A generator: after each step but the last it yields (digits, x), x
+    right to that many pi-digits as a list of coordinates, and at the end
+    (None, x), x for the full precision.  Resuming it after a yield runs
+    the rest of the one schedule, so a lift stopped at a yield is finished
+    later, never restarted; z is refined only on resuming.
 
     x and z start right to one pi-digit (e of them when P lies over W, as
     its root then does), and each step doubles that.  The steps make them
@@ -1164,9 +1293,10 @@ def _newton(tw, coeffs, x, z):
             break
         x = add(x, neg(mul(fx, z)), m, n)
         if digits < targets[0]:   # the last step needs no better z
+            yield digits, [x] if isinstance(x, int) else x
             t = mul(_horner(derivs, x, m, n, mul, add), z)   # P'(x) z, 1 mod pi^(digits/2)
             z = add(z, mul(z, add(one, neg(t), m, n)), m, n)
-    return tw._canon(0, [x] if isinstance(x, int) else x, tw.prec, None)
+    yield None, [x] if isinstance(x, int) else x
 
 
 def _horner(cs, x, m, n, mul, add):

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from fourcover.errors import UnsupportedPrime, FourCoverError
+from fourcover.errors import UnsupportedPrime, FourCoverError, InsufficientPrecision
 from fourcover.ffield import peval, pderiv, pnormalize, proots
 from fourcover.tower import make_tower, hensel_root, El, Poly
 from fourcover.normalizer import (
@@ -22,7 +22,7 @@ from fourcover.classifier import (
     _chart_poly, _cover_to_poly, _critical_2b3, _critical_quadratic,
     _blowup_trichotomy, _factored_chart, _integral_branch_residues,
 )
-from fourcover import classifier, torsor
+from fourcover import classifier, cli, torsor
 from fourcover.torsor import TorsorOutcome
 from fourcover.normalizer import cross_ratio_orbit
 
@@ -376,14 +376,14 @@ class TestRemovedCenterRoutes:
         m = build_stable_model(n)
         for c in m.components:
             got = c.chart.radius.valuation()
-            assert got == second_derivative_radius(n, c.chart.center)
+            assert got == second_derivative_radius(n, c.chart.center.full())
 
     @settings(max_examples=40, deadline=None)
     @given(via_2a_covers())
     def test_via_2a_centers_match_the_derivative_lift(self, n):
         assume(classify(n) == Classification(TYPE_3, VIA_2A))
         m = build_stable_model(n)
-        got = [c.chart.center for c in m.components]
+        got = [c.chart.center.full() for c in m.components]
         want = derivative_centers_2a(n, got[0].tw)
         assert [state(d) for d in got] == [state(d) for d in want]
 
@@ -394,7 +394,7 @@ class TestRemovedCenterRoutes:
         assume(cls.subroute in (VIA_2B3_I, VIA_2B3_II)
                and n.beta == n.gamma == n.p - 1)
         m = build_stable_model(n, cls)
-        got = m.components[1].chart.center
+        got = m.components[1].chart.center.full()
         want = all_roots_flipped_center(n, got.tw, cls.subroute)
         assert state(got) == state(want)
 
@@ -643,6 +643,33 @@ def recorded_blowups(monkeypatch):
     return calls
 
 
+def count_full_lifts(monkeypatch):
+    """(polys, lifts): the polynomials whose chart centers the classifier
+    lifts with a cut from now on, and the full-window lifts of those
+    centers.  Each full lift certifies its root with one evaluation of
+    its polynomial, so ``lifts`` holds the polynomial once per lift."""
+    polys, lifts = [], []
+    lift, evaluate = classifier.hensel_root, Poly.eval
+
+    def recorded(P, r, cut=None):
+        if cut is not None:
+            polys.append(P)
+        return lift(P, r, cut)
+
+    def counted(P, x):
+        if any(P is S for S in polys):
+            lifts.append(P)
+        return evaluate(P, x)
+    monkeypatch.setattr(classifier, "hensel_root", recorded)
+    monkeypatch.setattr(Poly, "eval", counted)
+    return polys, lifts
+
+
+def model_report(*argv):
+    """The ``fourcover model --json`` report of argv and its exit code."""
+    return cli.run(cli.build_parser().parse_args(["model", "--json", *argv]))
+
+
 def count_cover_polys(monkeypatch):
     """The covers that ``classifier._cover_to_poly`` expands from now on."""
     calls = []
@@ -718,7 +745,7 @@ class TestFactoredRung:
         if not isinstance(got, type):
             chart, _ = _blowup_trichotomy(cover, h, d, b, N)
             assert chart.N == N and chart.radius is b
-            assert state(chart.center) == state(d)
+            assert state(chart.center.full()) == state(d)
 
     @given(factored_charts())
     @settings(max_examples=100, deadline=None)
@@ -804,11 +831,12 @@ class TestTrichotomyOracle:
         m = build_stable_model(norm(tw, beta, gamma, tw.parse(token)))
         monkeypatch.undo()
         cover, _, chart, out = certified[0]
-        big = chart.center.tw
+        center = chart.center.full()
+        big = center.tw
         assert (m.classification.subroute, big.e, big.f) == (route, e, f)
         assert chart is m.components[0].chart
         C, _ = _cover_to_poly(cover)
-        full = torsor.blowup_chart(C, chart.center, chart.radius, N=chart.N).poly
+        full = torsor.blowup_chart(C, center, chart.radius, N=chart.N).poly
         _, w = torsor.maximize_h_bruteforce(full, digit_budget=6)
         assert torsor.induced_case(w, big) == out.case == TorsorOutcome.ARTIN_SCHREIER
 
@@ -853,11 +881,51 @@ class TestTwoRungCertifier:
             assert out.case == TorsorOutcome.ARTIN_SCHREIER
             assert max(c.ap for c in chart.poly.c[:-1] if c.ap is not None) < tw.prec
             assert trichotomy_result(lambda: out) == full_chart_result(
-                _cover_to_poly(cover)[0], h, chart.center, chart.radius, chart.N)
+                _cover_to_poly(cover)[0], h, chart.center.full(), chart.radius,
+                chart.N)
         del charts[:]
         m = build_stable_model(norm(t5, 1, 4, t5.from_int(25)))
         assert m.classification.subroute == VIA_2B3_II
         assert [c.N for c in charts] == [2, 2]
+
+    @pytest.mark.parametrize("argv", [
+        ("--p", "5", "--beta", "2", "--gamma", "1", "--lambda", "5"),
+        ("--p", "7", "--beta", "1", "--gamma", "6", "--lambda", "7",
+         "--precision", "1200"),
+    ])
+    def test_lifted_centers_take_no_full_lift(self, monkeypatch, argv):
+        # a via-2a model, and the 2b3-i model whose two centers are dense
+        # lifts at e = 6, f = 2 in a window of 1,200 pi-digits: rung 1
+        # decides every chart and the report renders every center from the
+        # head of its lift
+        polys, lifts = count_full_lifts(monkeypatch)
+        rep, code = model_report(*argv)
+        assert code == 0 and len(rep["components"]) == 2
+        assert len(polys) == 2 and lifts == []
+
+    @pytest.mark.parametrize("argv,lifted", [
+        (("--p", "5", "--beta", "2", "--gamma", "1", "--lambda", "5"), 2),
+        (("--p", "5", "--beta", "4", "--gamma", "4", "--lambda", "5"), 2),
+        (("--p", "3", "--beta", "2", "--gamma", "2", "--lambda", "pi^5"), 1),
+    ])
+    def test_rung_two_lifts_each_center_once(self, monkeypatch, argv, lifted):
+        # with rung 1 made to fail, every chart of a via-2a model and of two
+        # flipped 2b3 models is decided by rung 2, which runs the full lift
+        # of each lifted center once, and the report is the same: the flipped
+        # center of the first 2b3 model is c_0 t from the residue root 0, and
+        # that of the p = 3 model is the exact root 0, which takes no lift
+        want = model_report(*argv)
+        _, lifts = count_full_lifts(monkeypatch)
+        chart = classifier._factored_chart
+
+        def rung_two_only(cover, d, b, N, K=None):
+            if K is not None:
+                raise InsufficientPrecision("rung 1 made to fail")
+            return chart(cover, d, b, N, K)
+        monkeypatch.setattr(classifier, "_factored_chart", rung_two_only)
+        got = model_report(*argv)
+        assert got == want and got[1] == 0 and len(got[0]["components"]) == 2
+        assert len(lifts) == lifted
 
     def test_rungs_leave_no_reference_cycle(self):
         # with the cyclic collector off, a tower is freed as soon as its last

@@ -19,16 +19,21 @@ def T3():
     return make_tower(3, 2, 1, 36)
 
 
+def from_ints(tw, ints):
+    """The polynomial with the integer coefficients ints, lowest first."""
+    return Poly(tw, [tw.from_int(n) for n in ints])
+
+
 class TestTaylorShift:
     def test_square(self):
         t = T5()
-        f = Poly.from_ints(t, [0, 0, 1])
+        f = from_ints(t, [0, 0, 1])
         out = f.taylor(t.from_int(1), t.from_int(3))
         assert [c.exact[0] for c in out.c] == [1, 6, 9]
 
     def test_b_zero(self):
         t = T5()
-        f = Poly.from_ints(t, [1, 7, 0, 2])
+        f = from_ints(t, [1, 7, 0, 2])
         out = f.taylor(t.from_int(2), t.zero())
         assert out.degree == 0
         assert out.coeff(0) == f.eval(t.from_int(2))
@@ -44,7 +49,7 @@ class TestTaylorShift:
         t = T5()
         rng = random.Random(10)
         for _ in range(10):
-            f = Poly.from_ints(t, [rng.randrange(-20, 20) for _ in range(5)] + [1])
+            f = from_ints(t, [rng.randrange(-20, 20) for _ in range(5)] + [1])
             d, b = t.from_int(rng.randrange(1, 9)), t.from_int(rng.randrange(1, 5))
             sh = f.taylor(d, b)
             back = sh.taylor(t.zero(), b.inverse()).taylor(-d, t.one())

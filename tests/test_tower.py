@@ -38,6 +38,11 @@ def T(p=5, e=4, f=1, prec=50):
     return make_tower(p, e, f, prec)
 
 
+def from_ints(tw, ints):
+    """The polynomial with the integer coefficients ints, lowest first."""
+    return Poly(tw, [tw.from_int(n) for n in ints])
+
+
 class TestMakeTower:
     def test_examples(self):
         t = T(5, 4, 1, 50)
@@ -155,7 +160,7 @@ class TestRingOps:
         # subtraction; only an element, an int or a Fraction compares
         x = make_tower(5, 4, 1, 40).from_int(3)
         for other in ("abc", 3.0, None, make_tower(5, 4, 1, 40).from_int(3),
-                      Poly.from_ints(x.tw, [3])):
+                      from_ints(x.tw, [3])):
             with pytest.raises(InvalidInput):
                 x.same(other)
             assert not x == other
@@ -1112,7 +1117,7 @@ class TestWPath:
         # once mod p^ceil(prec/e), and take no step; at f = 1 the quadratic
         # x^2 - 4 has the exact root 2
         t = make_tower(p, e, f, prec)
-        P = Poly.from_ints(t, [1, 0, 1] if f == 2 else [-4, 0, 1])
+        P = from_ints(t, [1, 0, 1] if f == 2 else [-4, 0, 1])
         r = t.ff.encode([0, 1]) if f == 2 else 2
         horner = counted(monkeypatch, tower_module, "_horner")
         y = hensel_root(P, r)
@@ -1121,7 +1126,7 @@ class TestWPath:
         # perturbed past the first step's modulus but inside the window,
         # the lift is no root: the steps run, and the root is the element
         # loop's
-        Q = P + Poly.from_ints(t, [p ** (prec // e - 1)])
+        Q = P + from_ints(t, [p ** (prec // e - 1)])
         del horner[:]
         y = hensel_root(Q, r)
         assert len(horner) > 2
@@ -1138,7 +1143,7 @@ class TestWPath:
         y = hensel_root(Poly(t, [-u, 0, 1]), t.ff.sqrt(u.residue()))
         assert (y * y - u).is_zeroish()
         assert calls == ["_newton"]
-        P = Poly.from_ints(t, [14, -8, 1])   # x (x - 1) mod 7
+        P = from_ints(t, [14, -8, 1])   # x (x - 1) mod 7
         for r, n in ((0, 2), (1, 3)):
             y = hensel_root(P, r)
             assert P.eval(y).is_zeroish() and y.residue() == r
@@ -1314,7 +1319,7 @@ class TestOperationCounts:
     def test_negative_poly_power_is_typed(self):
         t = T()
         with pytest.raises(InvalidInput):
-            Poly.from_ints(t, [1, 1]) ** -1
+            from_ints(t, [1, 1]) ** -1
 
     @pytest.mark.parametrize("operation", [
         lambda P: P + 2, lambda P: P - 2, lambda P: P * 2, lambda P: P ** 1.5,
@@ -1325,7 +1330,7 @@ class TestOperationCounts:
         # and an exponent that is not an int raise InvalidInput, not a host
         # error
         t = T()
-        for P in (Poly.from_ints(t, [1, 1]), Poly(t, [])):
+        for P in (from_ints(t, [1, 1]), Poly(t, [])):
             with pytest.raises(InvalidInput):
                 operation(P)
 
@@ -1340,7 +1345,7 @@ class TestOperationCounts:
         t = T()
         x = t.from_int(3) + t.pi()
         with pytest.raises(InvalidInput):
-            operation(x, Poly.from_ints(t, [1, 1]))
+            operation(x, from_ints(t, [1, 1]))
 
 
 def reference_parse(tw, text):
@@ -1434,10 +1439,10 @@ class TestEmbed:
 class TestPoly:
     def test_taylor_known_values(self):
         t = T()
-        f = Poly.from_ints(t, [0, 0, 1])  # x^2
+        f = from_ints(t, [0, 0, 1])  # x^2
         sh = f.taylor(t.from_int(1), t.from_int(3))
         assert [c.exact[0] for c in sh.c] == [1, 6, 9]
-        g = Poly.from_ints(t, [2, 0, 5, 1])
+        g = from_ints(t, [2, 0, 5, 1])
         assert g.taylor(t.from_int(4), t.zero()).degree == 0
         assert g.taylor(t.from_int(4), t.zero()).coeff(0) == g.eval(t.from_int(4))
         h = Poly.x_power(t, 5)  # x^p, p = 5
@@ -1448,7 +1453,7 @@ class TestPoly:
     def test_taylor_inverse(self):
         t = T(prec=40)
         rng = random.Random(1)
-        f = Poly.from_ints(t, [rng.randrange(-9, 9) for _ in range(6)] + [1])
+        f = from_ints(t, [rng.randrange(-9, 9) for _ in range(6)] + [1])
         d = t.from_int(3)
         b = t.from_int(2)
         sh = f.taylor(d, b)
@@ -1468,8 +1473,8 @@ class TestPoly:
     @settings(max_examples=40, deadline=None)
     def test_gauss_multiplicative(self, ac, bc):
         t = T(prec=30)
-        f = Poly.from_ints(t, ac)
-        g = Poly.from_ints(t, bc)
+        f = from_ints(t, ac)
+        g = from_ints(t, bc)
         if not f.c or not g.c:
             return
         vf, vg = f.gauss_valuation(), g.gauss_valuation()
@@ -1479,8 +1484,8 @@ class TestPoly:
 class TestRoots:
     def test_hensel_simple(self):
         t = T()
-        f = Poly.from_ints(t, [-2, 0, 1])  # x^2 - 2 has no root mod 5... use x^2 - 4
-        f = Poly.from_ints(t, [-4, 0, 1])
+        f = from_ints(t, [-2, 0, 1])  # x^2 - 2 has no root mod 5... use x^2 - 4
+        f = from_ints(t, [-4, 0, 1])
         r = hensel_root(f, 2)
         assert r == t.from_int(2)
 
@@ -1503,7 +1508,7 @@ class TestRoots:
         # x^2 - 6x + 5 = (x - 5)(x - 1): the root at residue 0 is 5, though
         # every division-loop iterate from the exact lift 0 is rational
         t = T(5, 2, 1, 40)
-        r = hensel_root(Poly.from_ints(t, [5, -6, 1]), 0)
+        r = hensel_root(from_ints(t, [5, -6, 1]), 0)
         assert r == t.from_int(5) and r.exact is None
 
     def test_hensel_zeroish_root_unchanged(self):
@@ -1511,3 +1516,116 @@ class TestRoots:
         t = T(5, 4, 1, 40)
         f = Poly(t, [El(t, None, None, 3, None), -t.one(), t.one()])
         assert hensel_root(f, 0).is_true_zero()
+
+
+class TestShortLift:
+    """``hensel_root`` with a cut stops its Newton schedule at the first
+    step whose x holds what a chart center's readers read; its head, its
+    certified ap and its full() against the full lift."""
+
+    @given(st.one_of(lift_problems(), w_lift_problems(), dense_lift_problems()),
+           st.integers(1, 64))
+    @settings(max_examples=150, deadline=None)
+    def test_short_lift_matches_the_full_lift(self, problem, cut):
+        P, r = problem
+        try:
+            want = hensel_root(P, r)
+        except FourCoverError as exc:
+            # the entry checks raise as before; a full lift that does not
+            # converge raises when the full root is asked for
+            with pytest.raises(type(exc)):
+                hensel_root(P, r, cut).full()
+            return
+        root = hensel_root(P, r, cut)
+        head = root.head
+        assert root.ap == want.ap
+        if want.is_true_zero():
+            assert root.full().is_true_zero()
+            return
+        # the head claims no digit it does not hold, and every digit it
+        # holds is the full root's
+        assert head.s == want.s and head.ap <= want.ap
+        assert head.digits() == [d for d in want.digits() if d[0] < head.ap]
+        assert head.exact is None and (head - want).is_zeroish()
+        # it holds the cut and five nonzero digits, or all of the root
+        assert head.ap >= min(cut, want.ap)
+        assert head.ap == want.ap or len(head.digits()) >= 5
+        for terms in (4, 6, 8):
+            assert root.str(terms) == want.str(terms)
+        assert state(root.full()) == state(want)
+
+    @pytest.mark.parametrize("p,e,f,prec", [(7, 12, 2, 600), (5, 8, 2, 800), (3, 2, 1, 100)])
+    def test_short_lift_stops_early_and_resumes_once(self, p, e, f, prec, monkeypatch):
+        # a dense root: the head stops well short of the window, rendering
+        # it runs no more steps, and full() finishes the one schedule with
+        # one certifying evaluation of P, once
+        t = make_tower(p, e, f, prec)
+        u = t.from_int(4) + t.pi() * t.lift_ff(t.ff.q - 1)
+        P = Poly(t, [-u, 0, 1])
+        r = t.ff.sqrt(u.residue())
+        want = hensel_root(P, r)
+        evals = []
+        original = Poly.eval
+
+        def counted_eval(poly, x):
+            evals.append(poly is P)
+            return original(poly, x)
+        monkeypatch.setattr(Poly, "eval", counted_eval)
+        root = hensel_root(P, r, 2 * e)
+        assert isinstance(root, tower_module.LiftedRoot)
+        assert 2 * e <= root.head.ap < prec // 4
+        assert root.str(4) == want.str(4) and evals == []
+        assert state(root.full()) == state(want) and evals == [True]
+        assert root.full() is root.full() and evals == [True]
+
+
+def reference_digits(x, levels):
+    """The digit walk that ``El._digits`` replaced: one big-int division
+    per pi-level of the window."""
+    tw = x.tw
+    f = tw.f
+    n = len(x.U)
+    for lev in range(levels):
+        j, i = lev % tw.e, lev // tw.e
+        if j * f >= n:   # above the last nonzero slot
+            continue
+        if f == 1:
+            d = (x.U[j] // tw._ppow[i]) % tw.p
+        else:
+            d = tw.ff.encode([c // tw._ppow[i] for c in x.U[j * f:(j + 1) * f]])
+        if d:
+            yield (x.s + lev, d)
+
+
+@st.composite
+def sparse_elements(draw, tw):
+    """A sum of up to four digits c pi^k, k up to the window, plus O(pi^ap):
+    long runs of zero digits, as in 1 + O(pi^300)."""
+    ap = draw(st.integers(1, tw.prec))
+    x = El(tw, None, None, ap, None)
+    for _ in range(draw(st.integers(1, 4))):
+        k = draw(st.integers(0, ap - 1))
+        x = x + tw.lift_ff(draw(st.integers(1, tw.ff.q - 1))) * tw.pi_power(k)
+    return x
+
+
+class TestDigits:
+    @given(towers(prec_per_e=40).flatmap(
+               lambda tw: st.one_of(elements(tw), sparse_elements(tw))),
+           st.integers(0, 400))
+    @settings(max_examples=300, deadline=None)
+    def test_digits_match_the_per_level_walk(self, x, count):
+        if x.s is None:
+            assert x.digits() == []
+            return
+        window = x.ap - x.s
+        assert x.digits() == list(reference_digits(x, window))
+        assert x.digits(count) == list(reference_digits(x, min(count, window)))
+
+    def test_sparse_examples(self):
+        # 1 + O(pi^300) at e = 1: one nonzero digit in a window of 300
+        t = T(5, 1, 1, 300)
+        x = t.one()
+        assert x.digits() == [(0, 1)] and x.str(4) == "1 + O(pi^300)"
+        y = t.one() + t.from_int(3 * 5 ** 299)
+        assert y.digits() == [(0, 1), (299, 3)]
