@@ -259,16 +259,19 @@ def required_extension(n, cls):
 # ---------------------------------------------------------------------------
 
 def _cover_to_poly(cover):
-    """(C, const) with rhs = const * C(x), C integral of unit content."""
+    """(C, const) with rhs = const * C(x), C integral of unit content.
+    Each factor, (x - q)^a or, when v(q) < 0, (1 - x/q)^a with (-q)^a
+    moved into const, is expanded by the binomial theorem."""
     tw = cover.tw
     C = Poly(tw, [tw.one()])
     const = cover.const
     for q, a in cover.items:
         v = q.valuation()
         if v is INF or v >= 0:
-            C = C * Poly(tw, [-q, tw.one()]) ** a
+            C = C * Poly(tw, _binomial_rows(-q, a, a + 1))
         else:
-            C = C * Poly(tw, [tw.one(), -q.inverse()]) ** a
+            # the rows of (-1/q + T)^a, read backwards
+            C = C * Poly(tw, _binomial_rows(-q.inverse(), a, a + 1)[::-1])
             const = const * (-q) ** a
     return C, const
 
@@ -464,14 +467,7 @@ def _factored_chart(cover, d, b, N, K=None):
     k = D + 1 if K is None or mu <= 0 else min(D + 1, -(-K // mu))
     rows = None
     for alpha, a in alphas:
-        # (alpha + T)^a = sum_j C(a, j) alpha^(a - j) T^j, for j < k;
-        # pw holds alpha^(a - top), ..., alpha^a
-        top = min(a, k - 1)
-        pw = [alpha ** (a - top)] if a > top else [tw.one(), alpha]
-        while len(pw) <= top:
-            pw.append(pw[-1] * alpha)
-        factor = [pw[top]] + [_times_int(pw[top - j], math.comb(a, j))
-                              for j in range(1, top + 1)]
+        factor = _binomial_rows(alpha, a, k)
         rows = factor if rows is None else _truncated_product(rows, factor, k)
     coeffs = [tw.zero()] * (N + 1)
     coeffs[N] = tw.one()
@@ -482,6 +478,18 @@ def _factored_chart(cover, d, b, N, K=None):
     for i in range(k, D + 1):
         coeffs[N - i] = El(tw, None, None, i * mu, None)
     return BlowupChart(d, b, N, Poly(tw, coeffs))
+
+
+def _binomial_rows(alpha, a, k):
+    """The coefficients of T^j, j < k, in (alpha + T)^a, 1 <= a < p:
+    C(a, j) alpha^(a - j), each binomial coefficient a unit."""
+    top = min(a, k - 1)
+    # pw holds alpha^(a - top), ..., alpha^a
+    pw = [alpha ** (a - top)] if a > top else [alpha.tw.one(), alpha]
+    while len(pw) <= top:
+        pw.append(pw[-1] * alpha)
+    return [pw[top]] + [_times_int(pw[top - j], math.comb(a, j))
+                        for j in range(1, top + 1)]
 
 
 def _truncated_product(A, B, k):

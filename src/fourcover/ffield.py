@@ -357,10 +357,19 @@ def pmod(ff, a, b):
 
 
 def pgcd(ff, a, b):
+    """The monic gcd.  Euclid runs on A and B alone, since gcd(x^i A, x^j B)
+    = x^min(i, j) gcd(A, B) when A(0) and B(0) are nonzero."""
     a, b = pnormalize(a), pnormalize(b)
+    i, j = (_x_order(a), _x_order(b)) if a and b else (0, 0)
+    a, b = a[i:], b[j:]
     while b:
         a, b = b, pmod(ff, a, b)
-    return pmonic(ff, a)
+    return [0] * min(i, j) + pmonic(ff, a)
+
+
+def _x_order(a):
+    """The power of x that divides the nonzero normalized polynomial a."""
+    return next(i for i, c in enumerate(a) if c)
 
 
 def pmonic(ff, a):
@@ -493,12 +502,14 @@ def _edf(ff, a, d):
 
 
 def pfactor(ff, a):
-    """Factor into monic irreducibles: sorted list of (poly, multiplicity)."""
+    """Factor into monic irreducibles: sorted list of (poly, multiplicity).
+    x is recorded with its multiplicity before the squarefree step."""
     a = pnormalize(a)
     if pdeg(a) < 1:
         return []
-    res = {}
-    for g, m in psquarefree_part_factors(ff, a):
+    k = _x_order(a)
+    res = {(0, 1): k} if k else {}
+    for g, m in psquarefree_part_factors(ff, a[k:]):
         for h, d in _ddf(ff, pmonic(ff, g)):
             for irr in _edf(ff, h, d):
                 key = tuple(irr)

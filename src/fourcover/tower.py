@@ -48,7 +48,9 @@ the unit part is an (e f) x (e f) matrix over Z/p^N that is invertible
 mod p, and Gaussian elimination with unit pivots gives every coordinate
 of the inverse in one pass.  A W-constant maps each pi-slot to itself,
 so its matrix is e copies of one f x f block, and the solve runs on that
-block alone: at f = 1 it is one modular inverse.
+block alone: at f = 1 it is one modular inverse.  A pi-power (unit part
+1) inverts by a shift, with no solve.  A difference is the one addition
+path with the sign put onto the subtrahend's unit part and exact q.
 
 Roots are lifted in one place, ``hensel_root``, and in one way: Newton
 steps on O_K/p^k coordinates from a simple residue root of an integral
@@ -708,12 +710,13 @@ class El:
             return self.tw.from_rational(other)
         raise InvalidInput("element arithmetic with %r" % (other,))
 
-    def __add__(self, other):
+    def __add__(self, other, sign=1):
+        """self + sign * other: the sign, 1 or -1, goes onto other's U and q."""
         if other.__class__ is not El or other.tw is not self.tw:
             other = self._coerce(other)
         tw = self.tw
         if self.ap is None:
-            return other
+            return other if sign > 0 else -other
         if other.ap is None:
             return self
         exact = None
@@ -724,7 +727,7 @@ class El:
             if not r:
                 # q2 pi^(m2 - m1) = q2 (-p)^k, which divides when k < 0
                 w = q2 * (-tw.p) ** k if k >= 0 else Fraction(q2, (-tw.p) ** -k)
-                exact = (_exact_q(q1 + w), m1)
+                exact = (_exact_q(q1 + w if sign > 0 else q1 - w), m1)
         if self.s is None or other.s is None:
             if self.s is None and other.s is None:
                 ap = min(self.ap, other.ap)
@@ -736,11 +739,14 @@ class El:
             ap = min(known.ap, fuzzy.ap)
             if known.s >= fuzzy.ap:
                 return El(tw, None, None, ap, exact)
-            return tw._canon(known.s, known.U, ap, exact)
+            U = known.U if known is self or sign > 0 else [-c for c in known.U]
+            return tw._canon(known.s, U, ap, exact)
         s = min(self.s, other.s)
         ap = min(self.ap, other.ap)
         U1 = self.U if self.s == s else tw._shift_up(self.U, self.s - s)
         U2 = other.U if other.s == s else tw._shift_up(other.U, other.s - s)
+        if sign < 0:
+            U2 = [-c for c in U2]
         if len(U1) < len(U2):
             U1, U2 = U2, U1
         U = [a + b for a, b in zip(U1, U2)]
@@ -763,7 +769,7 @@ class El:
         return El(tw, self.s, tuple(U), self.ap, exact)
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        return self.__add__(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -807,6 +813,9 @@ class El:
         if self.exact is not None:
             exact = (_exact_q(Fraction(1, self.exact[0])), -self.exact[1])
         # u^-1 is known to the unit's window, min(ap - s, prec) pi-digits
+        if self.U == tw._one[1]:   # a pi-power inverts by a shift
+            return El(tw, -self.s, self.U,
+                      min(self.ap - 2 * self.s, tw.prec - self.s), exact)
         return tw._canon(-self.s, tw._unit_inverse(self.U),
                          self.ap - 2 * self.s, exact)
 
@@ -829,7 +838,7 @@ class El:
 
     def same(self, other):
         """Indistinguishable at the shared precision."""
-        return (self - self._coerce(other)).is_zeroish()
+        return (self - other).is_zeroish()
 
     def __eq__(self, other):
         try:

@@ -730,6 +730,80 @@ def full_chart_result(C, h, d, b, N):
     return trichotomy_result(run)
 
 
+def reference_cover_to_poly(cover):
+    """``_cover_to_poly`` before the binomial theorem: each linear factor
+    raised to its power by binary ``Poly`` powering, kept as the
+    reference for the expansion."""
+    tw = cover.tw
+    C = Poly(tw, [tw.one()])
+    const = cover.const
+    for q, a in cover.items:
+        v = q.valuation()
+        if v is math.inf or v >= 0:
+            C = C * Poly(tw, [-q, tw.one()]) ** a
+        else:
+            C = C * Poly(tw, [tw.one(), -q.inverse()]) ** a
+            const = const * (-q) ** a
+    return C, const
+
+
+@st.composite
+def cover_points(draw):
+    """A FactoredCover over p in {3, 5, 7}, e = (p - 1) or 2 (p - 1),
+    f <= 2, of up to five points with exponents in 1..p-1: integral
+    digits, digits of negative valuation, exact pairs with a Fraction q
+    and any m, points truncated to a few digits, the point 0, and an
+    O(pi^k), whose valuation both expansions must refuse alike."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    e = (p - 1) * draw(st.sampled_from([1, 2]))
+    tw = make_tower(p, e, draw(st.sampled_from([1, 2])),
+                    e * draw(st.sampled_from([4, 8, 20])))
+    q = tw.ff.q
+
+    def lift(lo=0):
+        return tw.lift_ff(draw(st.integers(lo, q - 1)))
+
+    def point():
+        kind = draw(st.sampled_from(["integral", "negative", "pair", "short",
+                                     "zero", "fuzzy"]))
+        if kind == "integral":
+            return lift() + tw.pi_power(draw(st.integers(1, 3))) * lift()
+        if kind == "negative":
+            return tw.pi_power(-draw(st.integers(1, 2 * e))) * lift(1) + lift()
+        if kind == "pair":
+            num = draw(st.integers(-10 ** 3, 10 ** 3).filter(bool))
+            return tw.from_exact_pair(Fraction(num, draw(st.integers(1, 50))),
+                                      draw(st.integers(-2 * e, 2 * e)))
+        if kind == "short":
+            s = draw(st.integers(-e, e))
+            U = [draw(st.integers(1, p - 1))] + [0] * (tw.f - 1)
+            return tw._canon(s, U, s + draw(st.integers(1, 2 * e)), None)
+        if kind == "zero":
+            return tw.zero()
+        return El(tw, None, None, draw(st.integers(1, 2 * e)), None)
+
+    items = [(point(), draw(st.integers(1, p - 1)))
+             for _ in range(draw(st.integers(0, 5)))]
+    return FactoredCover(tw, tw.pi_power(draw(st.integers(-2, 3))) * lift(1), items)
+
+
+def cover_poly_states(fn, cover):
+    """Every coefficient of C and the constant as stored forms, or the
+    type of the error fn raises."""
+    try:
+        C, const = fn(cover)
+    except FourCoverError as exc:
+        return type(exc)
+    return [state(c) for c in C.c], state(const)
+
+
+@given(cover_points())
+@settings(max_examples=200, deadline=None)
+def test_cover_to_poly_matches_poly_powers(cover):
+    assert (cover_poly_states(_cover_to_poly, cover)
+            == cover_poly_states(reference_cover_to_poly, cover))
+
+
 class TestFactoredRung:
     """Both rungs of a blow-up read the chart from the cover's linear
     factors: rung 1 in the rows the trichotomy reads, rung 2 in every row."""

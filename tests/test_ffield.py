@@ -5,10 +5,11 @@ import signal
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fourcover.errors import InvalidInput
+from fourcover.errors import FourCoverError, InvalidInput
 from fourcover.ffield import (
     MAX_ORDER, FF, padd, pmul, pdivmod, pgcd, pfactor, proots, _is_irreducible_mod_p,
     p_is_pth_power, p_pth_root, ppow, pmod, prender, pnormalize, binary_power,
+    pmonic, pdeg, psquarefree_part_factors, _ddf, _edf,
 )
 
 
@@ -363,6 +364,91 @@ def test_ppow_matches_the_old_ladder(args):
     out = ppow(ff, a, n, m)
     assert out == reference_ppow(ff, a, n, m)
     assert out is not a
+
+
+def reference_pgcd(ff, a, b):
+    """Euclid on the whole polynomials, the gcd before the powers of x
+    were split off, kept as the reference for ``pgcd``."""
+    a, b = pnormalize(a), pnormalize(b)
+    while b:
+        a, b = b, pmod(ff, a, b)
+    return pmonic(ff, a)
+
+
+def reference_pfactor(ff, a):
+    """``pfactor`` before it recorded the factor x first: the squarefree,
+    distinct- and equal-degree steps run on all of a, kept as its
+    reference."""
+    a = pnormalize(a)
+    if pdeg(a) < 1:
+        return []
+    res = {}
+    for g, m in psquarefree_part_factors(ff, a):
+        for h, d in _ddf(ff, pmonic(ff, g)):
+            for irr in _edf(ff, h, d):
+                key = tuple(irr)
+                res[key] = res.get(key, 0) + m
+    return [(list(k), mult) for k, mult in sorted(res.items(),
+                                                  key=lambda km: (len(km[0]), km[0]))]
+
+
+def outcome_of(fn, *args):
+    """fn(*args), or the type of the typed error it raises; any other
+    exception fails the test."""
+    try:
+        return fn(*args)
+    except FourCoverError as exc:
+        return type(exc)
+
+
+def _x_power_multiple(draw, ff):
+    coeff = st.integers(0, ff.q - 1)
+    R = draw(st.lists(coeff, max_size=3))
+    S = draw(st.lists(coeff, max_size=3))
+    Q = pmul(ff, ppow(ff, R, ff.p), S) if R else S
+    k = draw(st.integers(0, 3 * ff.p))
+    return [0] * k + Q + [0] * draw(st.integers(0, 2))
+
+
+@st.composite
+def x_power_multiples(draw, count=1):
+    """(ff, [x^k Q, ...]) over F_(p^f), p in {2, 3, 5}, f <= 2, k <= 3p,
+    so that x^k is a p-th power for some k.  Q is R^p S with R and S of
+    degree at most 2 (a p-th power when S is a constant, the p-th-root
+    recursion of the squarefree step) and may be zero, a constant or
+    divisible by x itself; a list may carry trailing zeros."""
+    ff = FF(draw(st.sampled_from([2, 3, 5])), draw(st.integers(1, 2)))
+    return ff, [_x_power_multiple(draw, ff) for _ in range(count)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(x_power_multiples(2))
+def test_pgcd_matches_euclid(args):
+    ff, (A, B) = args
+    for u, v in [(A, B), (B, A), (A, pmul(ff, A, [1, 1])), (A, []), ([], A), (A, A)]:
+        assert outcome_of(pgcd, ff, u, v) == outcome_of(reference_pgcd, ff, u, v)
+
+
+@settings(max_examples=150, deadline=None)
+@given(x_power_multiples())
+def test_pfactor_matches_the_unsplit_factorization(args):
+    ff, (A,) = args
+    assert outcome_of(pfactor, ff, A) == outcome_of(reference_pfactor, ff, A)
+
+
+def test_zero_and_bare_powers_of_x():
+    # the zero polynomial and x^k alone: the x-adic split scans for the
+    # first nonzero coefficient, and must not run off the end of a zero
+    # list; both references say what the answer is
+    for ff in (FF(2, 1), FF(3, 2), FF(5, 1)):
+        for k in range(3 * ff.p + 1):
+            xk = [0] * k + [1]
+            for poly in ([], [0] * k, xk, xk + [0], [0] * k + [2 % ff.p or 1]):
+                assert pfactor(ff, poly) == reference_pfactor(ff, poly)
+                for other in ([], xk, [1], [0, 0, 1]):
+                    assert pgcd(ff, poly, other) == reference_pgcd(ff, poly, other)
+        assert pfactor(ff, [0, 0, 0, 1]) == [([0, 1], 3)]
+        assert pgcd(ff, [0, 0, 1], [0, 1, 1]) == [0, 1]
 
 
 def test_power_ladders_reject_exponents_they_cannot_reach():

@@ -455,6 +455,96 @@ class TestInverse:
                 tw._unit_inverse(U)
 
 
+def negated_sum(x, y):
+    """The difference as ``El.__sub__`` computed it before the signed sum:
+    x plus the masked negation of y, kept as the reference for the one
+    addition path that puts the sign onto y's unit part and exact q."""
+    return x + (-y)
+
+
+def reference_pi_power_inverse(x):
+    """The inverse of a pi-power through the unit solve and ``_canon``,
+    kept as the reference for the shift that ``El.inverse`` takes."""
+    tw = x.tw
+    exact = None
+    if x.exact is not None:
+        exact = (tower_module._exact_q(Fraction(1, x.exact[0])), -x.exact[1])
+    return tw._canon(-x.s, tw._unit_inverse(x.U), x.ap - 2 * x.s, exact)
+
+
+def _difference_operand(draw, tw, x=None):
+    """An operand of a difference: the true zero, an O(pi^k), an exact
+    pair with a Fraction q and any m (so the two m may differ mod e), one
+    of the unit shapes of ``_tower_unit`` (W-constants, dense and trailing
+    units, truncated pi-powers), or, given x, x itself or x plus a higher
+    term, which cancels x's leading digits."""
+    e = tw.e
+    kind = draw(st.sampled_from(["zero", "fuzzy", "pair", "unit", "unit", "near"]))
+    if kind == "zero":
+        return tw.zero()
+    if kind == "fuzzy":
+        return El(tw, None, None, draw(st.integers(-2 * e, 3 * e)), None)
+    if kind == "pair":
+        num = draw(st.integers(-10 ** 4, 10 ** 4).filter(bool))
+        q = Fraction(num, draw(st.integers(1, 10 ** 3)))
+        q *= Fraction(tw.p) ** draw(st.integers(-2, 2))
+        return tw.from_exact_pair(q, draw(st.integers(-3 * e, 3 * e)))
+    if kind == "near" and x is not None and not x.is_zeroish():
+        if draw(st.booleans()):
+            return x
+        return x + _tower_unit(draw, tw) * tw.pi_power(draw(st.integers(0, 3 * e)))
+    return _tower_unit(draw, tw)
+
+
+@st.composite
+def differences(draw):
+    tw = draw(towers())
+    x = _difference_operand(draw, tw)
+    return x, _difference_operand(draw, tw, x)
+
+
+@st.composite
+def pi_powers(draw):
+    """pi^s in the shapes it comes in: an exact pair (1, s) or +-p^t (the
+    unit part is 1 when the sign is (-1)^t), a truncated pi-power without
+    a pair, or a stored form whose window ap - s exceeds prec."""
+    tw = draw(towers())
+    s = draw(st.integers(-3 * tw.e, 3 * tw.e))
+    kind = draw(st.sampled_from(["pair", "window", "wide"]))
+    if kind == "pair":
+        t = draw(st.integers(-2, 2))
+        return tw.from_exact_pair(draw(st.sampled_from([1, -1])) * Fraction(tw.p) ** t, s)
+    one = [1] + [0] * (tw.f - 1)
+    if kind == "window":
+        return tw._canon(s, one, s + draw(st.integers(1, tw.prec)), None)
+    exact = draw(st.sampled_from([None, (1, s)]))
+    return El(tw, s, tw._one[1], s + tw.prec + draw(st.integers(1, 3 * tw.e)), exact)
+
+
+class TestTrivialOperands:
+    """A difference is the signed sum, and a pi-power inverts by a shift;
+    each gives exactly the stored form of the code it replaced."""
+
+    @given(differences(), st.integers(-50, 50))
+    @settings(max_examples=400, deadline=None)
+    def test_difference_matches_negated_sum(self, xy, n):
+        x, y = xy
+        assert outcome(lambda: x - y) == outcome(negated_sum, x, y)
+        assert x.same(y) == negated_sum(x, y).is_zeroish()
+        # an int operand is coerced to its exact element first
+        assert outcome(lambda: x - n) == outcome(negated_sum, x, x.tw.from_int(n))
+
+    @given(pi_powers())
+    @settings(max_examples=300, deadline=None)
+    def test_pi_power_inverse_matches_the_solve(self, x):
+        y = x.inverse()
+        ref = reference_pi_power_inverse(x)
+        assert state(y) == state(ref)
+        if x.U == x.tw._one[1]:
+            assert y.U == x.U and y.ap == min(x.ap - 2 * x.s, x.tw.prec - x.s)
+        assert (x * y - x.tw.one()).is_zeroish()
+
+
 def fraction_pair(op, xs, tw, n=None):
     """The exact pair of op as the Fraction arithmetic computed it before
     integer q: kept as the reference for the int-or-Fraction pairs."""
