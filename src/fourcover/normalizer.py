@@ -165,23 +165,17 @@ class FactoredRat:
 
         With x = m(x') = (a x' + b)/(c x' + d), each factor x - q becomes
         (a - q c)(x' - q')/(c x' + d); the powers of c x' + d are gathered
-        into one c^(-D) and one pole factor, placed last.  The map is a
+        into one c^(-D) and one pole factor, placed last.  An affine map
+        (c = 0) has lead a, never zero, and its c x' + d is the constant
+        d, so the D powers give d^(-D) and no pole.  The map is a
         bijection, so the images of distinct points stay separate items.
         """
         a, b, c, d = m.entries()
+        affine = c.is_zeroish()
         out = FactoredRat(self.tw)
-        const = self.const
-        if c.is_zeroish():
-            # affine: m(x') = (a x' + b)/d
-            scale = a / d
-            for q, k in self.items:
-                out.items.append(((q * d - b) / a, k))
-                const = const * scale ** k
-            out.const = const
-            return out
-        D = 0
+        const, D = self.const, 0
         for q, k in self.items:
-            lead = a - q * c
+            lead = a if affine else a - q * c
             if lead.is_zeroish():
                 # q' = infinity: x - q = (b - q d)/(c x' + d)
                 const = const * (b - q * d) ** k
@@ -189,6 +183,9 @@ class FactoredRat:
                 out.items.append(((q * d - b) / lead, k))
                 const = const * lead ** k
             D += k
+        if affine:
+            out.const = const * d ** (-D)
+            return out
         # (c x' + d)^(-D) = c^(-D) (x' - pole)^(-D)
         if D:
             out.items.append((-d / c, -D))

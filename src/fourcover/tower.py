@@ -62,11 +62,12 @@ of the root double per step, so k doubles too, and of the at most
 ceil(log2(e N)) steps only the last works on full-width integers mod
 p^N.  Over W at f = 1 the coordinates are plain integers.  The residue
 root 0 is lifted as c_0 times the root of P(c_0 t)/c_0, whose residue
-root is nonzero.  One full-precision P(x) certifies the full root, and
-the root's precision is capped at that of P(x).  A chart center is read
-only to a few digits, so with a cut the schedule stops at the first step
-that holds what its readers read; the LiftedRoot it returns resumes the
-same schedule for the full root only when that is asked for.
+root is nonzero.  The root's precision comes from the precision lemma,
+and one certificate, P(x) = 0 on the coordinates of the step that
+stops, holds for every root.  A chart center is read only to a few
+digits, so with a cut the schedule stops at the first step that holds
+what its readers read; the LiftedRoot it returns lifts the polynomial
+again for the full root only when that is asked for.
 
 Powers start from the base at the lowest set bit of the exponent and
 stop after the top bit, so they compute no product by one and no unused
@@ -950,9 +951,9 @@ class LiftedRoot:
     is less, and five nonzero digits, the four that ``str(4)`` renders and
     the one that decides its "...".  ``ap`` is the root's certified
     absolute precision, which the head may not reach.  ``full()`` is the
-    root at ap, lifted on the first call by running the rest of the
-    head's Newton schedule; the head is then the full root.  An El is a
-    center with the same parts, each of them itself.
+    root at ap, lifted again without a cut on the first call; the head is
+    then the full root.  An El is a center with the same parts, each of
+    them itself.
     """
 
     __slots__ = ("head", "ap", "_lift")
@@ -1155,28 +1156,24 @@ def hensel_root(P, residue_enc, cut=None):
     unless r is a simple root.
 
     A nonzero residue root is lifted by Newton steps on O_K/p^k
-    coordinates (``_newton``).  At the residue root 0, P(0) = c_0 is
-    returned as the exact zero when it cannot be told from zero; else
+    coordinates (``_newton``).  At the residue root 0 the root y has
+    v(y) = v(c_0), since c_1 is a unit: when c_0 cannot be told from zero,
+    y is c_0 if that is the true zero and O(pi^ap(c_0)) otherwise.  Else
     the root is c_0 t, with t the ``_newton`` root of
     Q(t) = P(c_0 t)/c_0 = 1 + c_1 t + c_2 c_0 t^2 + ..., whose residue
     root -1/c_1 is simple and nonzero.
 
-    The full lift runs the whole schedule, and one full-precision P(x)
-    certifies the root: it must be indistinguishable from zero, else
-    InsufficientPrecision.  Since P'(x) is a unit, the root lies within
-    |P(x)| of x, so the result's ap is capped at the ap of that P(x).
-
-    With a ``cut`` of pi-digits, the schedule stops at its first step
-    whose x gives a head of the root that holds the cut, or the root's
-    whole precision if that is less, and five nonzero digits (see
-    LiftedRoot), once P(x) = 0 mod pi^digits is checked on that step's
-    coordinates.  The root's ap then comes from the precision lemma
-    (Caruso, Roe and Vaccon, Tracking p-adic precision): with P'(x) a
-    unit, the root is determined to min_i (ap(c_i) + i v(x)) pi-digits,
-    capped by the window v(x) + prec, which is the ap of P(x) at the full
-    lift.  The result is a LiftedRoot whose ``full()`` runs the rest of
-    the schedule and the full lift's certification, or the full root
-    itself when no step before the last gives such a head.
+    The root's ap comes from the precision lemma (Caruso, Roe and
+    Vaccon, Tracking p-adic precision): with P'(x) a unit, the root is
+    determined to min_i (ap(c_i) + i v(x)) pi-digits, capped by the
+    window v(x) + prec.  A step right to d pi-digits gives the head
+    x mod pi^min(d, ap - v(x)), and the lift stops at the first step
+    whose head holds the whole ap (the last step's does) or, with a
+    ``cut``, the cut and five nonzero digits (see LiftedRoot), and whose
+    one certificate holds: P(x) = 0 mod pi^d on that step's coordinates.
+    InsufficientPrecision if none does.  A head that holds the whole ap
+    is the root; any other is a LiftedRoot, whose ``full()`` lifts P
+    again without a cut.
     """
     tw = P.tw
     ff = tw.ff
@@ -1188,49 +1185,33 @@ def hensel_root(P, residue_enc, cut=None):
         raise ConstructionMismatch("%r is not a root of the residue polynomial"
                                    % (residue_enc,))
     zbar = ff.inv(dbar)
-    c0 = None
+    c0, v = None, 0
     if residue_enc:
         coords, start = _coordinates(tw, P.c), residue_enc
     else:
         c0 = P.coeff(0)
         if c0.is_zeroish():
-            return tw.zero()
+            return c0 if c0.is_true_zero() else El(tw, None, None, c0.ap, None)
         # here P'(0) = c_1, so Q'(t) = c_1 mod pi as well
-        Q, power = [tw.one()], tw.one()
+        Q, power, v = [tw.one()], tw.one(), c0.s
         for c in P.c[1:]:
             Q.append(c * power)
             power = power * c0
         coords, start = _coordinates(tw, Q), ff.neg(zbar)
-    steps = _newton(tw, coords, ff.coords(start), ff.coords(zbar))
-
-    def lifted(X, digits):
-        """The root that the coordinates X, right to digits pi-digits, give."""
-        t = tw._canon(0, X, digits, None)
-        return t if c0 is None else c0 * t
-
-    def full(X=None):
-        for _, X in steps:   # the rest of the schedule
-            pass
-        x = lifted(X, tw.prec)
-        fx = P.eval(x)
-        if not fx.is_zeroish():
-            raise InsufficientPrecision("Newton lifting did not converge")
-        if fx.is_true_zero() or fx.ap >= x.ap:
-            return x
-        return tw._canon(x.s, x.U, fx.ap, x.exact)
-
-    if cut is None:
-        return full()
-    v = 0 if c0 is None else c0.s
     ap = min([v + tw.prec] + [c.ap + i * v for i, c in enumerate(P.c)
                               if c.ap is not None])
-    for digits, X in steps:
-        if digits is None:
-            return full(X)
-        head = lifted(X, min(digits, ap - v))
-        if ((head.ap == ap or head.ap >= cut and _shows(head, _HEAD_DIGITS))
+    for digits, X in _newton(tw, coords, ff.coords(start), ff.coords(zbar)):
+        digits = digits or tw.prec   # the last step is right to prec digits
+        head = tw._canon(0, X, min(digits, ap - v), None)
+        if c0 is not None:
+            head = c0 * head
+        whole = head.ap == ap   # as it is at the last step, since ap <= v + prec
+        if ((whole or cut is not None and head.ap >= cut and _shows(head, _HEAD_DIGITS))
                 and _certified(tw, coords, X, digits)):
-            return LiftedRoot(head, ap, full)
+            if whole:
+                return head
+            return LiftedRoot(head, ap, lambda: hensel_root(P, residue_enc))
+    raise InsufficientPrecision("Newton lifting did not converge")
 
 
 def _certified(tw, coeffs, X, digits):
@@ -1256,9 +1237,9 @@ def _newton(tw, coeffs, x, z):
 
     A generator: after each step but the last it yields (digits, x), x
     right to that many pi-digits as a list of coordinates, and at the end
-    (None, x), x for the full precision.  Resuming it after a yield runs
-    the rest of the one schedule, so a lift stopped at a yield is finished
-    later, never restarted; z is refined only on resuming.
+    (None, x), x for the full precision.  z is refined only when the next
+    step is asked for, so a lift that stops at a yield pays for no step
+    after it.
 
     x and z start right to one pi-digit (e of them when P lies over W, as
     its root then does), and each step doubles that.  The steps make them

@@ -22,7 +22,7 @@ from fourcover.classifier import (
     _chart_poly, _cover_to_poly, _critical_2b3, _critical_quadratic,
     _blowup_trichotomy, _factored_chart, _integral_branch_residues,
 )
-from fourcover import classifier, cli, torsor
+from fourcover import classifier, cli, torsor, tower as tower_module
 from fourcover.torsor import TorsorOutcome
 from fourcover.normalizer import cross_ratio_orbit
 
@@ -646,22 +646,32 @@ def recorded_blowups(monkeypatch):
 def count_full_lifts(monkeypatch):
     """(polys, lifts): the polynomials whose chart centers the classifier
     lifts with a cut from now on, and the full-window lifts of those
-    centers.  Each full lift certifies its root with one evaluation of
-    its polynomial, so ``lifts`` holds the polynomial once per lift."""
-    polys, lifts = [], []
-    lift, evaluate = classifier.hensel_root, Poly.eval
+    centers.  A full lift is the lift of P without a cut that a center's
+    ``full()`` runs, and it certifies its root once (``_certified``), so
+    ``lifts`` holds the polynomial once per certificate of such a lift."""
+    polys, lifts, lifting = [], [], []
+    short, relift = classifier.hensel_root, tower_module.hensel_root
+    certify = tower_module._certified
 
     def recorded(P, r, cut=None):
         if cut is not None:
             polys.append(P)
-        return lift(P, r, cut)
+        return short(P, r, cut)
 
-    def counted(P, x):
-        if any(P is S for S in polys):
-            lifts.append(P)
-        return evaluate(P, x)
+    def full(P, r, cut=None):
+        lifting.append(P)
+        try:
+            return relift(P, r, cut)
+        finally:
+            lifting.pop()
+
+    def certified(*args):
+        if lifting and any(lifting[-1] is S for S in polys):
+            lifts.append(lifting[-1])
+        return certify(*args)
     monkeypatch.setattr(classifier, "hensel_root", recorded)
-    monkeypatch.setattr(Poly, "eval", counted)
+    monkeypatch.setattr(tower_module, "hensel_root", full)
+    monkeypatch.setattr(tower_module, "_certified", certified)
     return polys, lifts
 
 
@@ -987,7 +997,8 @@ class TestTwoRungCertifier:
         # flipped 2b3 models is decided by rung 2, which runs the full lift
         # of each lifted center once, and the report is the same: the flipped
         # center of the first 2b3 model is c_0 t from the residue root 0, and
-        # that of the p = 3 model is the exact root 0, which takes no lift
+        # that of the p = 3 model is O(pi^390), the root at residue 0 of a
+        # c_0 that is a fuzzy zero, which takes no lift
         want = model_report(*argv)
         _, lifts = count_full_lifts(monkeypatch)
         chart = classifier._factored_chart

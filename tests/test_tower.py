@@ -12,6 +12,7 @@ from fourcover.errors import (
     PrecisionTooLarge,
 )
 from fourcover import tower as tower_module
+from fourcover.ffield import peval, pderiv
 from fourcover.tower import (
     make_tower, Tower, El, Poly, hensel_root, INF, TOKEN_DIGITS, _times_int,
 )
@@ -885,6 +886,20 @@ def division_hensel_root(P, residue_enc):
     return tw._canon(x.s, x.U, fx.ap, x.exact)
 
 
+def at_fuzzy_c0(reference):
+    """reference, except at the residue root 0 of a P whose c_0 is a
+    fuzzy zero O(pi^k): there the element loops stop at their exact start
+    0, while the root y has v(y) = v(c_0) >= k (c_1 is a unit), so only
+    O(pi^k) is known of it."""
+    def lift(P, r):
+        y = reference(P, r)
+        c0 = P.coeff(0)
+        if r == 0 and c0.is_zeroish() and not c0.is_true_zero():
+            return El(P.tw, None, None, c0.ap, None)
+        return y
+    return lift
+
+
 @st.composite
 def elements(draw, tw):
     """A unit times a pi-power (full or truncated window, maybe negated),
@@ -993,7 +1008,7 @@ class TestLadders:
             # on the same digits without exact pairs instead.
             ref = Poly(P.tw, [c if c.is_zeroish() else El(c.tw, c.s, c.U, c.ap, None)
                               for c in P.c])
-        assert outcome(hensel_root, P, r) == outcome(division_hensel_root, ref, r)
+        assert outcome(hensel_root, P, r) == outcome(at_fuzzy_c0(division_hensel_root), ref, r)
 
 
 def reference_hensel_root(P, residue_enc):
@@ -1022,6 +1037,49 @@ def reference_hensel_root(P, residue_enc):
     if not fx.is_zeroish():
         raise InsufficientPrecision("Newton lifting did not converge")
     if x.is_zeroish() or fx.is_true_zero() or fx.ap >= x.ap:
+        return x
+    return tw._canon(x.s, x.U, fx.ap, x.exact)
+
+
+def full_lift_hensel_root(P, residue_enc):
+    """``hensel_root`` without a cut as it was before its one certificate:
+    the whole ``_newton`` schedule, then one full-precision element P(x)
+    that must read as zero, with the root's ap capped at the ap of P(x).
+    Kept as the reference for the lift that stops at its first certified
+    step, with the ap of the precision lemma.  One line differs from the
+    old lift: the root at residue 0 of a fuzzy c_0 = O(pi^k) is O(pi^k),
+    not the exact 0 (see ``at_fuzzy_c0``)."""
+    tw = P.tw
+    ff = tw.ff
+    rbar = P.residue_poly()
+    dbar = peval(ff, pderiv(ff, rbar), residue_enc)
+    if not dbar:
+        raise ConstructionMismatch("residue root is not simple; Hensel fails")
+    if peval(ff, rbar, residue_enc):
+        raise ConstructionMismatch("%r is not a root of the residue polynomial"
+                                   % (residue_enc,))
+    zbar = ff.inv(dbar)
+    c0 = None
+    if residue_enc:
+        coords, start = tower_module._coordinates(tw, P.c), residue_enc
+    else:
+        c0 = P.coeff(0)
+        if c0.is_zeroish():
+            return c0 if c0.is_true_zero() else El(tw, None, None, c0.ap, None)
+        Q, power = [tw.one()], tw.one()
+        for c in P.c[1:]:
+            Q.append(c * power)
+            power = power * c0
+        coords, start = tower_module._coordinates(tw, Q), ff.neg(zbar)
+    for _, X in tower_module._newton(tw, coords, ff.coords(start), ff.coords(zbar)):
+        pass
+    x = tw._canon(0, X, tw.prec, None)
+    if c0 is not None:
+        x = c0 * x
+    fx = P.eval(x)
+    if not fx.is_zeroish():
+        raise InsufficientPrecision("Newton lifting did not converge")
+    if fx.is_true_zero() or fx.ap >= x.ap:
         return x
     return tw._canon(x.s, x.U, fx.ap, x.exact)
 
@@ -1175,13 +1233,13 @@ class TestWPath:
         if integrality_error(P):
             assert outcome(hensel_root, P, r) is integrality_error(P)
             return
-        assert outcome(hensel_root, P, r) == outcome(reference_hensel_root, P, r)
+        assert outcome(hensel_root, P, r) == outcome(at_fuzzy_c0(reference_hensel_root), P, r)
 
     @pytest.mark.parametrize("p,e,f,prec", [(7, 12, 2, 600), (5, 4, 1, 800), (3, 2, 2, 100)])
     def test_w_quadratic_evaluates_p_once(self, p, e, f, prec, monkeypatch):
-        # the entry checks read residues, so the only element evaluation
-        # is P at the root the coordinate steps reach; the element loop
-        # evaluates P at the lift and once per step
+        # the entry checks read residues, so P is evaluated once, by the one
+        # certificate on the coordinates of the last step, and never as an
+        # element; the element loop evaluates P at the lift and once per step
         t = make_tower(p, e, f, prec)
         u = t.from_int(4) + t.from_int(p) * t.lift_ff(t.ff.q - 1)
         P = Poly(t, [-u, 0, 1])
@@ -1193,9 +1251,9 @@ class TestWPath:
             evals.append(poly is P)
             return original(poly, x)
         monkeypatch.setattr(Poly, "eval", counted_eval)
+        certified = counted(monkeypatch, tower_module, "_certified")
         y = hensel_root(P, r)
-        assert evals == [True]
-        del evals[:]
+        assert certified == ["_certified"] and evals == []
         assert state(reference_hensel_root(P, r)) == state(y)
         assert evals.count(True) > 2
         assert (y * y - u).is_zeroish() and y.ap == prec
@@ -1204,22 +1262,24 @@ class TestWPath:
     def test_exact_root_lift_stops_after_one_full_check(self, p, e, f, prec, monkeypatch):
         # x^2 + 1 over F_9 = F_3[a]/(a^2 + 1): the lift a is a root of P, so
         # the coordinate steps evaluate P at the first step's modulus and
-        # once mod p^ceil(prec/e), and take no step; at f = 1 the quadratic
-        # x^2 - 4 has the exact root 2
+        # once mod p^ceil(prec/e), and take no step, and the one certificate
+        # evaluates it once more; at f = 1 the quadratic x^2 - 4 has the
+        # exact root 2
         t = make_tower(p, e, f, prec)
         P = from_ints(t, [1, 0, 1] if f == 2 else [-4, 0, 1])
         r = t.ff.encode([0, 1]) if f == 2 else 2
         horner = counted(monkeypatch, tower_module, "_horner")
+        certified = counted(monkeypatch, tower_module, "_certified")
         y = hensel_root(P, r)
-        assert horner == ["_horner"] * 2
+        assert horner == ["_horner"] * 3 and certified == ["_certified"]
         assert state(y) == state(reference_hensel_root(P, r))
         # perturbed past the first step's modulus but inside the window,
         # the lift is no root: the steps run, and the root is the element
-        # loop's
+        # loop's, still with one certificate
         Q = P + from_ints(t, [p ** (prec // e - 1)])
-        del horner[:]
+        del horner[:], certified[:]
         y = hensel_root(Q, r)
-        assert len(horner) > 2
+        assert len(horner) > 3 and certified == ["_certified"]
         assert state(y) == state(reference_hensel_root(Q, r))
         assert Q.eval(y).is_zeroish() and not P.eval(y).is_zeroish()
 
@@ -1247,10 +1307,9 @@ class TestWPath:
         assert calls == ["_newton"] * 4
         assert y.s == 1 and Q.eval(y).is_zeroish()
         assert state(y) == state(reference_hensel_root(Q, 0))
-        # a P(0) that cannot be told from zero gives the exact root 0 and
-        # takes no step
+        # a P(0) = O(pi^5) gives the root O(pi^5) and takes no step
         Z = Poly(t3, [El(t3, None, None, 5, None), t3.one(), t3.one()])
-        assert hensel_root(Z, 0).is_true_zero()
+        assert state(hensel_root(Z, 0)) == (None, None, 5, None)
         assert calls == ["_newton"] * 4
 
     def test_entry_checks_keep_their_errors(self):
@@ -1601,17 +1660,35 @@ class TestRoots:
         r = hensel_root(from_ints(t, [5, -6, 1]), 0)
         assert r == t.from_int(5) and r.exact is None
 
-    def test_hensel_zeroish_root_unchanged(self):
-        # x (x - 1) + O(pi^3): the root at residue 0 is the lift 0 itself
+    def test_hensel_fuzzy_zero_root_keeps_its_precision(self):
+        # x (x - 1) + c_0 with c_0 = O(pi^3): the root y at residue 0 has
+        # v(y) = v(c_0) >= 3, since c_1 = -1 is a unit, so it is O(pi^3),
+        # neither the exact 0 nor c_0, whose exact pair (here pi^4) is not
+        # the root's value
         t = T(5, 4, 1, 40)
-        f = Poly(t, [El(t, None, None, 3, None), -t.one(), t.one()])
-        assert hensel_root(f, 0).is_true_zero()
+        for c0 in (El(t, None, None, 3, None), El(t, None, None, 3, (1, 4))):
+            f = Poly(t, [c0, -t.one(), t.one()])
+            y = hensel_root(f, 0)
+            assert state(y) == (None, None, 3, None) and y.str() == "O(pi^3)"
+            assert state(hensel_root(f, 0, 8)) == state(y)
+        # the true zero is the exact root 0
+        assert hensel_root(from_ints(t, [0, -1, 1]), 0).is_true_zero()
 
 
 class TestShortLift:
-    """``hensel_root`` with a cut stops its Newton schedule at the first
-    step whose x holds what a chart center's readers read; its head, its
-    certified ap and its full() against the full lift."""
+    """``hensel_root`` stops its Newton schedule at the first certified
+    step whose x holds the whole root or, with a cut, what a chart
+    center's readers read; the root, the head, its certified ap and its
+    full() against the full lift of the whole schedule."""
+
+    @given(st.one_of(lift_problems(), w_lift_problems(), dense_lift_problems()))
+    @settings(max_examples=300, deadline=None)
+    def test_lift_matches_the_full_lift(self, problem):
+        # fuzzy coefficients and the residue root 0 included: the lemma's ap
+        # and the one certificate on coordinates give the root, or the
+        # error, that the full schedule and an element P(x) gave
+        P, r = problem
+        assert outcome(hensel_root, P, r) == outcome(full_lift_hensel_root, P, r)
 
     @given(st.one_of(lift_problems(), w_lift_problems(), dense_lift_problems()),
            st.integers(1, 64))
@@ -1619,7 +1696,7 @@ class TestShortLift:
     def test_short_lift_matches_the_full_lift(self, problem, cut):
         P, r = problem
         try:
-            want = hensel_root(P, r)
+            want = full_lift_hensel_root(P, r)
         except FourCoverError as exc:
             # the entry checks raise as before; a full lift that does not
             # converge raises when the full root is asked for
@@ -1646,27 +1723,46 @@ class TestShortLift:
 
     @pytest.mark.parametrize("p,e,f,prec", [(7, 12, 2, 600), (5, 8, 2, 800), (3, 2, 1, 100)])
     def test_short_lift_stops_early_and_resumes_once(self, p, e, f, prec, monkeypatch):
-        # a dense root: the head stops well short of the window, rendering
-        # it runs no more steps, and full() finishes the one schedule with
-        # one certifying evaluation of P, once
+        # a dense root: the head stops well short of the window after one
+        # certificate, rendering it runs no more steps, and full() lifts P
+        # again, once, with one more certificate
         t = make_tower(p, e, f, prec)
         u = t.from_int(4) + t.pi() * t.lift_ff(t.ff.q - 1)
         P = Poly(t, [-u, 0, 1])
         r = t.ff.sqrt(u.residue())
         want = hensel_root(P, r)
-        evals = []
-        original = Poly.eval
-
-        def counted_eval(poly, x):
-            evals.append(poly is P)
-            return original(poly, x)
-        monkeypatch.setattr(Poly, "eval", counted_eval)
+        certified = counted(monkeypatch, tower_module, "_certified")
+        lifts = counted(monkeypatch, tower_module, "_newton")
         root = hensel_root(P, r, 2 * e)
         assert isinstance(root, tower_module.LiftedRoot)
         assert 2 * e <= root.head.ap < prec // 4
-        assert root.str(4) == want.str(4) and evals == []
-        assert state(root.full()) == state(want) and evals == [True]
-        assert root.full() is root.full() and evals == [True]
+        assert root.str(4) == want.str(4)
+        assert certified == ["_certified"] and lifts == ["_newton"]
+        assert state(root.full()) == state(want)
+        assert root.full() is root.full()
+        assert certified == ["_certified"] * 2 and lifts == ["_newton"] * 2
+
+    def test_lifted_root_keeps_no_newton_schedule(self, monkeypatch):
+        # the schedule of a short lift is dropped when hensel_root returns:
+        # the LiftedRoot holds its head, its ap and a re-lift of P, and its
+        # full() is the lift of P without a cut
+        t = make_tower(7, 12, 2, 600)
+        u = t.from_int(4) + t.pi() * t.lift_ff(t.ff.q - 1)
+        P = Poly(t, [-u, 0, 1])
+        r = t.ff.sqrt(u.residue())
+        schedules = []
+        newton = tower_module._newton
+
+        def recorded(*args):
+            steps = newton(*args)
+            schedules.append(weakref.ref(steps))
+            return steps
+        monkeypatch.setattr(tower_module, "_newton", recorded)
+        root = hensel_root(P, r, 2 * t.e)
+        assert isinstance(root, tower_module.LiftedRoot)
+        assert len(schedules) == 1 and schedules[0]() is None
+        monkeypatch.setattr(tower_module, "_newton", newton)
+        assert state(root.full()) == state(hensel_root(P, r))
 
 
 def reference_digits(x, levels):
