@@ -39,8 +39,12 @@ class RatFunc:
             den = [1]
         g = pgcd(ff, num, den) if num else [1]
         if pdeg(g) > 0:
-            num = pdivmod(ff, num, g)[0]
-            den = pdivmod(ff, den, g)[0]
+            if any(g[:-1]):
+                num = pdivmod(ff, num, g)[0]
+                den = pdivmod(ff, den, g)[0]
+            else:   # the monic g is x^k: dividing drops k zero coefficients
+                k = len(g) - 1
+                num, den = num[k:], den[k:]
         if den[-1] != 1:
             c = ff.inv(den[-1])
             num = pscale(ff, c, num)

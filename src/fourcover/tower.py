@@ -48,9 +48,11 @@ the unit part is an (e f) x (e f) matrix over Z/p^N that is invertible
 mod p, and Gaussian elimination with unit pivots gives every coordinate
 of the inverse in one pass.  A W-constant maps each pi-slot to itself,
 so its matrix is e copies of one f x f block, and the solve runs on that
-block alone: at f = 1 it is one modular inverse.  A pi-power (unit part
-1) inverts by a shift, with no solve.  A difference is the one addition
-path with the sign put onto the subtrahend's unit part and exact q.
+block alone: at f = 1 it is one ``pow(u_0, -1, p^N)``, with no
+elimination.  A pi-power (unit part 1) inverts by a shift, with no solve.
+A difference is the one addition path with the sign put onto the
+subtrahend's unit part and exact q.  ``El.same`` decides two exact
+elements with digits by their pairs, with no subtraction.
 
 Roots are lifted in one place, ``hensel_root``, and in one way: Newton
 steps on O_K/p^k coordinates from a simple residue root of an integral
@@ -266,10 +268,16 @@ class Tower:
         a unit pivot in every column solves u z = 1 exactly.  When u is a
         W-constant (U is f coordinates) the matrix is e copies of the f x f
         block of u_0, and 1/u is the W-constant that solves that block: the
-        same elimination runs with e = 1.  Any other U is padded to e slots.
+        same elimination runs with e = 1, and at f = 1 the block is one
+        modular inverse.  Any other U is padded to e slots.
         """
         p, e, f, pm = self.p, self.e, self.f, self.pmod
         if len(U) == f:
+            if f == 1:   # the 1 x 1 block: one modular inverse
+                if U[0] % p == 0:
+                    raise ConstructionMismatch(
+                        "no unit pivot while inverting a unit; it is not canonical")
+                return [pow(U[0], -1, pm)]
             e = 1
         elif len(U) < e * f:
             U = list(U) + [0] * (e * f - len(U))
@@ -598,6 +606,20 @@ def _times_int(c, i):
               None if c.exact is None else (_exact_q(c.exact[0] * i), c.exact[1]))
 
 
+def _exact_sum(x, y, sign):
+    """The exact pair of x + sign * y from the pairs of x and y, or None
+    when m2 - m1 is no multiple of e and the sum is no q pi^m1."""
+    q1, m1 = x.exact
+    q2, m2 = y.exact
+    k, r = divmod(m2 - m1, x.tw.e)
+    if r:
+        return None
+    # q2 pi^(m2 - m1) = q2 (-p)^k, which divides when k < 0
+    p = x.tw.p
+    w = q2 * (-p) ** k if k >= 0 else Fraction(q2, (-p) ** -k)
+    return (_exact_q(q1 + w if sign > 0 else q1 - w), m1)
+
+
 def _exact_q(q):
     """The q of an exact pair: an int when q is an integer, otherwise a
     reduced Fraction.  Every producer of an exact pair passes q through
@@ -722,13 +744,7 @@ class El:
             return self
         exact = None
         if self.exact is not None and other.exact is not None:
-            q1, m1 = self.exact
-            q2, m2 = other.exact
-            k, r = divmod(m2 - m1, tw.e)
-            if not r:
-                # q2 pi^(m2 - m1) = q2 (-p)^k, which divides when k < 0
-                w = q2 * (-tw.p) ** k if k >= 0 else Fraction(q2, (-tw.p) ** -k)
-                exact = (_exact_q(q1 + w if sign > 0 else q1 - w), m1)
+            exact = _exact_sum(self, other, sign)
         if self.s is None or other.s is None:
             if self.s is None and other.s is None:
                 ap = min(self.ap, other.ap)
@@ -838,7 +854,21 @@ class El:
     # -- comparisons -------------------------------------------------------
 
     def same(self, other):
-        """Indistinguishable at the shared precision."""
+        """Indistinguishable at the shared precision.
+
+        Two elements of one tower that both have digits (s set) and exact
+        pairs are decided by the exact pair of their difference, as the
+        subtraction would decide them: a nonzero exact difference is
+        re-expanded from its pair, never a fuzzy zero, and a difference
+        with no pair (m2 - m1 no multiple of e) joins two valuations of
+        different classes mod 1/e, so it has the lower one, below both
+        windows.  Every other operand is subtracted.
+        """
+        if (other.__class__ is El and other.tw is self.tw
+                and self.exact is not None and other.exact is not None
+                and self.s is not None and other.s is not None):
+            diff = _exact_sum(self, other, -1)
+            return diff is not None and diff[0] == 0
         return (self - other).is_zeroish()
 
     def __eq__(self, other):

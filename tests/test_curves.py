@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from fourcover.errors import NotReduced, InvalidInput, ConstructionMismatch
 from fourcover.ffield import (
     FF, pmul, ppow, pnormalize, pdeg, pdivmod, pmod, psub, pscale, pfactor,
+    pgcd,
 )
 from fourcover import curves, torsor
 from fourcover.curves import (
@@ -411,6 +412,46 @@ class TestRatFuncCoerce:
         assert (rf(ff, [1]) + (-1)).is_zero()
         assert rf(ff, []) + 7 == rf(ff, [2])
         assert rf(ff, [0, 1]) * 6 == rf(ff, [0, 1])
+
+
+def reference_lowest_terms(ff, num, den):
+    """(num, den) as ``RatFunc`` reduced them when it divided by every gcd
+    with ``pdivmod``, kept as the reference for the slice that divides by
+    a gcd x^k."""
+    num, den = pnormalize(num), pnormalize(den)
+    if not num:
+        den = [1]
+    g = pgcd(ff, num, den) if num else [1]
+    if pdeg(g) > 0:
+        num = pdivmod(ff, num, g)[0]
+        den = pdivmod(ff, den, g)[0]
+    if den[-1] != 1:
+        c = ff.inv(den[-1])
+        num, den = pscale(ff, c, num), pscale(ff, c, den)
+    return num, den
+
+
+@st.composite
+def ratfunc_parts(draw):
+    """num = x^i A G and den = x^j B G over F_(p^f), p in {2, 3, 5, 7},
+    f <= 2: a common factor G (often 1, so the gcd is a power of x alone),
+    powers of x on both sides, and A possibly zero."""
+    ff = FF(draw(st.sampled_from([2, 3, 5, 7])), draw(st.integers(1, 2)))
+    coeffs = st.lists(st.integers(0, ff.q - 1), max_size=4)
+    A, B, G = draw(coeffs), draw(coeffs), draw(st.one_of(st.just([1]), coeffs))
+    B = B + [draw(st.integers(1, ff.q - 1))]
+    G = G + [draw(st.integers(1, ff.q - 1))]
+    i, j = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    return (ff, [0] * i + pmul(ff, A, G), [0] * j + pmul(ff, B, G))
+
+
+class TestRatFuncLowestTerms:
+    @given(ratfunc_parts())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_pdivmod_reference(self, parts):
+        ff, num, den = parts
+        u = rf(ff, num, den)
+        assert (u.num, u.den) == reference_lowest_terms(ff, num, den)
 
 
 class TestRatFuncErrors:

@@ -9,11 +9,11 @@ from fourcover.errors import (
     CoalescingBranchPoints, NonCyclicExponent, InvalidInput,
     InsufficientPrecision, FourCoverError,
 )
-from fourcover.tower import make_tower, INF
+from fourcover.tower import make_tower, El, INF
 from fourcover.normalizer import (
-    INFPT, CoverDatum, FactoredCover, FactoredRat, Moebius, parse_point,
-    cross_ratio_orbit, moebius_to_01inf, normalize, j_invariant, j_numerator,
-    _check_witness_identity,
+    INFPT, CoverDatum, FactoredCover, FactoredRat, Moebius, NormalizedCover,
+    parse_point, cross_ratio_orbit, moebius_to_01inf, normalize, j_invariant,
+    j_numerator, _check_witness_identity, _is_exact_pth_power,
 )
 
 
@@ -391,3 +391,131 @@ class TestPullbackReference:
                 assert q.same(r) and k == j
         for got, want in [(new.const, ref.const), (wit.const, rwit.const)]:
             assert (got.s, got.U, got.ap, got.exact) == (want.s, want.U, want.ap, want.exact)
+
+
+def reference_normalize(datum):
+    """``normalize`` as it was built before m placed the slots by
+    construction, kept as its reference: the cover pulled back by m^-1
+    with the image of every point computed and matched against the three
+    slots, and the witness of that pullback transported back to the source
+    coordinate by ``pullback(m)``."""
+    tw, p = datum.tower, datum.p
+    order = [0, 1, 2, 3]
+    for _ in range(4):
+        A, B, C, D = (datum.points[i] for i in order)
+        m = moebius_to_01inf(tw, A, B, C)
+        lam = m.apply(D)
+        if lam is INFPT:
+            raise CoalescingBranchPoints("lambda lands at infinity")
+        v = lam.valuation()
+        if v is INF:
+            raise CoalescingBranchPoints("lambda is zero")
+        if v < 0:
+            order = [order[0], order[3], order[2], order[1]]
+            continue
+        if v == 0 and lam.residue() == 1:
+            order = [order[1], order[0], order[2], order[3]]
+            continue
+        break
+    else:
+        raise InvalidInput("normalization moves did not terminate")
+    a0, a1, ainf, alam = (datum.exps[i] for i in order)
+    u = pow(a0, -1, p)
+    beta = (u * a1) % p
+    gamma = (u * alam) % p
+    if (u * ainf) % p != (-(1 + beta + gamma)) % p:
+        raise InvalidInput("exponent bookkeeping failed")
+    powered, wit1 = FactoredCover.from_datum(datum).z_rescale(u)
+    pulled, wit2 = powered.moebius_pullback(m.inverse())
+    back = wit2.pullback(m)
+    wit1.const = wit1.const * back.const
+    for q, k in back.items:
+        wit1.mul_point(q, k)
+    target = {"zero": 1, "one": beta, "lam": gamma}
+    seen = dict((k, 0) for k in target)
+    for q, a in pulled.items:
+        if q.is_zeroish():
+            seen["zero"] = a
+        elif q.same(tw.one()):
+            seen["one"] = a
+        elif q.same(lam):
+            seen["lam"] = a
+        else:
+            raise InvalidInput("witness identity failed: stray factor at %s"
+                               % q.str(4))
+    if seen != target:
+        raise InvalidInput("witness identity failed: exponents %r != %r"
+                           % (seen, target))
+    const = pulled.const
+    tokens = []
+    if not const.same(tw.one()) and not _is_exact_pth_power(const, p):
+        tokens.append(("c^(1/%d)" % p, const.valuation()))
+    n = NormalizedCover(tw, beta, gamma, lam, m, u, const, wit1,
+                        constant_tokens=tokens)
+    _check_witness_identity(datum, n)
+    return n
+
+
+def state(x):
+    return (x.s, x.U, x.ap, x.exact)
+
+
+def normalize_outcome(fn, d):
+    """What fn(d) gives: the normal form's fields, with lambda and the
+    constant by their stored form, or the class and message of its error."""
+    try:
+        n = fn(d)
+    except FourCoverError as exc:
+        return ("error", type(exc), str(exc))
+    return ("cover", n.beta, n.gamma, n.u, state(n.lam), state(n.const),
+            n.constant_tokens)
+
+
+@st.composite
+def general_covers(draw):
+    """Four branch points over p in {3, 5, 7, 11}, e = p - 1: rational
+    tokens n/d pi^k with infinity in any slot or in none (two of them may
+    agree in every digit of the window), exponents summing to 0 mod p, and
+    a precision from p - 1 pi-digits (one p-digit) up to 50 (p - 1), low
+    ones as often as high."""
+    p = draw(st.sampled_from([3, 5, 7, 11]))
+    e = p - 1
+    prec = draw(st.one_of(st.integers(e, 3 * e), st.integers(3 * e, 50 * e)))
+    tw = make_tower(p, e, 1, prec)
+    pts = [_rational(draw, tw) for _ in range(4)]
+    slot = draw(st.sampled_from([0, 1, 2, 3, None]))
+    if slot is not None:
+        pts[slot] = INFPT
+    exps = draw(st.lists(st.integers(1, p - 1), min_size=3, max_size=3)
+                .filter(lambda a: sum(a) % p))
+    exps.append(-sum(exps) % p)
+    return tw, pts, exps
+
+
+def apart_in_digits(tw, pts):
+    """Whether the finite points differ within their digit windows, not
+    only in their exact pairs."""
+    finite = [El(tw, q.s, q.U, q.ap, None) for q in pts if q is not INFPT]
+    return not any((a - b).is_zeroish()
+                   for i, a in enumerate(finite) for b in finite[:i])
+
+
+class TestNormalizeReference:
+    @given(general_covers())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference(self, cover):
+        tw, pts, exps = cover
+        try:
+            d = datum(tw, pts, exps)
+        except FourCoverError:
+            return
+        got = normalize_outcome(normalize, d)
+        want = normalize_outcome(reference_normalize, d)
+        # the reference's divisions for the images can lose the digits
+        # that tell a slot apart, at a precision below 3 p-digits or when
+        # two branch points agree in every digit and differ only in their
+        # exact pairs; it then rejects a cover that the certificate may
+        # accept.  What it normalizes stays the same at any precision.
+        if want[0] == "cover" or (tw.prec >= 3 * (tw.p - 1)
+                                  and apart_in_digits(tw, pts)):
+            assert got == want

@@ -442,6 +442,19 @@ class TestInverse:
         full = reference_full_inverse(tw, padded(tw, x.U))
         assert tw._unit_inverse(x.U) == full[:tw.f] and not any(full[tw.f:])
 
+    @given(tower_units(1, shapes=("slot0", "exact")))
+    @settings(max_examples=100, deadline=None)
+    def test_w_constant_matches_the_padded_elimination(self, xs):
+        # padded with one zero slot, a W-constant takes the elimination,
+        # which must agree with the modular inverse (f = 1) or the block
+        # solve (f > 1) that it takes by itself
+        x, = xs
+        tw = x.tw
+        if tw.e < 2:
+            return
+        full = tw._unit_inverse(list(x.U) + [0] * tw.f)
+        assert tw._unit_inverse(x.U) == full[:tw.f] and not any(full[tw.f:])
+
     def test_missing_pivot_is_typed(self):
         # a non-unit U[0] is never canonical, but the solve must still end
         # in a typed error rather than a host exception, also when the
@@ -702,6 +715,85 @@ class TestExactPairs:
         for window in range(1, tw.prec + 1):
             assert tw._mask(U, window) == divmod_mask(tw, U, window)
             assert tw._mask(xs[0].U, window) == divmod_mask(tw, xs[0].U, window)
+
+
+def _same_operand(draw, tw, q, m):
+    """The exact value q pi^m as an operand of ``El.same``: its token; the
+    same value with its pair split at another multiple of e; the value
+    with its ap cut by a sum and difference through a lower exact term;
+    or a fuzzy O(pi^ap) that carries the pair."""
+    kind = draw(st.sampled_from(["token", "resplit", "reduced", "fuzzy"]))
+    if kind == "resplit":
+        k = draw(st.integers(-3, 3))
+        return tw.from_exact_pair(Fraction(q) / Fraction(-tw.p) ** k, m + k * tw.e)
+    x = tw.from_exact_pair(q, m)
+    if kind == "reduced":
+        w = tw.from_exact_pair(draw(st.integers(1, 50)),
+                               m - tw.e * draw(st.integers(1, 3)))
+        return x + w - w
+    if kind == "fuzzy":
+        return El(tw, None, None, x.s - draw(st.integers(0, 3)), x.exact)
+    return x
+
+
+@st.composite
+def same_operands(draw):
+    """Two exact operands of one tower, p in {3, 5, 7}, e <= 6 and f in
+    {1, 2}: the second is the first's value, the first's q times a unit
+    near 1, or a fresh q, at m2 - m1 a multiple of e (as often negative as
+    positive) or off the multiples of e.  q is an int or a Fraction, and m
+    may be negative."""
+    e = draw(st.integers(1, 6))
+    tw = make_tower(draw(st.sampled_from([3, 5, 7])), e,
+                    draw(st.integers(1, 2)), draw(st.integers(1, 8 * e)))
+
+    def q():
+        num = draw(st.integers(-10 ** 3, 10 ** 3).filter(bool))
+        return Fraction(num, draw(st.sampled_from([1, 1, 2, 7, 10 ** 3])))
+
+    q1, m1 = q(), draw(st.integers(-3 * e, 3 * e))
+    kind = draw(st.sampled_from(["equal", "near", "fresh"]))
+    if kind == "equal":
+        q2, m2 = q1, m1
+    elif kind == "near":   # differs at p-digit k of q1, beyond the window or not
+        q2, m2 = q1 * (1 + Fraction(tw.p) ** draw(st.integers(1, 12))), m1
+    else:
+        q2 = q()
+        m2 = m1 + e * draw(st.integers(-4, 4)) + draw(st.sampled_from([0, 0, 1]))
+    return (_same_operand(draw, tw, q1, m1), _same_operand(draw, tw, q2, m2))
+
+
+class TestSame:
+    """``El.same`` decides two exact elements with digits by their pairs,
+    and must answer as the difference does."""
+
+    @given(same_operands())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_difference(self, xy):
+        x, y = xy
+        assert x.same(y) == (x - y).is_zeroish()
+        assert y.same(x) == (y - x).is_zeroish()
+
+    @given(same_operands(), st.sampled_from([0, 1, -3, 25, Fraction(1, 3),
+                                             Fraction(-7, 5)]))
+    @settings(max_examples=100, deadline=None)
+    def test_rational_operands_subtract(self, xy, r):
+        x = xy[0]
+        assert x.same(r) == (x - r).is_zeroish()
+
+    def test_one_value_split_two_ways(self):
+        for f in (1, 2):
+            t = T(5, 4, f, 40)
+            a, b = t.from_int(25), t.pi_power(8)
+            assert a.exact == (25, 0) and b.exact == (1, 8)
+            assert a.same(b) and b.same(a)
+            assert not a.same(t.pi_power(9)) and not a.same(-b)
+
+    def test_another_tower_is_rejected(self):
+        x = T(5, 4, 1, 40).from_int(3)
+        for y in (T(5, 4, 1, 40).from_int(3), T(5, 4, 2, 40).from_int(3)):
+            with pytest.raises(InvalidInput):
+                x.same(y)
 
 
 def newton_sqrt(tw, x):
