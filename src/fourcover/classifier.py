@@ -46,7 +46,6 @@ rung 2 asks for it.  A 1a or via-1b center is an El, which serves rung
 """
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 
@@ -75,10 +74,29 @@ VIA_2B3_I = "via-2b3-i"
 VIA_2B3_II = "via-2b3-ii"
 
 
-@dataclass(frozen=True)
+# The result records are plain slotted classes: importing dataclasses
+# loads inspect, ast, dis and tokenize, about half of what every
+# fourcover call spends before its arithmetic.
 class Classification:
-    rtype: str
-    subroute: str = None
+    """A reduction type and, for type 3, the route that reaches it.
+    Immutable: it compares and hashes by (rtype, subroute)."""
+
+    __slots__ = ("rtype", "subroute")
+
+    def __init__(self, rtype, subroute=None):
+        self.rtype = rtype
+        self.subroute = subroute
+
+    def __eq__(self, other):
+        if other.__class__ is not Classification:
+            return NotImplemented
+        return self.rtype == other.rtype and self.subroute == other.subroute
+
+    def __hash__(self):
+        return hash((self.rtype, self.subroute))
+
+    def __repr__(self):
+        return "Classification(rtype=%r, subroute=%r)" % (self.rtype, self.subroute)
 
     def __str__(self):
         if self.subroute:
@@ -86,25 +104,31 @@ class Classification:
         return self.rtype
 
 
-@dataclass
 class ExtensionSpec:
-    e: int
-    f: int
-    tokens: list
+    __slots__ = ("e", "f", "tokens")
+
+    def __init__(self, e, f, tokens):
+        self.e = e
+        self.f = f
+        self.tokens = tokens
 
     def as_dict(self):
         return {"e": self.e, "f": self.f, "tokens": list(self.tokens)}
 
 
-@dataclass
 class Component:
-    kind: str                 # "artin_schreier" | "inseparable" | "line"
-    equation: str
-    genus: int
-    p_rank: int
-    branch_points: int
-    chart: object = None
-    payload: object = None
+    __slots__ = ("kind", "equation", "genus", "p_rank", "branch_points",
+                 "chart", "payload")
+
+    def __init__(self, kind, equation, genus, p_rank, branch_points,
+                 chart=None, payload=None):
+        self.kind = kind            # "artin_schreier" | "inseparable" | "line"
+        self.equation = equation
+        self.genus = genus
+        self.p_rank = p_rank
+        self.branch_points = branch_points
+        self.chart = chart
+        self.payload = payload
 
     def as_dict(self):
         chart = None
@@ -129,14 +153,18 @@ class Component:
         }
 
 
-@dataclass
 class StableModel:
-    classification: Classification
-    components: list
-    edges: list              # (i, j, multiplicity)
-    extension: ExtensionSpec
-    checks: list = field(default_factory=list)
-    normalized: object = None
+    __slots__ = ("classification", "components", "edges", "extension",
+                 "checks", "normalized")
+
+    def __init__(self, classification, components, edges, extension,
+                 checks=None, normalized=None):
+        self.classification = classification
+        self.components = components
+        self.edges = edges          # (i, j, multiplicity)
+        self.extension = extension
+        self.checks = [] if checks is None else checks
+        self.normalized = normalized
 
     def betti(self):
         verts = len(self.components)

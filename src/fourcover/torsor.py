@@ -65,7 +65,7 @@ def torsor_case(f, h):
     if not f.c or not f.c[-1].same(tw.one()):
         raise InvalidInput("torsor_case requires a monic f")
     for c in f.c:
-        if not c.is_zeroish() and c.valuation() < 0:
+        if not c.is_zeroish() and c.pival() < 0:
             raise InvalidInput("torsor_case requires integral coefficients")
     return _torsor_outcome(f, h)
 

@@ -152,10 +152,8 @@ class Tower:
 
     def _mask(self, U, window):
         """Reduce each u_j to the p-digits that lie below pi^window."""
-        mods = self._moduli.get(window)
-        if mods is None:
-            mods = self._window_moduli(window)
-        return [c % m for c, m in zip(U, mods)]
+        mods = self._moduli.get(window) or self._window_moduli(window)
+        return list(map(operator.mod, U, mods))
 
     def _window_moduli(self, window):
         """The e f moduli that ``_mask`` reduces by, cached per window.
@@ -332,7 +330,8 @@ class Tower:
 
     def _canon(self, s, U, ap, exact):
         """Canonicalize a raw pi^s * u, u with unit part U, to digit window ap."""
-        ap = min(ap, s + self.prec)
+        if ap > s + self.prec:
+            ap = s + self.prec
         window = ap - s
         p, e, f = self.p, self.e, self.f
         if window > 0:
@@ -349,7 +348,8 @@ class Tower:
                     while c % p == 0:
                         c //= p
                         v += e
-                    vpi = min(vpi, v)
+                    if v < vpi:
+                        vpi = v
         else:
             vpi = INF
         if vpi >= window:
@@ -702,11 +702,17 @@ class El:
         return Fraction(self.s, self.tw.e)
 
     def pival(self):
-        """Valuation in pi-units (integer)."""
-        v = self.valuation()
-        if v is INF:
+        """Valuation in pi-units (integer): ``valuation() * e``, read off
+        the exact pair or s with no Fraction; INF for the true zero."""
+        if self.ap is None:
             return INF
-        return int(v * self.tw.e)
+        if self.exact is not None:
+            q, m = self.exact
+            return m + _vp(q, self.tw.p) * self.tw.e
+        if self.s is None:
+            raise InsufficientPrecision(
+                "element is O(pi^%d); valuation undecidable" % self.ap)
+        return self.s
 
     def residue(self):
         """Image in the residue field (encoding); requires v >= 0."""
@@ -758,8 +764,8 @@ class El:
                 return El(tw, None, None, ap, exact)
             U = known.U if known is self or sign > 0 else [-c for c in known.U]
             return tw._canon(known.s, U, ap, exact)
-        s = min(self.s, other.s)
-        ap = min(self.ap, other.ap)
+        s = self.s if self.s < other.s else other.s
+        ap = self.ap if self.ap < other.ap else other.ap
         U1 = self.U if self.s == s else tw._shift_up(self.U, self.s - s)
         U2 = other.U if other.s == s else tw._shift_up(other.U, other.s - s)
         if sign < 0:
@@ -806,7 +812,9 @@ class El:
             a2 = other.ap if other.s is None else other.s
             return El(tw, None, None, a1 + a2, exact)
         s = self.s + other.s
-        ap = min(self.ap + other.s, other.ap + self.s)
+        ap = self.ap + other.s
+        if other.ap + self.s < ap:
+            ap = other.ap + self.s
         one = tw._one[1]
         if self.U == one or other.U == one:
             # a unit part of 1 is a pi-power: the product is the other

@@ -1050,6 +1050,39 @@ def lift_problems(draw):
     return Poly(tw, coeffs), r
 
 
+@st.composite
+def pival_operands(draw):
+    """An element of ``elements`` (digits without a pair, a token, a fuzzy
+    zero without a pair, the true zero), or a token's pair carried by a
+    fuzzy O(pi^ap), as a sum whose digits cancel leaves it."""
+    tw = draw(towers())
+    x = draw(elements(tw))
+    if x.exact is not None and x.s is not None and draw(st.booleans()):
+        return El(tw, None, None, x.s - draw(st.integers(0, 3)), x.exact)
+    return x
+
+
+class TestPival:
+    @given(pival_operands())
+    @settings(max_examples=300, deadline=None)
+    def test_pival_is_valuation_times_e(self, x):
+        """``pival`` reads the pair or s in ints: it is valuation() * e,
+        INF for the true zero, or the same error."""
+        def result(fn):
+            try:
+                return fn()
+            except FourCoverError as exc:
+                return type(exc)
+
+        def reference():
+            v = x.valuation()
+            return v if v is INF else int(v * x.tw.e)
+
+        got = result(x.pival)
+        assert got == result(reference)
+        assert got is INF or got is InsufficientPrecision or type(got) is int
+
+
 class TestLadders:
     """The power, Horner and root-lifting loops against the loops they
     replaced: the same stored form (s, U, ap, exact) or the same error."""
