@@ -404,8 +404,21 @@ def _emit_human(rep, out):
         out.write("  FAIL %s: %s\n" % (c["name"], c["detail"]))
 
 
+def _write_invalid(detail):
+    sys.stderr.write(json.dumps({"error": "InvalidInput", "detail": detail}) + "\n")
+
+
+class _Parser(argparse.ArgumentParser):
+    """A usage error is invalid input: the JSON error line and exit 3, not
+    argparse's exit 2, which means insufficient precision here."""
+
+    def error(self, message):
+        _write_invalid(message)
+        sys.exit(3)
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="fourcover",
         description="Stable reduction of p-cyclic covers of the p-adic "
                     "line ramified at four points.")
@@ -452,8 +465,7 @@ def main(argv=None):
     try:
         _validate(args)
     except InvalidInput as ex:
-        sys.stderr.write(json.dumps({"error": "InvalidInput",
-                                     "detail": str(ex)}) + "\n")
+        _write_invalid(str(ex))
         return 3
     rep, code = run(args)
     if code:

@@ -43,13 +43,20 @@ slot e, and for f > 1 the modulus lift reduces once per pi-slot.  Two
 W-constants multiply as one f x f coordinate product (one integer
 product at f = 1).  A unit part of exactly 1 (a pi-power) is a shift:
 the product keeps the other factor's unit part and moves only s and ap.
-The inverse is an exact solve, not a precision loop: multiplication by
-the unit part is an (e f) x (e f) matrix over Z/p^N that is invertible
-mod p, and Gaussian elimination with unit pivots gives every coordinate
-of the inverse in one pass.  A W-constant maps each pi-slot to itself,
-so its matrix is e copies of one f x f block, and the solve runs on that
-block alone: at f = 1 it is one ``pow(u_0, -1, p^N)``, with no
-elimination.  A pi-power (unit part 1) inverts by a shift, with no solve.
+The inverse is exact, not a precision loop, and takes the cheapest of
+four paths; the inverse in O_K/p^N is unique, so all give the same
+coordinates.  A pi-power (unit part 1) inverts by a shift.  A W-constant
+maps each pi-slot to itself, so 1/u solves one f x f block: at f = 1 one
+``pow(u_0, -1, p^N)``.  A two-term unit u_0 + u_j pi^j at f = 1 is a - b
+with b^e = (-u_j)^e (-p)^j a W-constant, so 1/u is the geometric sum
+sum_{k<e} a^(e-1-k) b^k over D = a^e - b^e: one ``pow`` and O(e)
+products.  At even e, pi -> -pi fixes pi^e = -p, so u u(-pi) lies in the
+pi^2-tower of e/2 slots; it is inverted there, recursively, and 1/u is
+u(-pi) times that inverse (the field-norm inversion of Pornin and
+Prest).  What is left, a unit at odd e with more than two terms (or two
+at f > 1), goes to Gaussian elimination of its (e f) x (e f)
+multiplication matrix over Z/p^N, invertible mod p, with a unit pivot
+in every column.
 A difference is the one addition path with the sign put onto the
 subtrahend's unit part and exact q.  ``El.same`` decides two exact
 elements with digits by their pairs, with no subtraction.
@@ -196,9 +203,9 @@ class Tower:
         return ([c * d1 for c in U[k:]] + [0] * (self.e * self.f - len(U))
                 + [c * d for c in U[:k]])
 
-    def _unit_product(self, A, B):
+    def _unit_product(self, A, B, e=None):
         """Unit part of the product of the unit parts A and B, folded by
-        pi^e = -p.
+        pi^e = -p, e the tower's own unless given.
 
         The cost follows the pi-slots the factors have: each is convolved
         over its own slots, and pi^e is folded only when the product
@@ -207,7 +214,8 @@ class Tower:
         by the modulus lift once per pi-slot of the product, not once per
         coefficient product.
         """
-        p, e, f = self.p, self.e, self.f
+        p, f = self.p, self.f
+        e = e or self.e
         n = (len(A) + len(B)) // f - 1   # pi-slots of the product before the fold
         if f == 1:
             if n == 1:   # two W-constants: one integer product
@@ -257,19 +265,26 @@ class Tower:
                     conv[k - f + i] -= m * top
         return conv[:f]
 
-    def _unit_inverse(self, U):
+    def _unit_inverse(self, U, e=None):
         """Unit part of 1/u for the unit u with unit part U, exact in W/p^nl.
 
-        Multiplication by u is an (e f) x (e f) matrix over Z/p^nl in the
-        basis a^i pi^j (a the root of the modulus lift, pi^e = -p).  It is
-        invertible mod p because u is a unit, so Gaussian elimination with
-        a unit pivot in every column solves u z = 1 exactly.  When u is a
-        W-constant (U is f coordinates) the matrix is e copies of the f x f
-        block of u_0, and 1/u is the W-constant that solves that block: the
-        same elimination runs with e = 1, and at f = 1 the block is one
-        modular inverse.  Any other U is padded to e slots.
+        u lies in the ring with pi^e = -p, e the tower's own unless given.
+        1/u is unique there, so every path gives the same coordinates:
+        - a W-constant maps each pi-slot to itself, so 1/u is the W-constant
+          that solves the f x f block of u_0: the elimination below with
+          e = 1, and at f = 1 one modular inverse;
+        - a two-term unit u_0 + u_j pi^j at f = 1 takes
+          ``_two_term_inverse``, and any other unit at even e
+          ``_halved_inverse``, which inverts in the pi^2-tower of e/2 slots;
+        - any other unit, at odd e, is padded to e slots and solved by
+          Gaussian elimination: multiplication by u is an (e f) x (e f)
+          matrix over Z/p^nl in the basis a^i pi^j (a the root of the
+          modulus lift), invertible mod p because u is a unit, and a unit
+          pivot in every column solves u z = 1.
+        A u_0 that is no unit raises ConstructionMismatch on every path.
         """
-        p, e, f, pm = self.p, self.e, self.f, self.pmod
+        p, f, pm = self.p, self.f, self.pmod
+        e = e or self.e
         if len(U) == f:
             if f == 1:   # the 1 x 1 block: one modular inverse
                 if U[0] % p == 0:
@@ -277,6 +292,10 @@ class Tower:
                         "no unit pivot while inverting a unit; it is not canonical")
                 return [pow(U[0], -1, pm)]
             e = 1
+        elif f == 1 and not any(U[1:-1]):
+            return self._two_term_inverse(U, e)
+        elif not e % 2:
+            return self._halved_inverse(U, e)
         elif len(U) < e * f:
             U = list(U) + [0] * (e * f - len(U))
         n = e * f
@@ -323,6 +342,58 @@ class Tower:
             z.append((pivot[-1] - sum(map(int.__mul__, pivot, reversed(z)))) % pm)
         z.reverse()
         return z
+
+    def _two_term_inverse(self, U, e):
+        """1/u for u = u_0 + u_j pi^j at f = 1, j = len(U) - 1, with pi^e = -p.
+
+        With a = u_0 and b = -u_j pi^j, a^e - b^e = u_0^e - (-u_j)^e (-p)^j
+        = D is a unit of W, and 1/u = sum_{k<e} a^(e-1-k) b^k / D, where
+        b^k = (-u_j)^k (-p)^floor(jk/e) pi^(jk mod e): one modular inverse
+        and O(e) products.
+        """
+        p, pm = self.p, self.pmod
+        c, j = -U[-1], len(U) - 1
+        apow = [1]
+        for _ in range(e - 1):
+            apow.append(apow[-1] * U[0] % pm)
+        z = [0] * e
+        t, r = 1, 0   # b^k = t pi^r, from k = 0
+        for a in reversed(apow):
+            z[r] += a * t
+            t = t * c % pm
+            r += j
+            if r >= e:   # pi^e = -p
+                r -= e
+                t *= -p
+        # t is now b^e: r = j e mod e = 0 is slot 0
+        D = apow[-1] * U[0] - t
+        if D % p == 0:
+            raise ConstructionMismatch(
+                "no unit pivot while inverting a unit; it is not canonical")
+        inv = pow(D, -1, pm)
+        return [x * inv % pm for x in z]
+
+    def _halved_inverse(self, U, e):
+        """1/u at even e through the pi^2-tower, the field-norm inversion
+        of Pornin and Prest (PKC 2019).
+
+        pi -> -pi fixes pi^e = -p, so V = u(-pi), u with its odd slots
+        negated, is a unit and w = u V has only even slots.  Those form a
+        unit of the ring with (pi^2)^(e/2) = -p, which is inverted there;
+        its inverse spread back onto the even slots, times V, is 1/u.
+        """
+        f, pm = self.f, self.pmod
+        V = list(U)
+        for i in range(f, 2 * f):   # coordinate i - f of every odd slot
+            V[i::2 * f] = [-c for c in V[i::2 * f]]
+        w = self._unit_product(U, V, e)
+        h = self._unit_inverse([c % pm for j in range(0, len(w), 2 * f)
+                                for c in w[j:j + f]], e // 2)
+        z = [0] * (2 * len(h) - f)
+        for i in range(f):
+            z[i::2 * f] = h[i::f]
+        # z first: the convolution skips its zero odd slots
+        return [c % pm for c in self._unit_product(z, V, e)]
 
     # ------------------------------------------------------------------
     # element constructors

@@ -278,6 +278,40 @@ class TestMain:
         assert "error" in json.loads(err)
 
 
+class TestUsageErrors:
+    """argparse's usage errors exit 3 (invalid input) with the JSON error
+    line, not its own exit 2, which the CLI reserves for insufficient
+    precision."""
+
+    @pytest.mark.parametrize("argv", [
+        ["model", "--p", "5", "--beta", "x"],
+        ["model", "--p", "5", "--beta", "1", "--gamma", "4", "--lambda", "-1/3"],
+        ["nonsense"],
+        [],
+        ["model", "--no-such-flag"],
+    ])
+    def test_usage_error_exits_3(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "InvalidInput" and err["detail"]
+
+    def test_negative_lambda_after_equals(self, capsys):
+        # a token that starts with - is taken for an option unless it
+        # follows =
+        assert main(["model", "--p", "5", "--beta", "1", "--gamma", "4",
+                     "--lambda=-1/3", "--json"]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["input"]["lambda"] == "-1/3"
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert "usage: fourcover" in capsys.readouterr().out
+
+
 class TestBoundedInputs:
     """Inputs whose exact size would exhaust time or memory are rejected
     as InvalidInput (exit 3) before any work proportional to it."""

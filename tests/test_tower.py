@@ -363,9 +363,10 @@ def padded(tw, U):
 
 
 def reference_full_inverse(tw, U):
-    """The (e f) x (e f) elimination that ``Tower._unit_inverse`` runs on
-    every unit part, kept as the reference for its single f x f block
-    solve of a W-constant; U has all e f coordinates."""
+    """The (e f) x (e f) elimination that ``Tower._unit_inverse`` ran on
+    every unit part, kept as the reference for its f x f block solve of a
+    W-constant, its two-term inverse and its halving to the pi^2-tower;
+    U has all e f coordinates."""
     p, e, f, pm = tw.p, tw.e, tw.f, tw.pmod
     if f == 1:
         rows = [list(U[t::-1]) + [-p * c for c in U[:t:-1]]
@@ -403,7 +404,47 @@ def reference_full_inverse(tw, U):
     return z
 
 
+@st.composite
+def two_term_units(draw):
+    """A tower with e >= 2 and, for every j in 1..e-1, the full-width unit
+    part u_0 + u_j pi^j with the same u_0 and u_j: every residue of j mod
+    e, so also the j with gcd(j, e) > 1 whose powers b^k of u_j pi^j land
+    on one slot more than once, and whose b^e wraps j times."""
+    e = draw(st.integers(2, 12))
+    tw = make_tower(draw(st.sampled_from([2, 3, 5, 7])), e,
+                    draw(st.sampled_from([1, 1, 2, 3])), draw(st.integers(1, 8 * e)))
+    digits = st.integers(0, tw.pmod - 1)
+    u0 = [draw(digits) for _ in range(tw.f)]
+    if all(c % tw.p == 0 for c in u0):
+        u0[0] += 1
+    uj = [draw(digits) for _ in range(tw.f)]
+    if not any(uj):
+        uj[-1] = 1
+    return tw, [tuple(u0 + [0] * ((j - 1) * tw.f) + uj) for j in range(1, e)]
+
+
 class TestInverse:
+    @given(tower_units(1))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_full_elimination(self, xs):
+        # every path of _unit_inverse (the W-constant block, the two-term
+        # inverse, the halving to the pi^2-tower and the elimination at odd
+        # e) gives the coordinates of the (e f) x (e f) elimination
+        x, = xs
+        tw = x.tw
+        z = tw._unit_inverse(x.U)
+        assert padded(tw, z) == reference_full_inverse(tw, padded(tw, x.U))
+
+    @given(two_term_units())
+    @settings(max_examples=150, deadline=None)
+    def test_two_term_units_match_the_full_elimination(self, units):
+        tw, Us = units
+        for U in Us:
+            z = tw._unit_inverse(U)
+            assert padded(tw, z) == reference_full_inverse(tw, padded(tw, U))
+            x = tw._canon(0, U, tw.prec, None)
+            assert (x * x.inverse() - tw.one()).is_zeroish()
+
     @given(tower_units(1))
     @settings(max_examples=150, deadline=None)
     def test_matches_newton(self, xs):
@@ -445,9 +486,11 @@ class TestInverse:
     @given(tower_units(1, shapes=("slot0", "exact")))
     @settings(max_examples=100, deadline=None)
     def test_w_constant_matches_the_padded_elimination(self, xs):
-        # padded with one zero slot, a W-constant takes the elimination,
-        # which must agree with the modular inverse (f = 1) or the block
-        # solve (f > 1) that it takes by itself
+        # padded with one zero slot, a W-constant is no longer f integers:
+        # it takes the two-term inverse (f = 1, with u_1 = 0), the halving
+        # (f > 1, even e) or the elimination (f > 1, odd e), and each must
+        # agree with the modular inverse (f = 1) or the block solve (f > 1)
+        # that it takes by itself
         x, = xs
         tw = x.tw
         if tw.e < 2:
@@ -462,9 +505,25 @@ class TestInverse:
         # is solved, and when it is one padded to all e slots
         t = T(5, 3, 1, 30)
         t2 = T(5, 3, 2, 30)
-        for tw, U in [(t, [5, 1, 1]), (t2, [0, 5, 1, 0, 0, 1]),
-                      (t, [5]), (t2, [0, 5]),
-                      (t, [5, 0, 0]), (t2, [0, 5, 0, 0, 0, 0])]:
+        cases = [(t, [5, 1, 1]), (t2, [0, 5, 1, 0, 0, 1]),
+                 (t, [5]), (t2, [0, 5]),
+                 (t, [5, 0, 0]), (t2, [0, 5, 0, 0, 0, 0])]
+        # at even e the two-term inverse would take pow(D, -1, p^N) of
+        # D = u_0^e - b^e = 0 mod p, and the halving inverts w = u_0^2 = 0
+        # mod p in the pi^2-tower: neither may raise pow's ValueError
+        for e in (4, 6):
+            for f in (1, 2):
+                tw = T(5, e, f, 10 * e)
+                zero, one = [0] * f, [1] + [0] * (f - 1)
+                u0 = [5] + [0] * (f - 1)
+                cases += [(tw, U) for U in [
+                    u0 + one * (e - 1),                          # dense
+                    u0 + one + zero * (e - 3) + one,             # three terms
+                    u0 + one,                                    # u_0 + pi
+                    u0 + zero * (e // 2 - 1) + one,              # u_0 + pi^(e/2)
+                    u0 + zero * (e - 2) + [25] + [0] * (f - 1),  # u_j = 0 mod p
+                    u0 + zero * (e - 1)]]                        # padded
+        for tw, U in cases:
             with pytest.raises(ConstructionMismatch):
                 tw._unit_inverse(U)
 
