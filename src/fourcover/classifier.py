@@ -509,8 +509,10 @@ def _factored_chart(cover, d, b, N, K=None):
 
 
 def _binomial_rows(alpha, a, k):
-    """The coefficients of T^j, j < k, in (alpha + T)^a, 1 <= a < p:
-    C(a, j) alpha^(a - j), each binomial coefficient a unit."""
+    """The coefficients of T^j, j < k, in (alpha + T)^a, a >= 1:
+    C(a, j) alpha^(a - j).  A binomial coefficient divisible by p, as
+    C(p, j) for 0 < j < p, moves its element's pi-shift and window up by
+    its valuation (``_times_int``)."""
     top = min(a, k - 1)
     # pw holds alpha^(a - top), ..., alpha^a
     pw = [alpha ** (a - top)] if a > top else [alpha.tw.one(), alpha]
@@ -746,8 +748,14 @@ def _level_quotient(P, mu, what):
 
 def _critical_2b3(F, h, mu, subcase):
     """(T0, S) for z^p = F with witness h: T0 = (h^p - F)/mu, and the
-    centers are roots of S = F'/mu (sub-case i) or S = T0' (sub-case ii)."""
-    T0 = _level_quotient((h ** F.tw.p) - F, mu, "h^p - F")
+    centers are roots of S = F'/mu (sub-case i) or S = T0' (sub-case ii).
+    h is x(x - 1), whose h^p = x^p (x - 1)^p, or its flip 1 - x, whose
+    (1 - x)^p is (x - 1)^p read backwards; (x - 1)^p comes from the
+    binomial theorem."""
+    tw = F.tw
+    rows = _binomial_rows(-tw.one(), tw.p, tw.p + 1)
+    hp = Poly(tw, [tw.zero()] * tw.p + rows if h.degree == 2 else rows[::-1])
+    T0 = _level_quotient(hp - F, mu, "h^p - F")
     if subcase == VIA_2B3_I:
         return T0, _level_quotient(F.deriv(), mu, "F'")
     return T0, T0.deriv()

@@ -24,7 +24,10 @@ NormalizedCover is returned.
 import math
 from fractions import Fraction
 
-from .errors import CoalescingBranchPoints, NonCyclicExponent, InvalidInput
+from .errors import (
+    CoalescingBranchPoints, ConstructionMismatch, InsufficientPrecision,
+    InvalidInput, NonCyclicExponent,
+)
 from .tower import INF
 
 
@@ -370,10 +373,12 @@ def _int_nth_root(n, p):
 
 
 def _check_witness_identity(datum, n):
-    """Raise InvalidInput unless rhs_old^u = const * witness^p * rhs_new(m(x))
-    as factored rational functions: the two sides' points, merged by
-    pt_same, must cancel with no zero or pole left, and their constants
-    must be the same element."""
+    """Check rhs_old^u = const * witness^p * rhs_new(m(x)) as factored
+    rational functions: the two sides' points, merged by pt_same, must
+    cancel with no zero or pole left, and their constants must be the
+    same element.  A failed identity raises InsufficientPrecision when it
+    rests on digits that ran out (``_undecided``), which more digits mend,
+    and ConstructionMismatch when it is certified."""
     p = datum.p
     old = FactoredCover.from_datum(datum)
     new = n.cover().pullback(n.moebius)
@@ -386,7 +391,38 @@ def _check_witness_identity(datum, n):
         quot.mul_point(q, -k)
     if quot.items or not (old.const ** n.u).same(
             n.const * n.witness.const ** p * new.const):
-        raise InvalidInput("witness identity failed")
+        points = [q for q, _ in old.items + n.witness.items + new.items]
+        if _undecided(datum, n, [q for q, _ in quot.items], points):
+            raise InsufficientPrecision(
+                "witness identity undecided at this precision")
+        raise ConstructionMismatch("witness identity failed")
+
+
+def _undecided(datum, n, left, points):
+    """Whether a failed witness identity rests on a fuzzy zero, given its
+    leftover points and all the points of its three sides.
+
+    The pullback by m = (a x + b)/(c x + d) sends a point q of the normal
+    form to infinity where its lead a - q c (a when c = 0) is zero; only
+    the image m(inf) of a point of the cover at infinity may go there.  So a
+    failure is undecided when the pullback took c for 0 and c is O(pi^k),
+    or took more leads for 0 than the cover has points at infinity with
+    one of them O(pi^k); and when one point of the identity cannot be told
+    from two leftover points, which it may have been merged with on too
+    few digits.
+    """
+    a, _, c, _ = n.moebius.entries()
+    affine = c.is_zeroish()
+    if affine and not c.is_true_zero():
+        return True
+    zeros = [lead for lead in (a if affine else a - q * c for q, _ in n.cover().items)
+             if lead.is_zeroish()]
+    # an affine m fixes infinity, so no point of the normal form goes there
+    at_infinity = 0 if affine else sum(q is INFPT for q in datum.points)
+    if len(zeros) > at_infinity and not all(lead.is_true_zero() for lead in zeros):
+        return True
+    return any(pt_same(r, q) and pt_same(r, s)
+               for r in points for i, q in enumerate(left) for s in left[:i])
 
 
 # the benchmark's trace (benchmarks/tracing.py) wraps the check by this name

@@ -41,22 +41,32 @@ operands' pi-slots cost: the integer convolution runs over the slots
 each factor has, pi^e is folded by -p only when the product reaches
 slot e, and for f > 1 the modulus lift reduces once per pi-slot.  Two
 W-constants multiply as one f x f coordinate product (one integer
-product at f = 1).  A unit part of exactly 1 (a pi-power) is a shift:
+product at f = 1).  At f = 2, the residue degree of every quadratic
+residue extension, the modulus lift is a^2 + m_1 a + m_0, with
+a + a' = -m_1 and a a' = m_0 for its conjugate root a'.  A unit part is
+then two coordinate planes A_0 + A_1 a, and a product takes Karatsuba's
+three convolutions A_0 B_0, A_1 B_1 and (A_0 + A_1)(B_0 + B_1), with
+a^2 = -m_1 a - m_0 folded in once; two W-constants take the same three
+integer products.  A unit part of exactly 1 (a pi-power) is a shift:
 the product keeps the other factor's unit part and moves only s and ap.
 The inverse is exact, not a precision loop, and takes the cheapest of
 four paths; the inverse in O_K/p^N is unique, so all give the same
 coordinates.  A pi-power (unit part 1) inverts by a shift.  A W-constant
 maps each pi-slot to itself, so 1/u solves one f x f block: at f = 1 one
-``pow(u_0, -1, p^N)``.  A two-term unit u_0 + u_j pi^j at f = 1 is a - b
+``pow(u_0, -1, p^N)``, and at f = 2 one of its norm,
+1/(x + y a) = (x - m_1 y - y a)/(x^2 - m_1 x y + m_0 y^2), since
+x + y a' = x - m_1 y - y a.  A two-term unit u_0 + u_j pi^j at f = 1 is a - b
 with b^e = (-u_j)^e (-p)^j a W-constant, so 1/u is the geometric sum
 sum_{k<e} a^(e-1-k) b^k over D = a^e - b^e: one ``pow`` and O(e)
 products.  At even e, pi -> -pi fixes pi^e = -p, so u u(-pi) lies in the
 pi^2-tower of e/2 slots; it is inverted there, recursively, and 1/u is
 u(-pi) times that inverse (the field-norm inversion of Pornin and
-Prest).  What is left, a unit at odd e with more than two terms (or two
-at f > 1), goes to Gaussian elimination of its (e f) x (e f)
+Prest).  At f = 2 and e a power of 2 the halving ends in the norm of a
+W-constant.  What is left, a unit at odd e with more than two terms (or
+two at f > 1), goes to Gaussian elimination of its (e f) x (e f)
 multiplication matrix over Z/p^N, invertible mod p, with a unit pivot
-in every column.
+in every column.  The general plane product and the elimination of a
+W-constant's block serve f >= 3, which only library callers reach.
 A difference is the one addition path with the sign put onto the
 subtrahend's unit part and exact q.  ``El.same`` decides two exact
 elements with digits by their pairs, with no subtraction.
@@ -212,7 +222,8 @@ class Tower:
         reaches slot e.  Two W-constants (slot 0 alone) multiply as one
         f x f coordinate product.  For f > 1 the coordinates are reduced
         by the modulus lift once per pi-slot of the product, not once per
-        coefficient product.
+        coefficient product; at f = 2 the two coordinate planes multiply
+        by Karatsuba, in three convolutions instead of four.
         """
         p, f = self.p, self.f
         e = e or self.e
@@ -225,6 +236,22 @@ class Tower:
             return _fold(conv, n, e, p)
         if n == 1:
             return self._w_product(A, B)
+        if f == 2:
+            # Karatsuba on the planes A_i = A[i::2] of (A_0 + A_1 a)(B_0 + B_1 a):
+            # A_0 B_0, A_1 B_1 and (A_0 + A_1)(B_0 + B_1), a^2 = -m_1 a - m_0
+            A0, A1, B0, B1 = A[::2], A[1::2], B[::2], B[1::2]
+            lo, hi, mid = [0] * n, [0] * n, [0] * n
+            _convolve(lo, A0, B0)
+            _convolve(hi, A1, B1)
+            _convolve(mid, list(map(operator.add, A0, A1)),
+                      list(map(operator.add, B0, B1)))
+            m0, m1 = self.modulus[:2]
+            top = [c % self.pmod for c in hi]
+            out = [0] * (2 * min(n, e))
+            out[::2] = _fold([c - m0 * t for c, t in zip(lo, top)], n, e, p)
+            out[1::2] = _fold([c - l - h - m1 * t for c, l, h, t
+                               in zip(mid, lo, hi, top)], n, e, p)
+            return out
         # one convolution per pair of coordinate planes: a^i A_i times a^l B_l,
         # where plane i of a unit part is its coordinates on a^i, A[i::f]
         planes = [[0] * n for _ in range(2 * f - 1)]
@@ -250,8 +277,15 @@ class Tower:
         """The f coordinates of the product of the W elements with
         coordinates A and B: one convolution, then a^k for k >= f reduced
         by the modulus lift, top first.  The low coordinates are left
-        unreduced, as in the planes of ``_unit_product``."""
+        unreduced, as in the planes of ``_unit_product``.  At f = 2 it
+        takes the three products of Karatsuba, as ``_unit_product`` does."""
         f = self.f
+        if f == 2:
+            (x0, x1), (y0, y1) = A, B
+            lo, hi = x0 * y0, x1 * y1
+            top = hi % self.pmod
+            m0, m1 = self.modulus[:2]
+            return [lo - m0 * top, (x0 + x1) * (y0 + y1) - lo - hi - m1 * top]
         conv = [0] * (2 * f - 1)
         for i, a in enumerate(A):
             if a:
@@ -271,8 +305,8 @@ class Tower:
         u lies in the ring with pi^e = -p, e the tower's own unless given.
         1/u is unique there, so every path gives the same coordinates:
         - a W-constant maps each pi-slot to itself, so 1/u is the W-constant
-          that solves the f x f block of u_0: the elimination below with
-          e = 1, and at f = 1 one modular inverse;
+          that solves the f x f block of u_0: one modular inverse at f = 1,
+          one of the norm at f = 2, the elimination below with e = 1 above;
         - a two-term unit u_0 + u_j pi^j at f = 1 takes
           ``_two_term_inverse``, and any other unit at even e
           ``_halved_inverse``, which inverts in the pi^2-tower of e/2 slots;
@@ -291,6 +325,16 @@ class Tower:
                     raise ConstructionMismatch(
                         "no unit pivot while inverting a unit; it is not canonical")
                 return [pow(U[0], -1, pm)]
+            if f == 2:   # by the norm: 1/(x + y a) = (x - m_1 y - y a)/N(x + y a)
+                x, y = U
+                m0, m1 = self.modulus[:2]
+                x1 = x - m1 * y
+                N = x * x1 + m0 * y * y
+                if N % p == 0:
+                    raise ConstructionMismatch(
+                        "no unit pivot while inverting a unit; it is not canonical")
+                inv = pow(N, -1, pm)
+                return [x1 * inv % pm, -y * inv % pm]
             e = 1
         elif f == 1 and not any(U[1:-1]):
             return self._two_term_inverse(U, e)

@@ -7,9 +7,13 @@ The grid is ``fourcover model --json`` for p in {3, 5, 7, 11}, every
 (beta, gamma) in 1..p-1 (the ones with p | 1 + beta + gamma exit 3), the
 twenty lambda tokens of ``TOKENS`` and the default precision and
 ``--precision 40``: 6,240 requests, run in-process through ``cli.main``
-in a little over a minute.  A change that must leave every report as it was
-shows it by ``diff`` of this output before and after; a changed line
-names the request whose output changed.
+in 30 to 70 s, by host and Python version.  A change that must leave
+every report as it was shows it by ``diff`` of this output before and
+after; a changed line names the request whose output changed.
+``grid.sha256`` holds the sha256 of the whole output, which CI recomputes
+on every Python it tests:
+
+    PYTHONPATH=src python3 tests/golden/grid.py | sha256sum
 """
 
 import contextlib

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from fourcover.errors import (
     CoalescingBranchPoints, NonCyclicExponent, InvalidInput,
-    InsufficientPrecision, FourCoverError,
+    InsufficientPrecision, FourCoverError, ConstructionMismatch,
 )
 from fourcover.tower import make_tower, El, INF
 from fourcover.normalizer import (
@@ -198,6 +198,12 @@ def classify_covers(draw):
     return datum(tw, [pts[i] for i in order], [exps[i] for i in order])
 
 
+# covers with exponents (2, 2, 1, 1) at p = 3, e = 2 whose witness identity
+# fails for want of digits at low precision
+FAR_POINT = ("2*pi", "pi^-2", "2*pi^3", "2*pi^2")
+CLOSE_POINTS = ("7336/2343*pi", "-514/487", "3727/1164*pi^2", "3907/1427")
+
+
 class TestWitnessIdentity:
     def setup_method(self):
         tw = self.tw = T()
@@ -225,10 +231,12 @@ class TestWitnessIdentity:
     @pytest.mark.parametrize("tamper", [
         {"bump": 1}, {"const": 2}, {"stray": 11}, {"stray": Fraction(1, 5)}])
     def test_tampered_witness_is_rejected(self, tamper):
+        # every point and the constant keep 48 digits: the failure is
+        # certified, not a shortfall of digits
         if "stray" in tamper:
             tamper = {"stray": self.tw.from_rational(tamper["stray"])}
         for _ in range(2):
-            with pytest.raises(InvalidInput):
+            with pytest.raises(ConstructionMismatch):
                 self.check(**tamper)
 
     def test_cover_without_usable_sample_points(self):
@@ -243,7 +251,7 @@ class TestWitnessIdentity:
     @given(classify_covers())
     @settings(max_examples=100, deadline=None)
     def test_accepts_every_normalization(self, d):
-        n = normalize(d)  # raises InvalidInput if the exact check fails
+        n = normalize(d)  # raises if the exact check fails
         _check_witness_identity(d, n)
         try:
             reference_sampling(d, n)
@@ -251,8 +259,27 @@ class TestWitnessIdentity:
             pass  # too few usable points, and every one found agreed
         bad = copy.copy(n)
         bad.const = n.const * 2
-        with pytest.raises(InvalidInput):
+        with pytest.raises(ConstructionMismatch):
             _check_witness_identity(d, bad)
+
+    # at 2 and 3 pi-digits the pullback's lead a - q c for the image of
+    # pi^-2 is O(pi^k): it sends that image to infinity, and the identity
+    # is left with the point pi^-2.  At 5 the image of a slot has one
+    # digit, 2 + O(pi), and cannot be told from the two points
+    # 2 + 2 pi^2 + O(pi^5) and 2 + O(pi^5): it merges with one of them,
+    # and both are left over.  More digits place each point.
+    @pytest.mark.parametrize("tokens, prec, outcome", [
+        (FAR_POINT, 2, InsufficientPrecision), (FAR_POINT, 3, InsufficientPrecision),
+        (FAR_POINT, 4, None),
+        (CLOSE_POINTS, 5, InsufficientPrecision), (CLOSE_POINTS, 20, None)])
+    def test_shortfall_is_insufficient_precision(self, tokens, prec, outcome):
+        tw = make_tower(3, 2, 1, prec)
+        d = datum(tw, [parse_point(tw, t) for t in tokens], [2, 2, 1, 1])
+        if outcome is None:
+            normalize(d)
+        else:
+            with pytest.raises(outcome):
+                normalize(d)
 
 
 class TestJInvariant:
@@ -519,3 +546,32 @@ class TestNormalizeReference:
         if want[0] == "cover" or (tw.prec >= 3 * (tw.p - 1)
                                   and apart_in_digits(tw, pts)):
             assert got == want
+
+
+class TestPrecisionShortfall:
+    @given(general_covers())
+    @settings(max_examples=200, deadline=None)
+    def test_apart_covers_normalize_or_need_digits(self, cover):
+        # a cover whose points differ in their digits normalizes or raises
+        # InsufficientPrecision, never InvalidInput or ConstructionMismatch,
+        # and the shortfall is mended by more digits: mostly at 4x the
+        # precision, and within three steps of 4x (a p = 3 cover at 2
+        # pi-digits, with a point of valuation -5, normalizes at 32)
+        tw, pts, exps = cover
+        try:
+            d = datum(tw, pts, exps)
+        except FourCoverError:
+            return
+        if not apart_in_digits(tw, pts):
+            return
+        prec = tw.prec
+        for _ in range(4):
+            try:
+                normalize(d)
+                return
+            except InsufficientPrecision:
+                prec *= 4
+                big = make_tower(tw.p, tw.e, 1, prec)
+                d = datum(big, [q if q is INFPT else big.from_exact_pair(*q.exact)
+                                for q in pts], exps)
+        pytest.fail("no normal form at 64x the precision")

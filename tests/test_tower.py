@@ -1268,13 +1268,16 @@ def full_lift_hensel_root(P, residue_enc):
     return tw._canon(x.s, x.U, fx.ap, x.exact)
 
 
-def reference_plane_product(tw, A, B):
+def reference_plane_product(tw, A, B, e=None):
     """The f > 1 branch of ``Tower._unit_product`` before unit parts stopped
-    at their last nonzero slot: 2f - 1 planes, folded and padded to e
+    at their last nonzero slot: 2f - 1 planes, one convolution per pair,
+    folded by pi^e = -p (e the tower's own unless given) and padded to e
     slots.  Kept as the reference for its single f x f product of two
-    W-constants."""
-    p, e, f = tw.p, tw.e, tw.f
-    A, B = padded(tw, A), padded(tw, B)
+    W-constants and for the Karatsuba products at f = 2."""
+    p, f = tw.p, tw.f
+    e = e or tw.e
+    A = list(A) + [0] * (e * f - len(A))
+    B = list(B) + [0] * (e * f - len(B))
 
     def used(U):
         n = len(U)
@@ -1305,6 +1308,69 @@ def reference_plane_product(tw, A, B):
     for i, P in enumerate(planes[:f]):
         out[i::f] = fold(P, n)
     return out
+
+
+@st.composite
+def quadratic_unit_parts(draw, count):
+    """A tower with f = 2 over p in {2, 3, 5, 7} (the modulus lift is
+    a^2 + a + 1 at p = 2, so m_1 = 1, and a^2 + m_0 above) and e from 1
+    to 12, and ``count`` unit parts of it: W-constants, sparse units (a
+    random set of nonzero slots) and dense ones, each masked to a random
+    window and trimmed as ``_canon`` stores it."""
+    e = draw(st.integers(1, 12))
+    tw = make_tower(draw(st.sampled_from([2, 3, 5, 7])), e, 2,
+                    draw(st.integers(1, 8 * e)))
+    digits = st.integers(0, tw.pmod - 1)
+    parts = []
+    for _ in range(count):
+        kind = draw(st.sampled_from(["w", "sparse", "dense"]))
+        U = [draw(digits) for _ in range(2 if kind == "w" else 2 * e)]
+        if kind == "sparse":
+            for j in draw(st.sets(st.integers(1, e - 1))) if e > 1 else ():
+                U[2 * j:2 * j + 2] = [0, 0]
+        if U[0] % tw.p == 0 and U[1] % tw.p == 0:
+            U[0] += 1
+        U = tw._mask(U, draw(st.integers(1, tw.prec)))
+        parts.append(tower_module._trimmed(U, 2))
+    return tw, parts
+
+
+class TestQuadraticKernels:
+    """The closed forms at f = 2 against the general algorithms they
+    replace there: Karatsuba's three convolutions against the plane
+    product's four, and the norm inverse of a W-constant against the
+    elimination."""
+
+    @given(quadratic_unit_parts(2), st.integers(0, 12))
+    @settings(max_examples=200, deadline=None)
+    def test_product_matches_the_plane_product(self, drawn, extra):
+        # the same integers, not only the same residues, at the tower's e
+        # and at any slot count that holds both factors, as the halving
+        # inverse passes
+        tw, (A, B) = drawn
+        for e in {tw.e, max(len(A), len(B)) // 2 + extra}:
+            out = tw._unit_product(A, B, e)
+            assert out + [0] * (2 * e - len(out)) == reference_plane_product(tw, A, B, e)
+
+    @given(quadratic_unit_parts(1))
+    @settings(max_examples=200, deadline=None)
+    def test_inverse_matches_the_full_elimination(self, drawn):
+        # the norm of a W-constant, and the halving at even e, which at e
+        # a power of 2 ends in that norm
+        tw, (U,) = drawn
+        assert padded(tw, tw._unit_inverse(U)) == reference_full_inverse(tw, padded(tw, U))
+
+    @given(st.sampled_from([2, 3, 5, 7]), st.sampled_from([1, 2, 3, 4, 8]),
+           st.integers(0, 10 ** 6), st.integers(0, 10 ** 6), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_non_unit_is_typed(self, p, e, x, y, dense):
+        # x + y a with p | x and p | y has a norm divisible by p: it must
+        # raise ConstructionMismatch, never the ValueError of pow(N, -1, p^N),
+        # as a W-constant and at the end of the halving of a dense unit
+        tw = make_tower(p, e, 2, 10 * e)
+        U = [p * x, p * y] + ([1, 0] * (e - 1) if dense else [])
+        with pytest.raises(ConstructionMismatch):
+            tw._unit_inverse(U)
 
 
 @st.composite
