@@ -400,8 +400,8 @@ def _expect(out, case, label):
     return out
 
 
-def _artin_schreier(out, chart, expect_genus, label, notes=None):
-    """Package a certified Artin-Schreier outcome as a component."""
+def _artin_schreier(chart, out, expect_genus, label, notes=None):
+    """Package the certified Artin-Schreier outcome ``out`` on ``chart``."""
     curve = _expect(out, TorsorOutcome.ARTIN_SCHREIER, label).payload
     chart.notes.update(w=str(out.w), label=label)
     chart.notes.update(notes or {})
@@ -532,17 +532,6 @@ def _truncated_product(A, B, k):
     return out
 
 
-def _blowup_component(cover, d, b, expect_genus, label, h=None, N=None,
-                      notes=None):
-    """Blow up ``cover`` at (x - d, b), certify the chart with
-    ``_blowup_trichotomy`` (the witness h carried through the blow-up,
-    x^(N/p) when h is None) and package its Artin-Schreier component.  The
-    chart records the center d as given; its poly, which no report
-    renders, may be the rung-1 chart."""
-    chart, out = _blowup_trichotomy(cover, h, d, b, N)
-    return _artin_schreier(out, chart, expect_genus, label, notes)
-
-
 def _line_component(cover, moebius, coord, label):
     """A rational component of the Mumford model: the chart of ``cover``
     along ``moebius`` must be purely inseparable."""
@@ -582,7 +571,8 @@ def _build_good_1a(n, cover, lam, checks):
                          and (vd2.is_zeroish() or vd2.valuation() >= vb2),
                          "v(f'(d))=%s, v(f''(d))=%s, v(b^2)=%s"
                          % (_vstr(vd1), _vstr(vd2), vb2)))
-    comp = _blowup_component(cover, d, b, p - 1, "good-1a chart")
+    comp = _artin_schreier(*_blowup_trichotomy(cover, None, d, b, None),
+                           p - 1, "good-1a chart")
     checks.append(_check("good-1a-lemma-hh", lemma_hh_check(comp.chart.poly),
                          "v(x^N - chart) = v(tau)"))
     if comp.p_rank != 0:
@@ -624,8 +614,8 @@ def _build_via_1b(n, cover, lam, checks):
         b = _radius(tw, vb)
         if not v_sep < vb:
             raise ConstructionMismatch("critical disks are not separated")
-        comps.append(_blowup_component(cover, d, b, (p - 1) // 2,
-                                       "type-3 chart %d (v(lam)=0)" % i))
+        comps.append(_artin_schreier(*_blowup_trichotomy(cover, None, d, b, None),
+                                     (p - 1) // 2, "type-3 chart %d (v(lam)=0)" % i))
     # a record, not a test: the loop above raised unless the centers lie
     # farther apart than each disk's radius, v_sep < v(b)
     checks.append(_check("via-1b-distinct-disks", True,
@@ -646,9 +636,9 @@ def _build_via_2a(n, cover, lam, checks):
     for cvr, S, tag in ((cover, g, "unit disk"),
                         (inner, g_inner, "disk of radius lam")):
         [d] = _lift_centers(S, _integral_branch_residues(cvr), 1, tag)
-        comps.append(_blowup_component(cvr, d, b, (p - 1) // 2,
-                                       "type-3 chart on the %s" % tag,
-                                       notes=_chart_notes(cvr)))
+        comps.append(_artin_schreier(*_blowup_trichotomy(cvr, None, d, b, None),
+                                     (p - 1) // 2, "type-3 chart on the %s" % tag,
+                                     _chart_notes(cvr)))
     # a record, not a test: _lift_centers raised unless each disk has
     # exactly one simple critical residue root
     checks.append(_check("via-2a-centers", True,
@@ -663,7 +653,7 @@ def _build_good_1b(n, cover, lam, checks):
     # C is not monic, so the trichotomy runs without the chart checks
     out = torsor._torsor_outcome(C, _xp_witness(C, "smooth 1b model"))
     chart = BlowupChart(None, None, C.degree, C, coord="x0/tau", notes=notes)
-    comp = _artin_schreier(out, chart, p - 1, "smooth model at x0/tau")
+    comp = _artin_schreier(chart, out, p - 1, "smooth model at x0/tau")
     if comp.branch_points != 2 or comp.p_rank != p - 1:
         raise ConstructionMismatch(
             "type 1b must have 2 branch points and p-rank p-1, got %d/%d"
@@ -731,9 +721,9 @@ def _build_via_2b3(n, cover, lam, checks, subcase):
         # the blow-up: x2^2 h(d + b/x2)/h(d), which for the quadratic h is
         # x2^2 + b h'(d)/h(d) x2 + b^2/h(d), while the flipped (degree-1)
         # h correctly loses the constant
-        comps.append(_blowup_component(
-            cvr, d, b, (p - 1) // 2, "2b3 %s chart at %s" % (subcase, coord),
-            h=None if subcase == VIA_2B3_I else hc, N=2 * p, notes={"coord": coord}))
+        comps.append(_artin_schreier(
+            *_blowup_trichotomy(cvr, None if subcase == VIA_2B3_I else hc, d, b, 2 * p),
+            (p - 1) // 2, "2b3 %s chart at %s" % (subcase, coord), {"coord": coord}))
     return comps, [(0, 1, 1)]
 
 

@@ -28,7 +28,7 @@ from .errors import (
     CoalescingBranchPoints, ConstructionMismatch, InsufficientPrecision,
     InvalidInput, NonCyclicExponent,
 )
-from .tower import INF
+from .tower import INF, Tower
 
 
 class _Infinity:
@@ -454,6 +454,8 @@ def j_invariant(n):
     v = vnum - exp
     need = exp.denominator
     mult = need // math.gcd(need, tw.e)
-    big = tw if mult == 1 else tw.extended(e_mult=mult)
+    # e multiplied by mult, at the precision of the same p-digit levels
+    e2 = tw.e * mult
+    big = tw if mult == 1 else Tower(p, e2, tw.f, prec=(tw.nl - 1) * e2)
     value = tw.embed(num, big) * big.pi_power(-int(exp * big.e))
     return value, v

@@ -49,23 +49,26 @@ three convolutions A_0 B_0, A_1 B_1 and (A_0 + A_1)(B_0 + B_1), with
 a^2 = -m_1 a - m_0 folded in once; two W-constants take the same three
 integer products.  A unit part of exactly 1 (a pi-power) is a shift:
 the product keeps the other factor's unit part and moves only s and ap.
-The inverse is exact, not a precision loop, and takes the cheapest of
-four paths; the inverse in O_K/p^N is unique, so all give the same
-coordinates.  A pi-power (unit part 1) inverts by a shift.  A W-constant
-maps each pi-slot to itself, so 1/u solves one f x f block: at f = 1 one
+The inverse is exact, not a precision loop.  A pi-power (unit part 1)
+inverts by a shift.  Any other u first raises ConstructionMismatch if p
+divides every coordinate of u_0, then takes the cheapest of four paths,
+which agree, as the inverse in O_K/p^N is unique.  A W-constant maps
+each pi-slot to itself, so 1/u solves one f x f block: at f = 1 one
 ``pow(u_0, -1, p^N)``, and at f = 2 one of its norm,
 1/(x + y a) = (x - m_1 y - y a)/(x^2 - m_1 x y + m_0 y^2), since
-x + y a' = x - m_1 y - y a.  A two-term unit u_0 + u_j pi^j at f = 1 is a - b
-with b^e = (-u_j)^e (-p)^j a W-constant, so 1/u is the geometric sum
-sum_{k<e} a^(e-1-k) b^k over D = a^e - b^e: one ``pow`` and O(e)
+x + y a' = x - m_1 y - y a.  A two-term unit u_0 + u_j pi^j at f = 1 is
+a - b with b^e = (-u_j)^e (-p)^j a W-constant, so 1/u is the geometric
+sum sum_{k<e} a^(e-1-k) b^k over D = a^e - b^e: one ``pow`` and O(e)
 products.  At even e, pi -> -pi fixes pi^e = -p, so u u(-pi) lies in the
 pi^2-tower of e/2 slots; it is inverted there, recursively, and 1/u is
 u(-pi) times that inverse (the field-norm inversion of Pornin and
 Prest).  At f = 2 and e a power of 2 the halving ends in the norm of a
-W-constant.  What is left, a unit at odd e with more than two terms (or
-two at f > 1), goes to Gaussian elimination of its (e f) x (e f)
-multiplication matrix over Z/p^N, invertible mod p, with a unit pivot
-in every column.  The general plane product and the elimination of a
+W-constant.  The norm, D and u u(-pi) are units by the first check, as
+they are u_0's norm, e-th power and square mod p.  What is left, a unit
+at odd e with more than two terms (or two at f > 1), goes to Gaussian
+elimination of its (e f) x (e f) multiplication matrix over Z/p^N,
+invertible mod p, which checks for a unit pivot in every column.  The
+general plane product, W-constants' included, and the elimination of a
 W-constant's block serve f >= 3, which only library callers reach.
 A difference is the one addition path with the sign put onto the
 subtrahend's unit part and exact q.  ``El.same`` decides two exact
@@ -234,18 +237,21 @@ class Tower:
             conv = [0] * n
             _convolve(conv, A, B)
             return _fold(conv, n, e, p)
-        if n == 1:
-            return self._w_product(A, B)
         if f == 2:
             # Karatsuba on the planes A_i = A[i::2] of (A_0 + A_1 a)(B_0 + B_1 a):
             # A_0 B_0, A_1 B_1 and (A_0 + A_1)(B_0 + B_1), a^2 = -m_1 a - m_0
+            m0, m1 = self.modulus[:2]
+            if n == 1:   # two W-constants: three integer products
+                (x0, x1), (y0, y1) = A, B
+                lo, hi = x0 * y0, x1 * y1
+                top = hi % self.pmod
+                return [lo - m0 * top, (x0 + x1) * (y0 + y1) - lo - hi - m1 * top]
             A0, A1, B0, B1 = A[::2], A[1::2], B[::2], B[1::2]
             lo, hi, mid = [0] * n, [0] * n, [0] * n
             _convolve(lo, A0, B0)
             _convolve(hi, A1, B1)
             _convolve(mid, list(map(operator.add, A0, A1)),
                       list(map(operator.add, B0, B1)))
-            m0, m1 = self.modulus[:2]
             top = [c % self.pmod for c in hi]
             out = [0] * (2 * min(n, e))
             out[::2] = _fold([c - m0 * t for c, t in zip(lo, top)], n, e, p)
@@ -273,37 +279,12 @@ class Tower:
             out[i::f] = _fold(P, n, e, p)
         return out
 
-    def _w_product(self, A, B):
-        """The f coordinates of the product of the W elements with
-        coordinates A and B: one convolution, then a^k for k >= f reduced
-        by the modulus lift, top first.  The low coordinates are left
-        unreduced, as in the planes of ``_unit_product``.  At f = 2 it
-        takes the three products of Karatsuba, as ``_unit_product`` does."""
-        f = self.f
-        if f == 2:
-            (x0, x1), (y0, y1) = A, B
-            lo, hi = x0 * y0, x1 * y1
-            top = hi % self.pmod
-            m0, m1 = self.modulus[:2]
-            return [lo - m0 * top, (x0 + x1) * (y0 + y1) - lo - hi - m1 * top]
-        conv = [0] * (2 * f - 1)
-        for i, a in enumerate(A):
-            if a:
-                for l, b in enumerate(B, i):
-                    conv[l] += a * b
-        pm = self.pmod
-        for k in range(2 * f - 2, f - 1, -1):
-            top = conv[k] % pm
-            for i, m in enumerate(self.modulus[:f]):
-                if m:
-                    conv[k - f + i] -= m * top
-        return conv[:f]
-
     def _unit_inverse(self, U, e=None):
         """Unit part of 1/u for the unit u with unit part U, exact in W/p^nl.
 
         u lies in the ring with pi^e = -p, e the tower's own unless given.
-        1/u is unique there, so every path gives the same coordinates:
+        A u_0 that p divides in every coordinate raises ConstructionMismatch
+        first.  1/u is unique, so every path after that check agrees:
         - a W-constant maps each pi-slot to itself, so 1/u is the W-constant
           that solves the f x f block of u_0: one modular inverse at f = 1,
           one of the norm at f = 2, the elimination below with e = 1 above;
@@ -315,25 +296,21 @@ class Tower:
           matrix over Z/p^nl in the basis a^i pi^j (a the root of the
           modulus lift), invertible mod p because u is a unit, and a unit
           pivot in every column solves u z = 1.
-        A u_0 that is no unit raises ConstructionMismatch on every path.
+        The closed forms' divisors are units then: u_0^e, N(u_0), u_0^2 mod p.
         """
         p, f, pm = self.p, self.f, self.pmod
         e = e or self.e
+        if (U[0] if f == 1 else math.gcd(*U[:f])) % p == 0:   # as in _canon
+            raise ConstructionMismatch(
+                "no unit pivot while inverting a unit; it is not canonical")
         if len(U) == f:
             if f == 1:   # the 1 x 1 block: one modular inverse
-                if U[0] % p == 0:
-                    raise ConstructionMismatch(
-                        "no unit pivot while inverting a unit; it is not canonical")
                 return [pow(U[0], -1, pm)]
             if f == 2:   # by the norm: 1/(x + y a) = (x - m_1 y - y a)/N(x + y a)
                 x, y = U
                 m0, m1 = self.modulus[:2]
                 x1 = x - m1 * y
-                N = x * x1 + m0 * y * y
-                if N % p == 0:
-                    raise ConstructionMismatch(
-                        "no unit pivot while inverting a unit; it is not canonical")
-                inv = pow(N, -1, pm)
+                inv = pow(x * x1 + m0 * y * y, -1, pm)
                 return [x1 * inv % pm, -y * inv % pm]
             e = 1
         elif f == 1 and not any(U[1:-1]):
@@ -410,11 +387,7 @@ class Tower:
                 r -= e
                 t *= -p
         # t is now b^e: r = j e mod e = 0 is slot 0
-        D = apow[-1] * U[0] - t
-        if D % p == 0:
-            raise ConstructionMismatch(
-                "no unit pivot while inverting a unit; it is not canonical")
-        inv = pow(D, -1, pm)
+        inv = pow(apow[-1] * U[0] - t, -1, pm)
         return [x * inv % pm for x in z]
 
     def _halved_inverse(self, U, e):
@@ -669,11 +642,6 @@ class Tower:
         root0 = emb(self.ff.encode([0, 1] + [0] * (self.f - 2)))
         mpoly = Poly(big, [big.from_int(c) for c in self.modulus])
         return hensel_root(mpoly, root0)
-
-    def extended(self, e_mult=1, f_mult=1):
-        """A tower with e, f multiplied, carrying equivalent precision."""
-        e2 = self.e * e_mult
-        return Tower(self.p, e2, self.f * f_mult, prec=(self.nl - 1) * e2)
 
 
 def _convolve(acc, A, B):
@@ -1210,8 +1178,7 @@ class Poly:
         return Poly(self.tw, [x * el for x in self.c])
 
     def divexact_el(self, el):
-        inv = el.inverse()
-        return Poly(self.tw, [x * inv for x in self.c])
+        return self.scale(el.inverse())
 
     def eval(self, x):
         """Horner's rule from the leading coefficient: deg multiplies."""

@@ -1,6 +1,8 @@
 import json
 import os
+import random
 import resource
+import signal
 import subprocess
 import sys
 
@@ -171,6 +173,28 @@ class TestRun:
         assert names == ["torsor-bruteforce-agreement", "genus-shortcut-vs-conductor",
                          "normalization-orbit-invariance", "deuring-orbit-invariance"]
         assert rep["passed"]
+
+    def test_selftest_draws_are_bounded(self, monkeypatch):
+        # a cover draw that always raises is skipped, so with no bound the
+        # orbit check would draw forever; it must give up and fail instead.
+        # The timer turns a hang into a failure of this test.
+        def never(datum):
+            raise InsufficientPrecision("digits exhausted")
+
+        monkeypatch.setattr(cli, "classify", never)
+        old = signal.signal(signal.SIGALRM,
+                            lambda *_: pytest.fail("selftest draws never end"))
+        signal.setitimer(signal.ITIMER_REAL, 60)
+        try:
+            checks = []
+            cli._selftest_orbit(random.Random(0), checks)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, old)
+        [check] = checks
+        assert check["name"] == "normalization-orbit-invariance"
+        assert not check["passed"]
+        assert check["detail"] == "0/0 permuted covers agree"
 
     def test_precision_retry_then_exit_2(self, monkeypatch):
         calls = []

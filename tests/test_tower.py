@@ -523,6 +523,14 @@ class TestInverse:
                     u0 + zero * (e // 2 - 1) + one,              # u_0 + pi^(e/2)
                     u0 + zero * (e - 2) + [25] + [0] * (f - 1),  # u_j = 0 mod p
                     u0 + zero * (e - 1)]]                        # padded
+        # f = 3, the one residue degree with no closed form: a W-constant
+        # (its 3 x 3 block), one padded to all e slots and dense non-units,
+        # through the elimination at odd e and the halving at even e
+        for e in (3, 4):
+            tw = T(5, e, 3, 10 * e)
+            u0 = [5, 10, 0]
+            cases += [(tw, u0), (tw, u0 + [0, 0, 0] * (e - 1)),
+                      (tw, u0 + [1, 2, 3] * (e - 1)), (tw, [0, 0, 0] + [1, 0, 0] * (e - 1))]
         for tw, U in cases:
             with pytest.raises(ConstructionMismatch):
                 tw._unit_inverse(U)
