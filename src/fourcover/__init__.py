@@ -9,6 +9,7 @@ from .errors import (
     BudgetExceeded, InvalidInput, PrecisionTooLarge,
 )
 from .tower import Tower, make_tower, Poly, INF
+from .rational import Rational
 from .ffield import FF
 from .curves import (
     RatFunc, ASCurve, InsepCurve, as_reduce, as_irreducible, as_genus,

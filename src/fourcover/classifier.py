@@ -46,7 +46,6 @@ rung 2 asks for it.  A 1a or via-1b center is an El, which serves rung
 """
 
 import math
-from fractions import Fraction
 from functools import partial
 
 from .errors import (
@@ -54,6 +53,7 @@ from .errors import (
     ConstructionMismatch, DegenerateModel,
 )
 from .tower import Tower, El, Poly, INF, hensel_root, _times_int
+from .rational import Rational
 from .normalizer import (
     CoverDatum, FactoredCover, Moebius, normalize, j_numerator,
 )
@@ -185,18 +185,18 @@ def classify(n):
         if p == 3:
             return Classification(TYPE_3, VIA_1B)
         vnum = j_numerator(n).valuation()
-        if vnum is INF or vnum >= Fraction(2 * p, 3 * (p - 1)):
+        if vnum is INF or vnum >= Rational(2 * p, 3 * (p - 1)):
             return Classification(TYPE_1A)
         return Classification(TYPE_3, VIA_1B)
     if n.gamma + 1 != p:
         return Classification(TYPE_3, VIA_2A)
-    vt2 = Fraction(2 * p, p - 1)
+    vt2 = Rational(2 * p, p - 1)
     if v == vt2:
         return Classification(TYPE_1B)
     if v > vt2:
         return Classification(TYPE_2)
     half = v / 2
-    if half <= Fraction(p - 2, p - 1):
+    if half <= Rational(p - 2, p - 1):
         return Classification(TYPE_3, VIA_2B3_I)
     return Classification(TYPE_3, VIA_2B3_II)
 
@@ -234,14 +234,14 @@ def required_extension(n, cls):
     tokens = []
     e_need = e0
     f_need = f0
-    vt = Fraction(p, p - 1)
+    vt = Rational(p, p - 1)
     for label, vc in n.constant_tokens:
         tokens.append("%s, v(c) = %s" % (label, vc))
-        e_need = math.lcm(e_need, (Fraction(vc) / p).denominator)
+        e_need = math.lcm(e_need, (vc / p).denominator)
 
     if cls.rtype == TYPE_1A:
         tokens.append("tau^(1/3)")
-        e_need = math.lcm(e_need, Fraction(p, 3 * (p - 1)).denominator)
+        e_need = math.lcm(e_need, Rational(p, 3 * (p - 1)).denominator)
 
     elif cls.rtype == TYPE_1B:
         tokens.append("tau")
@@ -253,7 +253,7 @@ def required_extension(n, cls):
 
     elif cls.subroute == VIA_2A:
         tokens.append("tau^(1/2)")
-        e_need = math.lcm(e_need, Fraction(p, 2 * (p - 1)).denominator)
+        e_need = math.lcm(e_need, Rational(p, 2 * (p - 1)).denominator)
 
     elif cls.subroute == VIA_1B:
         num = j_numerator(n)
@@ -560,7 +560,7 @@ def _build_good_1a(n, cover, lam, checks):
     # the center is the vertex of g, the midpoint of its roots
     g = _critical_quadratic(n, lam)
     d = -g.c[1] / (g.c[2] * 2)
-    b = _radius(tw, Fraction(p, 3 * (p - 1)))
+    b = _radius(tw, Rational(p, 3 * (p - 1)))
     # sufficiency bookkeeping: v(f'(d)) >= v(b^2), v(f''(d)) >= v(b^2)
     C1 = C.deriv()
     vd1 = C1.eval(d)
@@ -598,7 +598,7 @@ def _build_via_1b(n, cover, lam, checks):
     if disc.is_zeroish():
         raise InsufficientPrecision("critical discriminant indistinguishable from 0")
     sq = tw.sqrt(disc)
-    inv2 = tw.from_rational(Fraction(1, 2))
+    inv2 = tw.from_rational(Rational(1, 2))
     centers = [(-Bc + sq) * inv2, (-Bc - sq) * inv2]
     v_sep = (centers[0] - centers[1]).valuation()
     comps = []
@@ -626,7 +626,7 @@ def _build_via_1b(n, cover, lam, checks):
 def _build_via_2a(n, cover, lam, checks):
     tw = cover.tw
     p = tw.p
-    b = _radius(tw, Fraction(p, 2 * (p - 1)))
+    b = _radius(tw, Rational(p, 2 * (p - 1)))
     inner, _ = cover.moebius_pullback(Moebius(lam, tw.zero(), tw.zero(), tw.one()))
     # the critical points on the disk of radius lam are the roots of
     # g(lam x)/lam = lam g2 x^2 + g1 x + 1
@@ -874,17 +874,18 @@ def check_qwerty(tower, c1, c2):
 def deuring_good_reduction(lam):
     """Potentially good reduction of y^2 = x(x-1)(x-lam) at p = 2:
     true iff v(j(E)) >= 0 for j = 2^8 (lam^2-lam+1)^3 / (lam^2 (lam-1)^2)."""
-    tw = lam.tw
-    if tw.p != 2:
+    if lam.tw.p != 2:
         raise UnsupportedPrime("the Deuring criterion lives at p = 2")
-    if lam.is_zeroish() or lam.same(tw.one()):
-        raise InvalidInput("lambda must avoid {0, 1}")
     return deuring_j_valuation(lam) >= 0
 
 
 def deuring_j_valuation(lam):
+    """v(j(E)), INF when j = 0; lam in {0, 1}, where the curve
+    degenerates and v(lam) or v(lam - 1) is infinite, is an InvalidInput."""
     tw = lam.tw
     one = tw.one()
+    if lam.is_zeroish() or lam.same(one):
+        raise InvalidInput("lambda must avoid {0, 1}")
     num = lam * lam - lam + one
     if num.is_zeroish():
         return INF

@@ -14,13 +14,13 @@ import math
 import random
 import sys
 import time
-from fractions import Fraction
 
 from .errors import (
     FourCoverError, InsufficientPrecision, ConstructionMismatch, InvalidInput,
     NeedsExtension, DegenerateModel, PrecisionTooLarge,
 )
 from .tower import make_tower, Poly, INF
+from .rational import Rational
 from .normalizer import CoverDatum, INFPT, normalize, cross_ratio_orbit
 from .classifier import (
     classify, required_extension, build_stable_model, check_qwerty,
@@ -293,7 +293,7 @@ def _selftest_deuring(rng, checks):
     tw = make_tower(2, 1, 1, 80)
     stable = tried = 0
     for _ in range(200):   # at most 10 draws per orbit; short of 20 fails
-        q = Fraction(rng.randrange(-64, 65), rng.randrange(1, 33))
+        q = Rational(rng.randrange(-64, 65), rng.randrange(1, 33))
         if q in (0, 1):
             continue
         lam = tw.from_rational(q)

@@ -22,13 +22,13 @@ NormalizedCover is returned.
 """
 
 import math
-from fractions import Fraction
 
 from .errors import (
     CoalescingBranchPoints, ConstructionMismatch, InsufficientPrecision,
     InvalidInput, NonCyclicExponent,
 )
 from .tower import INF, Tower
+from .rational import Rational
 
 
 class _Infinity:
@@ -447,7 +447,7 @@ def j_invariant(n):
     tw = n.tower
     p = tw.p
     num = j_numerator(n)
-    exp = Fraction(2 * p, 3 * (p - 1))
+    exp = Rational(2 * p, 3 * (p - 1))
     vnum = num.valuation()
     if vnum is INF:
         return tw.zero(), INF

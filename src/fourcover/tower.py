@@ -2,8 +2,8 @@
 
 A tower is K = W[pi] where W is the unramified extension of Q_p of
 degree f and pi satisfies pi^e = -p.  Valuations are normalized by
-v(p) = 1, so v(pi) = 1/e and every valuation is an exact Fraction with
-denominator dividing e.
+v(p) = 1, so v(pi) = 1/e and every valuation is an exact ``Rational``
+(rational.py) with denominator dividing e.
 
 Elements are stored as pi^s * u where u = sum_{j<e} u_j pi^j is a unit
 (u_0 is a unit of W) and each u_j is an element of W/p^N.  The unit part
@@ -23,7 +23,7 @@ Elements constructed from rational tokens additionally carry the exact
 pair (q, m) with value q * pi^m; arithmetic propagates exactness when
 the result is again of that shape, so valuations of token-built data are
 decided exactly even when they exceed the digit window.  q is a Python
-int exactly when it is an integer, and a reduced Fraction otherwise
+int exactly when it is an integer, and a reduced Rational otherwise
 (``_exact_q`` is the one place that decides), so products and sums of
 integer pairs run as int arithmetic.  The split of a value into q and m
 is kept as it was built: the p-part of q is not folded into m, since
@@ -99,7 +99,6 @@ square.
 import math
 import operator
 import re
-from fractions import Fraction
 
 from .errors import (
     InsufficientPrecision, NeedsExtension, NegativeValuation,
@@ -107,6 +106,7 @@ from .errors import (
     PrecisionTooLarge,
 )
 from .ffield import FF, binary_power, peval, pderiv
+from .rational import Rational
 
 INF = math.inf
 _EXACT_ZERO = (0, 0)
@@ -500,7 +500,7 @@ class Tower:
         return k * e * p // (p - 1)
 
     def tau_valuation(self):
-        return Fraction(self.p, self.p - 1)
+        return Rational(self.p, self.p - 1)
 
     def lift_ff(self, enc):
         """Lift a residue-field element to a unit digit (level 0)."""
@@ -538,7 +538,7 @@ class Tower:
                 rn = _isqrt_exact(q.numerator)
                 rd = _isqrt_exact(q.denominator)
                 if rn is not None and rd is not None:
-                    exact = (_exact_q(Fraction(rn, rd)), m // 2)
+                    exact = (_exact_q(Rational(rn, rd)), m // 2)
         u = x * self.pi_power(-s)
         rr = self.ff.sqrt(u.residue())
         if rr is None:
@@ -586,7 +586,7 @@ class Tower:
                     raise InvalidInput("zero denominator in %r" % part)
                 if num == 0 and exp < 0:
                     raise InvalidInput("zero to a negative power")
-                powers.append((Fraction(num, den), exp))
+                powers.append((Rational(num, den), exp))
             if g.group("neg"):
                 sign = -sign
         room = float(TOKEN_DIGITS)
@@ -599,7 +599,7 @@ class Tower:
                 raise InvalidInput("token is larger than %d digits"
                                    % TOKEN_DIGITS)
             room -= abs(n) * digits
-        q = Fraction(sign)
+        q = Rational(sign)
         for b, exp in powers:
             q *= b ** exp
         return self.from_exact_pair(q, m)
@@ -699,18 +699,20 @@ def _exact_sum(x, y, sign):
         return None
     # q2 pi^(m2 - m1) = q2 (-p)^k, which divides when k < 0
     p = x.tw.p
-    w = q2 * (-p) ** k if k >= 0 else Fraction(q2, (-p) ** -k)
+    w = q2 * (-p) ** k if k >= 0 else Rational(q2, (-p) ** -k)
     return (_exact_q(q1 + w if sign > 0 else q1 - w), m1)
 
 
 def _exact_q(q):
     """The q of an exact pair: an int when q is an integer, otherwise a
-    reduced Fraction.  Every producer of an exact pair passes q through
-    here, so int arithmetic carries every integer pair."""
+    reduced Rational.  Every producer of an exact pair passes q through
+    here, so int arithmetic carries every integer pair.  Any other
+    rational, such as a stdlib Fraction, is converted by value; an operand
+    with no rational value is an InvalidInput."""
     if q.__class__ is int:
         return q
-    if q.__class__ is not Fraction:
-        q = Fraction(q)
+    if q.__class__ is not Rational:
+        q = Rational(q)
     return q.numerator if q.denominator == 1 else q
 
 
@@ -759,7 +761,7 @@ class El:
                             # one, U[j f + i] on a^i pi^j; None if zero
         self.ap = ap        # absolute precision in pi-units; None = infinite
         self.exact = exact  # optional (q, int m): value q*pi^m, q an int when integral,
-                            # else a non-integer Fraction
+                            # else a non-integer Rational
 
     # -- state predicates ----------------------------------------------
 
@@ -778,15 +780,15 @@ class El:
             return INF
         if self.exact is not None:
             q, m = self.exact
-            return Fraction(m + _vp(q, self.tw.p) * self.tw.e, self.tw.e)
+            return Rational(m + _vp(q, self.tw.p) * self.tw.e, self.tw.e)
         if self.s is None:
             raise InsufficientPrecision(
                 "element is O(pi^%d); valuation undecidable" % self.ap)
-        return Fraction(self.s, self.tw.e)
+        return Rational(self.s, self.tw.e)
 
     def pival(self):
         """Valuation in pi-units (integer): ``valuation() * e``, read off
-        the exact pair or s with no Fraction; INF for the true zero."""
+        the exact pair or s with no Rational; INF for the true zero."""
         if self.ap is None:
             return INF
         if self.exact is not None:
@@ -818,9 +820,10 @@ class El:
             if other.tw is not self.tw:
                 raise InvalidInput("elements of different towers")
             return other
-        if isinstance(other, (int, Fraction)):
+        # an int, a Rational or a stdlib Fraction: its denominator is an int
+        if isinstance(getattr(other, "denominator", None), int):
             return self.tw.from_rational(other)
-        raise InvalidInput("element arithmetic with %r" % (other,))
+        raise InvalidInput("element arithmetic with a %s" % type(other).__name__)
 
     def __add__(self, other, sign=1):
         """self + sign * other: the sign, 1 or -1, goes onto other's U and q."""
@@ -919,7 +922,8 @@ class El:
                 "inverse of zero or O(pi^%s)" % (self.ap,))
         exact = None
         if self.exact is not None:
-            exact = (_exact_q(Fraction(1, self.exact[0])), -self.exact[1])
+            q = self.exact[0]
+            exact = (_exact_q(Rational(q.denominator, q.numerator)), -self.exact[1])
         # u^-1 is known to the unit's window, min(ap - s, prec) pi-digits
         if self.U == tw._one[1]:   # a pi-power inverts by a shift
             return El(tw, -self.s, self.U,
@@ -935,7 +939,7 @@ class El:
 
     def __pow__(self, n):
         if not isinstance(n, int):
-            raise InvalidInput("element power with the exponent %r" % (n,))
+            raise InvalidInput("element power with a %s exponent" % type(n).__name__)
         if n < 0:
             return self.inverse() ** (-n)
         if n == 0:
@@ -1130,7 +1134,7 @@ class Poly:
 
     def _checked(self, other):
         if not isinstance(other, Poly):
-            raise InvalidInput("polynomial arithmetic with %r" % (other,))
+            raise InvalidInput("polynomial arithmetic with a %s" % type(other).__name__)
         return other
 
     def __add__(self, other):
@@ -1167,7 +1171,7 @@ class Poly:
 
     def __pow__(self, n):
         if not isinstance(n, int):
-            raise InvalidInput("polynomial power with the exponent %r" % (n,))
+            raise InvalidInput("polynomial power with a %s exponent" % type(n).__name__)
         if n < 0:
             raise InvalidInput("negative power of a polynomial")
         if n == 0:
@@ -1222,7 +1226,7 @@ class Poly:
         return Poly(self.tw, out)
 
     def gauss_valuation(self):
-        """min over coefficient valuations (exact Fraction), INF for 0.
+        """min over coefficient valuations (exact Rational), INF for 0.
 
         Raises InsufficientPrecision when a fuzzy coefficient could lie
         below the smallest known valuation.
@@ -1233,7 +1237,7 @@ class Poly:
             if a.is_true_zero():
                 continue
             if a.s is None:
-                bound = min(bound, Fraction(a.ap, self.tw.e))
+                bound = min(bound, Rational(a.ap, self.tw.e))
             else:
                 best = min(best, a.valuation())
         if best is INF and bound is INF:

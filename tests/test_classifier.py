@@ -8,7 +8,9 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from fourcover.errors import UnsupportedPrime, FourCoverError, InsufficientPrecision
+from fourcover.errors import (
+    UnsupportedPrime, FourCoverError, InsufficientPrecision, InvalidInput,
+)
 from fourcover.ffield import peval, pderiv, pnormalize, proots
 from fourcover.tower import make_tower, hensel_root, El, Poly
 from fourcover.normalizer import (
@@ -552,6 +554,15 @@ class TestDeuring:
         assert deuring_good_reduction(tw.from_int(2))
         assert deuring_j_valuation(tw.from_int(32)) == -2
         assert not deuring_good_reduction(tw.from_int(32))
+
+    def test_degenerate_lambda_is_invalid_input(self):
+        # the curve degenerates at lam in {0, 1}, where v(lam) or
+        # v(lam - 1) is infinite, so v(j) has no rational value there
+        tw = make_tower(2, 1, 1, 60)
+        for lam in (tw.zero(), tw.one(), tw.from_int(3) - tw.from_int(3)):
+            for call in (deuring_j_valuation, deuring_good_reduction):
+                with pytest.raises(InvalidInput):
+                    call(lam)
 
     def test_orbit_invariance(self):
         tw = make_tower(2, 1, 1, 80)

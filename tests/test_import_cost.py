@@ -15,8 +15,10 @@ from fourcover.classifier import Classification, StableModel
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src")
 
-# dataclasses pulls in inspect, which pulls in ast, dis and tokenize
-HEAVY = ("dataclasses", "inspect", "ast", "dis", "tokenize", "typing")
+# dataclasses pulls in inspect, which pulls in ast, dis and tokenize;
+# fractions pulls in decimal and numbers (the library has its own Rational)
+HEAVY = ("dataclasses", "inspect", "ast", "dis", "tokenize", "typing",
+         "fractions", "decimal", "numbers")
 
 PROBE = """\
 import sys
