@@ -34,15 +34,20 @@ C = x(x-1)^beta(x-lam)^gamma are the roots of the critical quadratic g
 of ``_critical_quadratic``.  Type 1a centers at the vertex of g, via-1b
 at the two roots of g by the quadratic formula, and via-2a at the roots
 of g on the unit disk and of g(lam x)/lam on the disk of radius lam.
+The 2b3 centers of sub-case i are lifted from G/lambda^(1/2), G the
+cubic numerator of the cover's logarithmic derivative, not from F' of
+degree 2p - 1 (``_log_derivative_numerator``), and those of sub-case ii
+from T0' (``_critical_2b3``).
 Every center that lifts a residue root goes through ``_lift_centers``
 (via-2a, and the finite centers of 2b3), except the flipped 2b3 center,
-whose residue root is 0 and which ``hensel_root`` lifts directly.  Both
-lift a center only to the digits that rung 1 and the report read: rung
-1 reads it to K0 pi-digits, and the report renders four nonzero digits
-and the ap that ``hensel_root`` certifies by the precision lemma.  The
-lifted center (a ``LiftedRoot``) runs the full-window lift only when
-rung 2 asks for it.  A 1a or via-1b center is an El, which serves rung
-1, rung 2 and the report as it is.
+whose residue root is 0 and which ``hensel_root`` lifts directly from
+the same polynomial of the flipped cover.  Both lift a center only to
+the digits that rung 1 and the report read: rung 1 reads it to K0
+pi-digits, and the report renders four nonzero digits and the ap that
+``hensel_root`` certifies by the precision lemma.  The lifted center (a
+``LiftedRoot``) runs the full-window lift only when rung 2 asks for it.
+A 1a or via-1b center is an El, which serves rung 1, rung 2 and the
+report as it is.
 """
 
 import math
@@ -701,6 +706,8 @@ def _build_via_2b3(n, cover, lam, checks, subcase):
                          "t(x1) = -((h^p-F)/lambda^(1/2))~ not a p-th power"))
     b = _radius(tw, (tw.tau_valuation() - mu.valuation()) / 2)
     want = 2 if (n.beta + 1) % p else 1
+    if subcase == VIA_2B3_I:
+        S = _level_quotient(_log_derivative_numerator(moved), mu, "F'")
     centers = _lift_centers(S, _integral_branch_residues(moved), want,
                             "symmetrized line")
     if want == 2:
@@ -708,10 +715,13 @@ def _build_via_2b3(n, cover, lam, checks, subcase):
     else:
         # the second singular point is at infinity: flip y = 1/x1 and
         # lift its residue root 0, which hensel_root requires to be simple
-        Fs, hs = F.reverse(2 * p), h.reverse(2)
-        _, Ss = _critical_2b3(Fs, hs, mu, subcase)
+        hs = h.reverse(2)
         flipped, _ = moved.moebius_pullback(
             Moebius(tw.zero(), tw.one(), tw.one(), tw.zero()))
+        if subcase == VIA_2B3_I:
+            Ss = _level_quotient(_log_derivative_numerator(flipped), mu, "F'")
+        else:
+            _, Ss = _critical_2b3(F.reverse(2 * p), hs, mu, subcase)
         charts = [(moved, h, centers[0], "x1 finite chart"),
                   (flipped, hs, hensel_root(Ss, 0, _rung_one_digits(tw)),
                    "1/x1 chart")]
@@ -737,8 +747,10 @@ def _level_quotient(P, mu, what):
 
 
 def _critical_2b3(F, h, mu, subcase):
-    """(T0, S) for z^p = F with witness h: T0 = (h^p - F)/mu, and the
-    centers are roots of S = F'/mu (sub-case i) or S = T0' (sub-case ii).
+    """(T0, S) for z^p = F with witness h: T0 = (h^p - F)/mu, and S = T0',
+    whose roots are the centers of sub-case ii.  S is None for sub-case i,
+    which lifts its centers from G/mu, G of ``_log_derivative_numerator``
+    of degree at most 3, not from F'/mu of degree 2p - 1.
     h is x(x - 1), whose h^p = x^p (x - 1)^p, or its flip 1 - x, whose
     (1 - x)^p is (x - 1)^p read backwards; (x - 1)^p comes from the
     binomial theorem."""
@@ -746,9 +758,39 @@ def _critical_2b3(F, h, mu, subcase):
     rows = _binomial_rows(-tw.one(), tw.p, tw.p + 1)
     hp = Poly(tw, [tw.zero()] * tw.p + rows if h.degree == 2 else rows[::-1])
     T0 = _level_quotient(hp - F, mu, "h^p - F")
-    if subcase == VIA_2B3_I:
-        return T0, _level_quotient(F.deriv(), mu, "F'")
-    return T0, T0.deriv()
+    return T0, (None if subcase == VIA_2B3_I else T0.deriv())
+
+
+def _log_derivative_numerator(cover):
+    """G, whose roots off the branch points are the critical points of F,
+    the C of ``_cover_to_poly(cover)``: a cubic for four finite branch
+    points, where F' has degree 2p - 1.
+
+    F = prod L_j^a_j over the unit-content linear factors L_j that
+    ``_cover_to_poly`` expands (x - q, or 1 - x/q when v(q) < 0), so
+    F' = F sum a_i L_i'/L_i = prod L_j^(a_j - 1) G with
+    G = sum_i a_i L_i' prod_(j != i) L_j.  By Gauss's lemma v(G) = v(F'),
+    and the other factor is a unit off the branch residues: G has the
+    simple residue roots of F' there, and Hensel's root in each of their
+    disks is the same.
+    """
+    tw = cover.tw
+    lines = []   # (L, a L')
+    for q, a in cover.items:
+        v = q.valuation()
+        if v is INF or v >= 0:
+            lines.append((Poly(tw, [-q, tw.one()]), tw.from_int(a)))
+        else:
+            d = -q.inverse()
+            lines.append((Poly(tw, [tw.one(), d]), _times_int(d, a)))
+    G = Poly(tw, [])
+    for i, (_, da) in enumerate(lines):
+        term = Poly(tw, [da])
+        for j, (L, _) in enumerate(lines):
+            if j != i:
+                term = term * L
+        G = G + term
+    return G
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ match, so their geometric genus is 0.
 from .errors import NotReduced, InvalidInput, ConstructionMismatch
 from .ffield import (
     padd, psub, pneg, pmul, pdivmod, pmod, pgcd, peval, ppow, pfactor,
-    pnormalize, pdeg, prender, pscale, p_is_pth_power as is_pth_power,
+    pnormalize, pdeg, prender, pscale, p_is_pth_power as is_pth_power, shown,
 )
 
 
@@ -102,7 +102,7 @@ class RatFunc:
             return RatFunc(self.ff, other)
         if isinstance(other, int):
             return RatFunc(self.ff, [other % self.ff.p])
-        raise InvalidInput("cannot coerce %r" % (other,))
+        raise InvalidInput("cannot coerce %s" % shown(other))
 
     def frobenius_shift(self):
         """self^p - self."""

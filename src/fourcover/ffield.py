@@ -26,6 +26,17 @@ from .errors import InvalidInput, ConstructionMismatch
 MAX_ORDER = 10 ** 4
 
 
+def shown(x):
+    """x for an error message: an int of at most 64 bits as its digits, a
+    longer one by its bit length and anything else by its type, since
+    str() of an int past the host's 4300-digit limit raises ValueError."""
+    if isinstance(x, int):
+        if x.bit_length() <= 64:
+            return repr(x)
+        return "a %d-bit int" % x.bit_length()
+    return "a %s" % type(x).__name__
+
+
 def is_prime(n):
     if n < 2:
         return False
@@ -66,10 +77,10 @@ class FF:
         if f < 1:
             raise InvalidInput("f must be >= 1")
         if p > MAX_ORDER or f > MAX_ORDER.bit_length() or p ** f > MAX_ORDER:
-            raise InvalidInput("F_(%r^%r) has more than %d elements"
-                               % (p, f, MAX_ORDER))
+            raise InvalidInput("F_(p^f) with p = %s and f = %s has more than %d "
+                               "elements" % (shown(p), shown(f), MAX_ORDER))
         if not is_prime(p):
-            raise InvalidInput("p must be prime, got %r" % (p,))
+            raise InvalidInput("p must be prime, got %s" % shown(p))
         self.p = p
         self.f = f
         self.q = p ** f
@@ -306,7 +317,7 @@ def binary_power(base, n, mul):
     products.  n < 1 is an InvalidInput: the ladder has no product to
     start from, and shifting a negative n never reaches 0."""
     if n < 1:
-        raise InvalidInput("binary_power needs an exponent >= 1, got %r" % (n,))
+        raise InvalidInput("binary_power needs an exponent >= 1, got %s" % shown(n))
     while not n & 1:
         base = mul(base, base)
         n >>= 1
@@ -324,7 +335,7 @@ def ppow(ff, a, n, m=None):
     """a^n for n >= 0 by square-and-multiply, reduced modulo m if given.
     The result is a new list, never a itself.  n < 0 is an InvalidInput."""
     if n < 0:
-        raise InvalidInput("ppow needs an exponent >= 0, got %r" % (n,))
+        raise InvalidInput("ppow needs an exponent >= 0, got %s" % shown(n))
     if n == 0:
         return [1]
     if m is None:

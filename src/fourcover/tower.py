@@ -105,7 +105,7 @@ from .errors import (
     DivisionByIndistinguishableZero, InvalidInput, ConstructionMismatch,
     PrecisionTooLarge,
 )
-from .ffield import FF, binary_power, peval, pderiv
+from .ffield import FF, binary_power, peval, pderiv, shown
 from .rational import Rational
 
 INF = math.inf
@@ -115,14 +115,19 @@ _EXACT_ZERO = (0, 0)
 # host's limit on one string-to-int conversion (see _token_int); p^N, the
 # modulus of a tower's coordinates, is bounded by it too.
 TOKEN_DIGITS = 4300
+# the bits of an int of TOKEN_DIGITS decimal digits, to judge a size by
+# bit_length with no string built
+_TOKEN_BITS = int(TOKEN_DIGITS * math.log2(10))
 
 
 def make_tower(p, e, f, precision):
     """Build the tower with v(pi) = 1/e and pi^e = -p.
 
-    ``precision`` counts pi-digits carried by elements.  Rejects p that
-    is not prime, nonpositive e, f, precision, and a precision whose
-    coordinate modulus p^N would pass TOKEN_DIGITS decimal digits.
+    ``precision`` counts pi-digits carried by elements.  Rejects, with
+    InvalidInput, p that is not prime, nonpositive e, f, precision, an
+    e f past TOKEN_DIGITS (the coordinates of one element), and a
+    precision whose coordinate modulus p^N would pass TOKEN_DIGITS
+    decimal digits.
     """
     return Tower(p, e, f, precision)
 
@@ -131,9 +136,14 @@ class Tower:
 
     def __init__(self, p, e, f=1, prec=None):
         if not isinstance(e, int) or e < 1:
-            raise InvalidInput("ramification index e must be >= 1, got %r" % (e,))
+            raise InvalidInput("ramification index e must be >= 1, got %s" % shown(e))
         if not isinstance(f, int) or f < 1:
-            raise InvalidInput("residue degree f must be >= 1, got %r" % (f,))
+            raise InvalidInput("residue degree f must be >= 1, got %s" % shown(f))
+        # a unit part holds e f coordinates, and _window_moduli a tuple of
+        # that length; TOKEN_DIGITS bounds it as it bounds p^N
+        if e * f > TOKEN_DIGITS:
+            raise InvalidInput("e f must be at most %d coordinates per element, "
+                               "got %s" % (TOKEN_DIGITS, shown(e * f)))
         if prec is None:
             prec = 50 * e
         if not isinstance(prec, int) or prec < 1:
@@ -944,7 +954,16 @@ class El:
             return self.inverse() ** (-n)
         if n == 0:
             return self.tw.one()
-        return binary_power(self, n, operator.mul)
+        x, pair = self, self.exact
+        # q^n could pass TOKEN_DIGITS, judged by the bits of q's numerator
+        # and denominator: the digits carry the value, and q = +-1, whose
+        # powers stay put, keeps its pair
+        if (pair is not None
+                and n * (pair[0].numerator.bit_length()
+                         + pair[0].denominator.bit_length()) > _TOKEN_BITS
+                and pair[0] * pair[0] != 1):
+            x = El(x.tw, x.s, x.U, x.ap, None)
+        return binary_power(x, n, operator.mul)
 
     # -- comparisons -------------------------------------------------------
 

@@ -15,20 +15,22 @@ to shrink, so a hang fails the test at once.
 """
 
 import math
+import operator
 import signal
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fourcover import FourCoverError, Poly, Rational, make_tower
+from fourcover import FourCoverError, InvalidInput, Poly, Rational, make_tower
+from fourcover.curves import RatFunc
+from fourcover.ffield import FF, binary_power, ppow
 
 BATCH_S = 60
 BIG = 10 ** 400
-# El ** n of an exact element computes q^n exactly, which grows without
-# bound in n, so exact elements take exponents up to this size and the
-# others any size
-EXACT_EXPONENT = 64
+# an int whose str() passes the host's 4300-digit limit
+HUGE = 10 ** 5000
 
 
 class BatchTimeout(BaseException):
@@ -117,11 +119,8 @@ class TestElementOperators:
     def test_powers(self, data):
         tw = data.draw(towers())
         x = data.draw(elements(tw))
-        if x.exact is not None and x.exact[0] not in (1, -1):
-            n = data.draw(st.integers(-EXACT_EXPONENT, EXACT_EXPONENT))
-        else:
-            n = data.draw(st.one_of(st.integers(-BIG, BIG), rationals(),
-                                    st.sampled_from(FOREIGN)))
+        n = data.draw(st.one_of(st.integers(-64, 64), st.integers(-BIG, BIG),
+                                rationals(), st.sampled_from(FOREIGN)))
         z = typed(lambda: x ** n)
         if z is not None:
             typed(z.valuation)
@@ -151,3 +150,44 @@ class TestConstructors:
         P = typed(Poly, tw, coeffs)
         if P is not None:
             typed(P.gauss_valuation)
+
+
+class TestHugeInts:
+    """Ints past the host's limit on int-to-str conversion: each call ends
+    in a typed error whose message gives the bit length, or, for a power
+    of an exact element, in a value within a time bound."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: binary_power(3, -HUGE, operator.mul),
+        lambda: ppow(FF(3, 1), [1, 1], -HUGE),
+        lambda: FF(HUGE, 1),
+        lambda: FF(3, HUGE),
+        lambda: RatFunc(FF(5, 1), [1]) + Fraction(HUGE + 1, 3),
+        lambda: make_tower(3, -HUGE, 1, 10),
+        lambda: make_tower(3, 1, HUGE, 10),
+    ], ids=["binary_power", "ppow", "FF-p", "FF-f", "RatFunc-coerce",
+            "tower-e", "tower-f"])
+    def test_typed_failure_names_the_bit_length(self, call):
+        with pytest.raises(InvalidInput, match="-bit int|a Fraction"):
+            call()
+
+    # e f coordinates per element, each tuple of _window_moduli among them:
+    # only values that the check refuses are tried
+    @pytest.mark.parametrize("e, f", [(10 ** 30, 1), (4301, 1), (2151, 2), (HUGE, 1)],
+                             ids=["e-1e30", "e-4301", "e-2151-f-2", "e-huge"])
+    def test_tower_refuses_e_f_past_token_digits(self, e, f):
+        with pytest.raises(InvalidInput, match="coordinates per element"):
+            make_tower(3, e, f, 10)
+
+    def test_exact_power_past_token_digits_keeps_the_digits(self):
+        tw = make_tower(5, 4, 1, 40)
+        three = tw.from_int(3)
+        assert (three ** 1000).exact == (3 ** 1000, 0)
+        for n in (10 ** 6, -10 ** 6, BIG, HUGE):
+            start = time.process_time()
+            z = three ** n
+            assert time.process_time() - start < 1.0
+            assert z.exact is None
+            assert z.same(tw.from_int(pow(3, n, tw.pmod)))
+        # q = +-1 never grows: a pi-power keeps its pair at any exponent
+        assert (tw.pi_power(1) ** BIG).exact == (1, BIG)

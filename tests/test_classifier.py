@@ -12,7 +12,7 @@ from fourcover.errors import (
     UnsupportedPrime, FourCoverError, InsufficientPrecision, InvalidInput,
 )
 from fourcover.ffield import peval, pderiv, pnormalize, proots
-from fourcover.tower import make_tower, hensel_root, El, Poly
+from fourcover.tower import make_tower, hensel_root, El, Poly, INF
 from fourcover.normalizer import (
     CoverDatum, FactoredCover, INFPT, Moebius, normalize,
 )
@@ -23,6 +23,7 @@ from fourcover.classifier import (
     VIA_1B, VIA_2A, VIA_2B3_I, VIA_2B3_II,
     _chart_poly, _cover_to_poly, _critical_2b3, _critical_quadratic,
     _blowup_trichotomy, _factored_chart, _integral_branch_residues,
+    _log_derivative_numerator,
 )
 from fourcover import classifier, cli, torsor, tower as tower_module
 from fourcover.torsor import TorsorOutcome
@@ -281,22 +282,60 @@ def derivative_centers_2a(n, big):
     return centers
 
 
-def all_roots_flipped_center(n, big, subcase):
-    """The flipped 2b3 center as it was found before: lift every simple
-    residue root of the flipped critical polynomial off the flipped branch
-    residues, then keep the one lift with residue 0."""
-    p = n.p
+def symmetrized_cover(n, big):
+    """mu = lam^(1/2) and the cover in the symmetrized coordinate
+    x0 = mu x1/(1 - x1), as ``_build_via_2b3`` makes them."""
     lam, cover = model_cover(n, big)
     mu = big.sqrt(lam)
     moved, _ = cover.moebius_pullback(Moebius(mu, big.zero(), -big.one(), big.one()))
+    return mu, moved
+
+
+def derivative_quotient(F, mu):
+    """F'/mu, the 2b3 sub-case i critical polynomial before the cover's
+    logarithmic derivative, at the level that ``_level_quotient`` checks."""
+    D = F.deriv()
+    assert D.gauss_valuation() == mu.valuation()
+    return D.divexact_el(mu)
+
+
+def all_roots_flipped_center(n, big, subcase):
+    """The flipped 2b3 center as it was found before: lift every simple
+    residue root of the flipped critical polynomial (Fs'/mu in sub-case
+    i, T0' in sub-case ii) off the flipped branch residues, then keep the
+    one lift with residue 0."""
+    p = n.p
+    mu, moved = symmetrized_cover(n, big)
     F, _ = _cover_to_poly(moved)
-    h = Poly(big, [big.zero(), -big.one(), big.one()])
-    _, Ss = _critical_2b3(F.reverse(2 * p), h.reverse(2), mu, subcase)
+    Fs = F.reverse(2 * p)
+    if subcase == VIA_2B3_I:
+        Ss = derivative_quotient(Fs, mu)
+    else:
+        h = Poly(big, [big.zero(), -big.one(), big.one()])
+        _, Ss = _critical_2b3(Fs, h.reverse(2), mu, subcase)
     flip_res = {big.ff.inv(x) for x in _integral_branch_residues(moved) if x}
     lifted = [hensel_root(Ss, r)
               for r in sorted(residue_center_roots(Ss, flip_res))]
     [d] = [d for d in lifted if d.residue() == 0]
     return d
+
+
+def derivative_centers_2b3_i(n, big):
+    """The 2b3 sub-case i centers as they were lifted before the cover's
+    logarithmic derivative, cut where ``_lift_centers`` cuts: the finite
+    ones from F'/mu of degree 2p - 1, and for beta = p - 1 the flipped one
+    from the residue root 0 of Fs'/mu, Fs = x^(2p) F(1/x)."""
+    p = n.p
+    mu, moved = symmetrized_cover(n, big)
+    F, _ = _cover_to_poly(moved)
+    cut = classifier._rung_one_digits(big)
+    S = derivative_quotient(F, mu)
+    roots = sorted(residue_center_roots(S, _integral_branch_residues(moved)))
+    assert len(roots) == (2 if (n.beta + 1) % p else 1)
+    centers = [hensel_root(S, r, cut) for r in roots]
+    if len(roots) == 1:
+        centers.append(hensel_root(derivative_quotient(F.reverse(2 * p), mu), 0, cut))
+    return centers
 
 
 @st.composite
@@ -366,6 +405,19 @@ def flipped_2b3_covers(draw):
     return norm(tw, p - 1, p - 1, lam)
 
 
+@st.composite
+def via_2b3_i_covers(draw):
+    # gamma = p - 1 and 0 < v(lam)/2 <= (p - 2)/(p - 1); beta = p - 1 puts
+    # the second center at infinity, in the flipped chart
+    p = draw(st.sampled_from([3, 5, 7]))
+    beta = draw(st.sampled_from([p - 1, 1, p - 2]))
+    tw = tower_for(p, levels=24)
+    lam = tw.parse(draw(positive_tokens(p, 2 * (p - 2))))
+    n = norm(tw, beta, p - 1, lam)
+    assume(classify(n) == Classification(TYPE_3, VIA_2B3_I))
+    return n
+
+
 class TestRemovedCenterRoutes:
     """Each center or radius route that the critical quadratic and
     ``_lift_centers`` replaced, kept as the reference for the charts the
@@ -399,6 +451,16 @@ class TestRemovedCenterRoutes:
         got = m.components[1].chart.center.full()
         want = all_roots_flipped_center(n, got.tw, cls.subroute)
         assert state(got) == state(want)
+
+    @settings(max_examples=30, deadline=None)
+    @given(via_2b3_i_covers())
+    def test_2b3_i_centers_match_the_derivative_lift(self, n):
+        m = build_stable_model(n)
+        assert m.extension.f <= 2
+        got = [c.chart.center for c in m.components]
+        want = derivative_centers_2b3_i(n, got[0].head.tw)
+        assert [d.ap for d in got] == [d.ap for d in want]
+        assert [state(d.full()) for d in got] == [state(d.full()) for d in want]
 
 
 class TestClosedFormIdentities:
@@ -468,6 +530,34 @@ class TestClosedFormIdentities:
             got = C.deriv()
             for i in range(max(got.degree, expect.degree) + 1):
                 assert got.coeff(i) == expect.coeff(i)
+
+    @pytest.mark.parametrize("p, beta, token", [
+        (3, 1, "3"), (5, 1, "5"), (5, 4, "5"), (7, 1, "7"), (7, 6, "-2/3*pi^3")])
+    def test_log_derivative_numerator_divides_the_derivative(self, p, beta, token):
+        # F' = prod L^(a-1) G over the linear factors L of _cover_to_poly,
+        # on the symmetrized 2b3 cover and on its flip, and v(G) = v(F')
+        tw = tower_for(p, levels=24)
+        n = norm(tw, beta, p - 1, tw.parse(token))
+        cls = classify(n)
+        assert cls == Classification(TYPE_3, VIA_2B3_I)
+        spec = required_extension(n, cls)
+        big = make_tower(p, spec.e, spec.f, 24 * spec.e)
+        one = big.one()
+        _, moved = symmetrized_cover(n, big)
+        flipped, _ = moved.moebius_pullback(Moebius(big.zero(), one, one, big.zero()))
+        for cvr in (moved, flipped):
+            D = _cover_to_poly(cvr)[0].deriv()
+            G = _log_derivative_numerator(cvr)
+            expect = G
+            for q, a in cvr.items:
+                v = q.valuation()
+                L = (Poly(big, [-q, one]) if v is INF or v >= 0
+                     else Poly(big, [one, -q.inverse()]))
+                expect = expect * L ** (a - 1)
+            assert G.degree <= 3 and D.degree == expect.degree
+            for i in range(D.degree + 1):
+                assert D.coeff(i).same(expect.coeff(i))
+            assert G.gauss_valuation() == D.gauss_valuation()
 
     def test_vertex_value_is_j_numerator(self):
         # at the vertex d of g the value is -(j-numerator)/(4(beta+gamma+1)):
